@@ -52,7 +52,6 @@ from .asymptotics import (
     fit_limit_asymptotics,
     integrate_limit_equation,
     matched_amplitude_check,
-    scaling_predictions,
     solve_linearized_lightcone,
 )
 
@@ -72,6 +71,6 @@ __all__ = [
     "extend_beyond_lightcone", "first_crossing_report", "monotonicity_report",
     "phase_trajectory", "phase_zero_count",
     "OscillationFit", "fit_limit_asymptotics", "integrate_limit_equation",
-    "matched_amplitude_check", "scaling_predictions", "solve_linearized_lightcone",
+    "matched_amplitude_check", "solve_linearized_lightcone",
     "__version__",
 ]

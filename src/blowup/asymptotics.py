@@ -14,8 +14,8 @@ produces the geometric laws for the solution family,
 plus an amplitude relation A0 c^{(5-p)/4} = +-A1 (b - b_inf)/b_inf tying
 the limit-equation ringdown amplitude A0 to the cone-linearization
 amplitude A1.  This module integrates both linear descriptions, extracts
-(amplitude, phase, frequency, decay) by least squares, and evaluates the
-closed-form predictions for comparison against the computed family.
+(amplitude, phase, frequency, decay) by least squares, and checks the
+amplitude relation and the phase spacing against the computed family.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ __all__ = [
     "limit_fixed_point_eigenvalues",
     "fit_limit_asymptotics",
     "solve_linearized_lightcone",
-    "scaling_predictions",
     "matched_amplitude_check",
 ]
 
@@ -349,12 +348,7 @@ def solve_linearized_lightcone(rho_min: float, params: ModelParams,
                           n_periods=n_periods, window=(lo, hi))
 
 
-# -- closed-form predictions and matching --------------------------------------
-
-
-def scaling_predictions(params: ModelParams) -> tuple[float, float]:
-    """(ratio_c, ratio_b): the geometric laws of the solution family."""
-    return params.ratio_c, params.ratio_b
+# -- matching against the computed family ---------------------------------------
 
 
 @dataclass(frozen=True)

@@ -9,8 +9,7 @@ Output is CSV or JSON, written deterministically: fixed column order,
 10 significant digits, newline line endings, rows in index order.  The
 same configuration produces byte-identical files, so the artifacts can be
 diffed across machines and the plots regenerated exactly.  Exit codes:
-0 success, 1 computational failure, 2 usage error.  BLOWUP_THREADS caps
-the worker pool used for spectrum scans and curve sampling.
+0 success, 1 computational failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -134,39 +133,28 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
     P = cfg.params
-    rows: list[list] = []
-    results: list[shoot.ShootingResult] = []
+    spec = shoot.SpectrumResult(rows=[], params=P, rho_mid=cfg.rho_mid)
     failed = False
-    prev = None
-    for n in range(1, args.n_max + 1):
-        try:
-            res = (shoot.find_solution(n, P, cfg.tol, cfg.rho_mid, prev=prev)
-                   if prev is not None else
-                   shoot.find_solution(n, P, cfg.tol, cfg.rho_mid))
-        except (shoot.ShootingError, RuntimeError) as exc:
-            print(f"spectrum: row {n} failed: {exc}", file=sys.stderr)
-            rows.append([n, "FAIL", None, None, None, None, None])
-            failed = True
-            break
-        results.append(res)
-        rows.append([res.n, res.c, res.b, None, None, res.mismatch, res.zeros])
-        if len(results) >= 2:
-            bi = P.b_inf
-            a, b = results[-2], results[-1]
-            rows[-2][3] = b.c / a.c
-            rows[-2][4] = (b.b - bi) / (bi - a.b)
-        prev = res
+    try:
+        for res in shoot.iter_rows(args.n_max, P, cfg.tol, cfg.rho_mid):
+            spec.rows.append(res)
+    except (shoot.ShootingError, RuntimeError) as exc:
+        print(f"spectrum: row {len(spec.rows) + 1} failed: {exc}", file=sys.stderr)
+        failed = True
+    # quotient columns are filled wherever the next row exists
+    last = len(spec.rows)
+    rows: list[list] = [
+        [r.n, r.c, r.b, spec.delta_c(r.n) if r.n < last else None,
+         spec.delta_b(r.n) if r.n < last else None, r.mismatch, r.zeros]
+        for r in spec.rows]
+    if failed:
+        rows.append([last + 1, "FAIL", None, None, None, None, None])
     rows.append(["inf", None, P.b_inf, P.ratio_c, P.ratio_b, None, None])
 
     if cfg.format == "json":
-        payload_rows = []
-        for r in rows[:-1]:
-            if r[1] == "FAIL":
-                payload_rows.append({"n": r[0], "failed": True})
-            else:
-                payload_rows.append({
-                    "n": r[0], "c": r[1], "b": r[2], "delta_c": r[3],
-                    "delta_b": r[4], "mismatch": r[5], "zeros": r[6]})
+        keys = ("n", "c", "b", "delta_c", "delta_b", "mismatch", "zeros")
+        payload_rows = [{"n": r[0], "failed": True} if r[1] == "FAIL" else dict(zip(keys, r))
+                        for r in rows[:-1]]
         _emit_json({"kind": "spectrum", "p": P.p, "rho_mid": cfg.rho_mid,
                     "rows": payload_rows,
                     "limits": {"b_inf": P.b_inf, "ratio_c": P.ratio_c,
@@ -307,7 +295,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
                 "max Q %.3g, center excess %.3g" % (qmax, q0_excess)))
 
     res0 = shoot.constant_solution_result(P, tol, cfg.rho_mid)
-    zs = shoot.w_zero_locations(res0.trajectory, P)
+    zs = diag.w_zero_locations(res0.trajectory, P)
     target = math.sqrt((P.p - 3.0) / (P.p + 1.0))
     err = abs(float(zs[0]) - target) if len(zs) == 1 else math.inf
     out.append(("constant_solution_zero", err <= 1e-9,
@@ -405,8 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="blowup",
         description="Self-similar blowup profiles of the focusing wave "
                     "equation: family table, single profiles, shooting "
-                    "curves, limit asymptotics, and invariant checks.",
-        epilog="BLOWUP_THREADS caps the worker pool for scans and sampling.")
+                    "curves, limit asymptotics, and invariant checks.")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("constants", help="derived constants for an exponent")

@@ -46,6 +46,7 @@ __all__ = [
     "monotonicity_report",
     "phase_trajectory",
     "phase_zero_count",
+    "w_zero_locations",
     "phase_at",
     "first_crossing_report",
     "crossing_discriminant",
@@ -176,17 +177,12 @@ def _principal(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _pieces(traj):
-    return getattr(traj, "pieces", (traj,))
-
-
 def _piece_chain(piece: Trajectory):
     """(t ascending in rho, w, rw, k) with k the rho-per-t factor."""
     t, w, rw = piece.w_samples()
     if len(t) > 1 and t[0] > t[-1]:
         t, w, rw = t[::-1], w[::-1], rw[::-1]
-    k = 1.0 if piece.chart == "rho" else piece._k()
-    return t, w, rw, k
+    return t, w, rw, piece.rho_per_t()
 
 
 def phase_trajectory(traj, params: ModelParams,
@@ -203,7 +199,7 @@ def phase_trajectory(traj, params: ModelParams,
                 "trajectory is indistinguishable from the singular solution")
         pts.append(PhasePoint(rho=rho, w=w, rw=rw, theta=th, R=R))
 
-    for piece in _pieces(traj):
+    for piece in traj.pieces:
         t, w, rw, k = _piece_chain(piece)
 
         def advance(t_a, th_a, t_b, w_b, rw_b, depth=0):
@@ -229,6 +225,33 @@ def phase_trajectory(traj, params: ModelParams,
         for i in range(len(t) - 1):
             theta = advance(t[i], theta, t[i + 1], float(w[i + 1]), float(rw[i + 1]))
     return pts
+
+
+def w_zero_locations(traj, params: ModelParams) -> np.ndarray:
+    """Zeros of w = u/u_singular - 1 in rho, refined through dense output."""
+    zeros = []
+    for piece in traj.pieces:
+        t, w, _ = piece.w_samples()
+        k = piece.rho_per_t()
+        for i in range(len(t) - 1):
+            wi, wj = w[i], w[i + 1]
+            if wi == 0.0:
+                zeros.append(float(t[i]) * k)
+            elif (wi < 0.0 < wj) or (wj < 0.0 < wi):
+                tz = brentq(lambda tq: float(piece.w_of_t(tq)[0]), t[i], t[i + 1],
+                            xtol=1e-15, rtol=8.9e-16)
+                zeros.append(float(tz) * k)
+        if len(t) and w[-1] == 0.0:
+            zeros.append(float(t[-1]) * k)
+    zeros = sorted(zeros)
+    # junction duplicates (a zero straddling the glue point) collapse to one;
+    # distinct zeros are whole spiral turns apart, so a relative test is safe
+    out = []
+    for z in zeros:
+        if out and z <= out[-1] * (1.0 + 1e-6):
+            continue
+        out.append(z)
+    return np.asarray(out)
 
 
 def _level_index(theta: float) -> int:
@@ -283,17 +306,13 @@ def first_crossing_report(c: float, params: ModelParams,
     if traj.termination != TERM_REACHED_END:
         raise RuntimeError(f"center trajectory c={c:g} stopped early "
                            f"({traj.termination})")
-    t, w, rw = traj.w_samples()
-    k = 1.0 if traj.chart == "rho" else traj._k()
-    idx = np.nonzero((w[:-1] < 0.0) & (w[1:] >= 0.0))[0]
-    if len(idx) == 0:
+    # w -> -1 at the center, so the first zero is the first upward crossing
+    zs = w_zero_locations(traj, params)
+    if len(zs) == 0:
         raise RuntimeError(f"no crossing of the singular solution below "
                            f"rho={rho_end} for c={c:g}")
-    i = int(idx[0])
-    tz = brentq(lambda tq: float(traj.w_of_t(tq)[0]), t[i], t[i + 1],
-                xtol=1e-15, rtol=8.9e-16)
-    rho1 = float(tz) * k
-    rw1 = float(traj.w_of_t(tz)[1])
+    rho1 = float(zs[0])
+    rw1 = float(traj.w_of_t(rho1 / traj.rho_per_t())[1])
     after = [q.w for q in phase_trajectory(traj, params) if q.rho > rho1]
     min_w = float(min(after)) if after else float("nan")
     floor = -2.0 * params.alpha
@@ -410,8 +429,7 @@ def singular_mode_amplitude(traj, params: ModelParams, n_points: int = 8) -> flo
     when the singular component is present; a linear fit in sigma over the
     samples closest to the cone estimates that limit.
     """
-    pieces = _pieces(traj)
-    rho, u, du = pieces[-1].profile_samples()
+    rho, u, du = traj.pieces[-1].profile_samples()
     mask = rho < 1.0
     rho, du = rho[mask], du[mask]
     if len(rho) < n_points or rho.max() < 0.98:

@@ -6,10 +6,11 @@ so step budgets, minimum step size, and termination reasons are explicit.
 Dense output interpolates at the order of the stepper, so trajectories can
 be sampled anywhere without re-integration.
 
-Two charts are supported.  The plain chart integrates (u, u') in rho on
-either side of the cone.  The rescaled chart integrates (U, U') in
-x = rho c^{(p-1)/2} with u = c U, used for large center amplitudes where
-the plain chart is ill-conditioned; conversions are exact.
+Every trajectory lives in one chart family: (U, U') in x = rho c^{(p-1)/2}
+with u = c U.  The plain equation in rho is the member c = 1; large center
+amplitudes use their own c, where the plain chart is ill-conditioned; the
+limit equation is stored with c = 1 as well.  Conversions are exact, and
+scaling by 1 leaves every digit of the plain chart unchanged.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from scipy.integrate import DOP853, OdeSolution
 
 from .model import ModelParams, ProfileState
-from .odecore import center_launch, center_launch_rescaled, lightcone_launch
+from .odecore import center_launch, center_launch_rescaled, chart_rhs, lightcone_launch
 
 __all__ = [
     "Tolerances",
@@ -108,67 +109,49 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Integrated piece of a profile in one chart.
+    """Integrated piece of a profile in the chart of scale c_scale.
 
-    t, y hold the accepted-step grid in chart coordinates; state() and
-    profile_samples() convert to (rho, u, du) regardless of chart.  The
+    t, y hold the accepted-step grid in chart coordinates x = rho
+    c_scale^{(p-1)/2}, with u = c_scale U; c_scale is 1.0 for the plain rho
+    chart.  eval() and profile_samples() convert to (rho, u, du).  The
     deviation variable w = u/u_singular - 1 and its scale-invariant slope
-    rho*w' have the same expression in both charts' native variables, so
+    rho*w' have the same expression in every chart's native variables, so
     w_samples()/w_of_t() never leave the well-conditioned representation.
     """
 
     params: ModelParams
-    tol: Tolerances
-    chart: str                       # "rho" or "x"
-    c_scale: float | None            # x-chart: u = c U, x = rho c^{(p-1)/2}
+    c_scale: float
     t: np.ndarray
     y: np.ndarray
     dense: OdeSolution | None
-    direction: int
     termination: str
+
+    @property
+    def pieces(self) -> tuple[Trajectory]:
+        """(self,), so single pieces and two-sided merges iterate alike."""
+        return (self,)
 
     # -- chart conversions ------------------------------------------------
 
-    def _k(self) -> float:
-        # drho/dx for the x-chart
-        return float(self.c_scale) ** (-(self.params.p - 1) / 2.0)
-
-    def rho_grid(self) -> np.ndarray:
-        return self.t if self.chart == "rho" else self.t * self._k()
-
-    def t_of_rho(self, rho):
-        return rho if self.chart == "rho" else np.asarray(rho) / self._k()
+    def rho_per_t(self) -> float:
+        """drho/dt of the chart: c_scale^{-(p-1)/2}."""
+        return self.c_scale ** (-(self.params.p - 1) / 2.0)
 
     def rho_span(self) -> tuple[float, float]:
-        r = self.rho_grid()
+        r = self.t * self.rho_per_t()
         return (float(r.min()), float(r.max()))
 
     def profile_samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rho, u, du) arrays on the accepted-step grid, in rho units."""
-        if self.chart == "rho":
-            return self.t, self.y[0], self.y[1]
-        c = float(self.c_scale)
-        dscale = c ** ((self.params.p + 1) / 2.0)
-        return self.t * self._k(), c * self.y[0], dscale * self.y[1]
-
-    @property
-    def samples(self) -> list[ProfileState]:
-        rho, u, du = self.profile_samples()
-        return [ProfileState(float(r), float(a), float(b)) for r, a, b in zip(rho, u, du)]
+        dscale = self.c_scale ** ((self.params.p + 1) / 2.0)
+        return self.t * self.rho_per_t(), self.c_scale * self.y[0], dscale * self.y[1]
 
     def eval(self, rho):
         """(u, du) at arbitrary rho inside the integrated span."""
         if self.dense is None:
             raise ValueError("trajectory was integrated without dense output")
-        yv = self.dense(self.t_of_rho(rho))
-        if self.chart == "rho":
-            return yv[0], yv[1]
-        c = float(self.c_scale)
-        return c * yv[0], c ** ((self.params.p + 1) / 2.0) * yv[1]
-
-    def state(self, rho: float) -> ProfileState:
-        u, du = self.eval(float(rho))
-        return ProfileState(float(rho), float(u), float(du))
+        yv = self.dense(np.asarray(rho) / self.rho_per_t())
+        return self.c_scale * yv[0], self.c_scale ** ((self.params.p + 1) / 2.0) * yv[1]
 
     def endpoint(self) -> ProfileState:
         rho, u, du = self.profile_samples()
@@ -195,22 +178,18 @@ class Trajectory:
         return self._w_expr(tq, yv[0], yv[1])
 
 
-def _interior_rhs(params: ModelParams, mu: float):
-    p = params.p
-    aa1 = params.aa1
-    tt = 2.0 + 2.0 * params.alpha
-
-    def rhs(t, y):
-        u, du = y
-        return (du, (mu * (aa1 * u + tt * t * du) - 2.0 * du / t - u**p)
-                / (1.0 - mu * t * t))
-
-    return rhs
+def _trajectory(params: ModelParams, mu: float, c_scale: float, t0: float, y0,
+                t_end: float, tol: Tolerances, blow_cap: float,
+                store_dense: bool) -> Trajectory:
+    t, y, dense, term = drive_ode(chart_rhs(params, mu), t0, y0, t_end, tol,
+                                  blow_cap, store_dense)
+    return Trajectory(params=params, c_scale=c_scale, t=t, y=y, dense=dense,
+                      termination=term)
 
 
 def integrate(start: ProfileState, rho_end: float, params: ModelParams,
               tol: Tolerances = Tolerances(), store_dense: bool = True) -> Trajectory:
-    """Integrate the profile equation in the plain chart.
+    """Integrate the profile equation in the plain chart (c_scale = 1).
 
     start.rho and rho_end must lie strictly on the same side of the cone
     (both in (0,1) or both above 1); crossing rho = 1 requires the series
@@ -223,10 +202,8 @@ def integrate(start: ProfileState, rho_end: float, params: ModelParams,
         raise ValueError(
             f"span [{r0}, {rho_end}] must stay strictly on one side of the cone")
     cap = max(1.0e6, 1.0e3 * (abs(start.u) + 1.0))
-    t, y, dense, term = drive_ode(_interior_rhs(params, 1.0), r0,
-                                  (start.u, start.du), rho_end, tol, cap, store_dense)
-    return Trajectory(params=params, tol=tol, chart="rho", c_scale=None, t=t, y=y,
-                      dense=dense, direction=1 if rho_end > r0 else -1, termination=term)
+    return _trajectory(params, 1.0, 1.0, r0, (start.u, start.du), rho_end, tol,
+                       cap, store_dense)
 
 
 def integrate_rescaled(c: float, x_start: float, U: float, dU: float, x_end: float,
@@ -239,10 +216,8 @@ def integrate_rescaled(c: float, x_start: float, U: float, dU: float, x_end: flo
     x_cone = (1.0 - 1e-12) / math.sqrt(mu)
     if not (0.0 < x_start < x_cone and 0.0 < x_end < x_cone):
         raise ValueError("x span must stay inside the cone image")
-    t, y, dense, term = drive_ode(_interior_rhs(params, mu), x_start, (U, dU),
-                                  x_end, tol, 1.0e3, store_dense)
-    return Trajectory(params=params, tol=tol, chart="x", c_scale=float(c), t=t, y=y,
-                      dense=dense, direction=1 if x_end > x_start else -1, termination=term)
+    return _trajectory(params, mu, float(c), x_start, (U, dU), x_end, tol,
+                       1.0e3, store_dense)
 
 
 def integrate_limit(x_start: float, U: float, dU: float, x_end: float,
@@ -250,14 +225,12 @@ def integrate_limit(x_start: float, U: float, dU: float, x_end: float,
                     store_dense: bool = True) -> Trajectory:
     """Integrate the infinite-amplitude limit equation (the mu = 0 chart).
 
-    The trajectory is stored as an x-chart with unit scale, so the deviation
-    helpers compare against the limit equation's own singular solution."""
+    The trajectory is stored with unit scale, so the deviation helpers
+    compare against the limit equation's own singular solution."""
     if x_start <= 0.0 or x_end <= 0.0:
         raise ValueError("limit chart needs x > 0")
-    t, y, dense, term = drive_ode(_interior_rhs(params, 0.0), x_start, (U, dU),
-                                  x_end, tol, 1.0e3, store_dense)
-    return Trajectory(params=params, tol=tol, chart="x", c_scale=1.0, t=t, y=y,
-                      dense=dense, direction=1 if x_end > x_start else -1, termination=term)
+    return _trajectory(params, 0.0, 1.0, x_start, (U, dU), x_end, tol,
+                       1.0e3, store_dense)
 
 
 def center_trajectory(c: float, rho_end: float, params: ModelParams,

@@ -23,9 +23,9 @@ coefficient is the one-parameter boundary condition of the regular family:
 
     u'(1) = (p-1) b^p / 4 - (p+1) b / (2(p-1)).
 
-The sigma-chart sigma = (1-rho)^(2/(p-1)), psi = u, theta = sigma u' is
-carried as a diagnostic: theta(sigma -> 0) measures the singular-mode
-amplitude, which vanishes exactly on profiles smooth across the cone.
+One kernel, chart_rhs(params, mu), serves every chart: the first-order
+system of the plain (mu = 1), rescaled (mu = c^{-(p-1)}) and limit (mu = 0)
+equations.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
     "SingularPointError",
     "SeriesRangeError",
     "SeriesStart",
-    "LightConeChart",
+    "chart_rhs",
     "rhs_interior",
     "equation_residual",
     "series_at_center",
@@ -50,8 +50,6 @@ __all__ = [
     "lightcone_launch",
     "center_launch_rescaled",
     "limit_launch",
-    "to_lightcone_chart",
-    "from_lightcone_chart",
 ]
 
 SERIES_ORDER = 6  # default truncation; launch offsets are validated against it
@@ -79,18 +77,23 @@ class SeriesStart:
     trunc_error_est: float
 
 
-@dataclass(frozen=True)
-class LightConeChart:
-    """Desingularized coordinates at the cone: sigma=(1-rho)^alpha, psi=u, theta=sigma*u'."""
+def chart_rhs(params: ModelParams, mu: float):
+    """rhs(t, y) -> (u', u'') of the profile equation in the chart with parameter mu.
 
-    sigma: float
-    psi: float
-    theta: float
+    mu = 1 is the plain equation in rho, mu = c^{-(p-1)} the rescaled one in
+    x, mu = 0 the limit equation.  The closure is the integrator's hot path,
+    so it captures its constants and makes no further Python calls.
+    """
+    p = params.p
+    aa1 = params.aa1
+    tt = 2.0 + 2.0 * params.alpha
 
+    def rhs(t, y):
+        u, du = y
+        return (du, (mu * (aa1 * u + tt * t * du) - 2.0 * du / t - u**p)
+                / (1.0 - mu * t * t))
 
-def _mu_rhs(rho: float, u: float, du: float, p: int, aa1: float, tt: float, mu: float) -> float:
-    # chart-generic second derivative; mu=1 plain, mu=eps rescaled, mu=0 limit
-    return (mu * (aa1 * u + tt * rho * du) - 2.0 * du / rho - u**p) / (1.0 - mu * rho * rho)
+    return rhs
 
 
 def rhs_interior(state: ProfileState, params: ModelParams) -> float:
@@ -101,7 +104,7 @@ def rhs_interior(state: ProfileState, params: ModelParams) -> float:
             f"rho = {rho} is a singular point; launch with series_at_center or "
             "series_at_lightcone instead of evaluating the raw equation"
         )
-    return _mu_rhs(rho, state.u, state.du, params.p, params.aa1, 2.0 + 2.0 * params.alpha, 1.0)
+    return chart_rhs(params, 1.0)(rho, (state.u, state.du))[1]
 
 
 def equation_residual(rho: float, u: float, du: float, ddu: float, params: ModelParams) -> float:
@@ -198,7 +201,9 @@ def series_at_lightcone(b: float, rho: float, params: ModelParams, order: int = 
     return ProfileState(rho=rho, u=u, du=du)
 
 
-def _shrink_until_valid(coeffs, t0, order, tol_u, tol_du):
+def _shrink_until_valid(coeffs, t0, order, rtol, atol, scale_u, scale_du):
+    """Halve the offset t0 until the truncation estimates of u and u' drop
+    below rtol * max(|value|, scale) + atol; returns (t, u, du, est)."""
     t = t0
     for _ in range(80):
         try:
@@ -207,10 +212,18 @@ def _shrink_until_valid(coeffs, t0, order, tol_u, tol_du):
             t *= 0.5
             continue
         est_du = est * (order + 2) / abs(t) if t != 0.0 else 0.0
-        if est <= tol_u(u) and est_du <= tol_du(u, du):
+        if (est <= rtol * max(abs(u), scale_u) + atol
+                and est_du <= rtol * max(abs(du), scale_du) + atol):
             return t, u, du, est
         t *= 0.5
     raise SeriesRangeError("could not validate a series launch offset")
+
+
+def _center_launch(amp: float, mu: float, t0: float, params: ModelParams, rtol: float,
+                   atol: float, order: int) -> tuple[float, float, float, float]:
+    # validated offset of the center series u(0) = amp in the chart with parameter mu
+    coeffs = _center_coeffs(amp, params, order + 2, mu=mu)
+    return _shrink_until_valid(coeffs, t0, order, rtol, atol, abs(amp), abs(amp))
 
 
 def center_launch(c: float, params: ModelParams, rtol: float = 1e-12, atol: float = 1e-14,
@@ -224,12 +237,7 @@ def center_launch(c: float, params: ModelParams, rtol: float = 1e-12, atol: floa
     """
     scale = max(abs(c), 1.0) ** (-(params.p - 1) / 2.0)
     rho_cap = min(1.0e-3, 0.02 * scale)
-    coeffs = _center_coeffs(c, params, order + 2, mu=1.0)
-    rho0, u, du, est = _shrink_until_valid(
-        coeffs, rho_cap, order,
-        tol_u=lambda u_: rtol * max(abs(u_), abs(c)) + atol,
-        tol_du=lambda u_, du_: rtol * max(abs(du_), abs(c)) + atol,
-    )
+    rho0, u, du, est = _center_launch(c, 1.0, rho_cap, params, rtol, atol, order)
     return SeriesStart(rho0=rho0, state=ProfileState(rho0, u, du), order=order, trunc_error_est=est)
 
 
@@ -239,11 +247,8 @@ def lightcone_launch(b: float, params: ModelParams, rtol: float = 1e-12, atol: f
     if side not in (-1, 1):
         raise ValueError("side must be -1 (inside the cone) or +1 (outside)")
     coeffs = _lightcone_coeffs(b, params, order + 2)
-    s0, u, du, est = _shrink_until_valid(
-        coeffs, side * 1.0e-3, order,
-        tol_u=lambda u_: rtol * max(abs(u_), abs(b)) + atol,
-        tol_du=lambda u_, du_: rtol * max(abs(du_), abs(b), 1.0) + atol,
-    )
+    s0, u, du, est = _shrink_until_valid(coeffs, side * 1.0e-3, order, rtol, atol,
+                                         abs(b), max(abs(b), 1.0))
     rho0 = 1.0 + s0
     return SeriesStart(rho0=rho0, state=ProfileState(rho0, u, du), order=order, trunc_error_est=est)
 
@@ -255,40 +260,11 @@ def center_launch_rescaled(c: float, params: ModelParams, rtol: float = 1e-12, a
     Used for large c, where the plain chart's convergence radius collapses;
     here the radius is O(1) uniformly because mu = c^{-(p-1)} <= 1.
     """
-    mu = float(c) ** (-(params.p - 1))
-    coeffs = _center_coeffs(1.0, params, order + 2, mu=mu)
-    x0, u, du, est = _shrink_until_valid(
-        coeffs, 1.0e-3, order,
-        tol_u=lambda u_: rtol * max(abs(u_), 1.0) + atol,
-        tol_du=lambda u_, du_: rtol * max(abs(du_), 1.0) + atol,
-    )
-    return x0, u, du, est
+    return _center_launch(1.0, float(c) ** (-(params.p - 1)), 1.0e-3, params, rtol, atol, order)
 
 
 def limit_launch(params: ModelParams, rtol: float = 1e-12, atol: float = 1e-14,
                  order: int = SERIES_ORDER) -> tuple[float, float, float, float]:
     """Launch data (x0, U, dU, trunc_est) for the infinite-amplitude limit
     equation U'' + (2/x)U' + U^p = 0, normalized to U(0) = 1."""
-    coeffs = _center_coeffs(1.0, params, order + 2, mu=0.0)
-    x0, u, du, est = _shrink_until_valid(
-        coeffs, 1.0e-3, order,
-        tol_u=lambda u_: rtol * max(abs(u_), 1.0) + atol,
-        tol_du=lambda u_, du_: rtol * max(abs(du_), 1.0) + atol,
-    )
-    return x0, u, du, est
-
-
-def to_lightcone_chart(state: ProfileState, params: ModelParams) -> LightConeChart:
-    """Map (rho, u, du) with 0 <= rho <= 1 to the sigma-chart."""
-    if not 0.0 <= state.rho <= 1.0:
-        raise ValueError(f"sigma-chart covers 0 <= rho <= 1, got rho = {state.rho}")
-    sigma = (1.0 - state.rho) ** params.alpha
-    return LightConeChart(sigma=sigma, psi=state.u, theta=sigma * state.du)
-
-
-def from_lightcone_chart(chart: LightConeChart, params: ModelParams) -> ProfileState:
-    """Inverse chart map; sigma must be positive (rho = 1 itself is excluded)."""
-    if chart.sigma <= 0.0:
-        raise ValueError("inverse chart needs sigma > 0; the cone point carries no du")
-    rho = 1.0 - chart.sigma ** ((params.p - 1) / 2.0)
-    return ProfileState(rho=rho, u=chart.psi, du=chart.theta / chart.sigma)
+    return _center_launch(1.0, 0.0, 1.0e-3, params, rtol, atol, order)

@@ -19,11 +19,13 @@ two-variable Newton iteration on the scaled midpoint mismatch
 
     F(c, b) = ( u_C0 - u_C1,  (u'_C0 - u'_C1) / |u_singular'(rho_mid)| )
 
-with a forward-difference Jacobian in (ln c, b).  Rows n >= 3 are seeded
-from row n-1 through the closed-form ratios, so only the first turn of the
-spiral is ever scanned.  Center launches with c above a threshold integrate
-in the exact rescaled chart, which keeps the curve data well conditioned
-for arbitrarily large c.
+with a forward-difference Jacobian in (ln c, b).  Every entry point builds
+the family by one rule: row 1 is the first scan seed, in ascending c, whose
+refined root has 2 zeros, and every row n >= 2 is chained from row n-1,
+seeded through the closed-form ratios (with a local rescan if that seed
+fails).  So only the first turns of the spiral are ever scanned.  Center
+launches with c above a threshold integrate in the exact rescaled chart,
+which keeps the curve data well conditioned for arbitrarily large c.
 
 Solutions are classified by their nodal index: the number of zeros of
 w = u/u_singular - 1, counted by sign changes on the dense trajectory and
@@ -34,12 +36,9 @@ exactly n + 1 zeros.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import ModelParams, du_singular
 from .integrate import (
@@ -50,6 +49,7 @@ from .integrate import (
     lightcone_trajectory,
 )
 from . import diagnostics as _diag
+from .diagnostics import w_zero_locations
 
 __all__ = [
     "MidpointImage",
@@ -63,12 +63,12 @@ __all__ = [
     "lightcone_image",
     "mismatch",
     "find_solution",
+    "iter_rows",
     "nodal_index",
     "w_zero_locations",
     "spectrum",
     "constant_solution_result",
     "sample_curves",
-    "thread_map",
 ]
 
 RESCALE_THRESHOLD = 10.0   # center launches above this c use the rescaled chart
@@ -81,24 +81,16 @@ class ShootingError(RuntimeError):
 
 
 class SearchError(ShootingError):
-    """Bracketing or refinement failed; carries the scan trace."""
+    """Bracketing or refinement failed.
+
+    trace holds what the search tried: (c, |F|) per Newton iterate when
+    refinement stalls, (c_seed, b_seed, reason) per rejected candidate when
+    no candidate yields the wanted row.
+    """
 
     def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = trace or []
-
-
-def thread_map(fn, items):
-    """Map preserving order; BLOWUP_THREADS > 1 enables a thread pool."""
-    try:
-        n = int(os.environ.get("BLOWUP_THREADS", "1"))
-    except ValueError:
-        n = 1
-    items = list(items)
-    if n <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,6 @@ class MergedTrajectory:
     center: Trajectory
     lightcone: Trajectory
     rho_mid: float
-    params: ModelParams
 
     @property
     def pieces(self) -> tuple[Trajectory, Trajectory]:
@@ -182,48 +173,72 @@ class SpectrumResult:
 # -- one-sided shots ---------------------------------------------------------
 
 
-def _center_shot(c: float, rho_mid: float, params: ModelParams, tol: Tolerances,
-                 store_dense: bool = False) -> Trajectory:
-    traj = center_trajectory(c, rho_mid, params, tol, store_dense,
-                             rescale_threshold=RESCALE_THRESHOLD)
-    if traj.termination != TERM_REACHED_END:
-        raise ShootingError(
-            f"center shot c={c:g} stopped early ({traj.termination})")
-    return traj
-
-
-def _lightcone_shot(b: float, rho_mid: float, params: ModelParams, tol: Tolerances,
-                    store_dense: bool = False) -> Trajectory:
+def _shot(side: str, param: float, rho_mid: float, params: ModelParams, tol: Tolerances,
+          store_dense: bool = False) -> Trajectory:
+    """Center shot u(0) = param or cone shot u(1) = param, integrated to rho_mid."""
     if not 0.0 < rho_mid < 1.0:
         raise ValueError("rho_mid must lie strictly inside the cone")
-    traj = lightcone_trajectory(b, rho_mid, params, tol, store_dense)
+    if side == "center":
+        traj = center_trajectory(param, rho_mid, params, tol, store_dense,
+                                 rescale_threshold=RESCALE_THRESHOLD)
+    else:
+        traj = lightcone_trajectory(param, rho_mid, params, tol, store_dense)
     if traj.termination != TERM_REACHED_END:
         raise ShootingError(
-            f"light-cone shot b={b:g} stopped early ({traj.termination})")
+            f"{side} shot from {param:g} stopped early ({traj.termination})")
     return traj
+
+
+class _ImageCache:
+    """Memoized images at rho_mid of center shots u(0) = c and cone shots u(1) = b.
+
+    The one place a shot's image is computed: the scan, Newton, mismatch()
+    and the curve samplers all read through an instance of it.
+    """
+
+    def __init__(self, params: ModelParams, rho_mid: float, tol: Tolerances):
+        self.params = params
+        self.rho_mid = rho_mid
+        self.tol = tol
+        self.dscale = abs(du_singular(params, rho_mid))
+        self._memo: dict[tuple[str, float], MidpointImage] = {}
+
+    def __call__(self, side: str, param: float) -> MidpointImage:
+        img = self._memo.get((side, param))
+        if img is None:
+            st = _shot(side, param, self.rho_mid, self.params, self.tol).endpoint()
+            img = MidpointImage(side, param, self.rho_mid, st.u, st.du)
+            self._memo[(side, param)] = img
+        return img
+
+    def scaled(self, side: str, param: float) -> tuple[float, float]:
+        """(u, u' / |u_singular'(rho_mid)|), the plane the scan intersects in."""
+        img = self(side, param)
+        return img.u, img.du / self.dscale
+
+    def F(self, c: float, b: float) -> np.ndarray:
+        """Scaled two-component gap between the center and cone images."""
+        ic = self("center", c)
+        il = self("lightcone", b)
+        return np.array([ic.u - il.u, (ic.du - il.du) / self.dscale])
 
 
 def center_image(c: float, rho_mid: float, params: ModelParams,
                  tol: Tolerances = Tolerances()) -> MidpointImage:
     """Image of the center launch u(0)=c at the matching radius."""
-    st = _center_shot(c, rho_mid, params, tol).endpoint()
-    return MidpointImage("center", c, rho_mid, st.u, st.du)
+    return _ImageCache(params, rho_mid, tol)("center", c)
 
 
 def lightcone_image(b: float, rho_mid: float, params: ModelParams,
                     tol: Tolerances = Tolerances()) -> MidpointImage:
     """Image of the light-cone launch u(1)=b at the matching radius."""
-    st = _lightcone_shot(b, rho_mid, params, tol).endpoint()
-    return MidpointImage("lightcone", b, rho_mid, st.u, st.du)
+    return _ImageCache(params, rho_mid, tol)("lightcone", b)
 
 
 def mismatch(c: float, b: float, rho_mid: float, params: ModelParams,
              tol: Tolerances = Tolerances()) -> np.ndarray:
     """Scaled two-component gap between the center and light-cone images."""
-    ic = center_image(c, rho_mid, params, tol)
-    il = lightcone_image(b, rho_mid, params, tol)
-    dscale = abs(du_singular(params, rho_mid))
-    return np.array([ic.u - il.u, (ic.du - il.du) / dscale])
+    return _ImageCache(params, rho_mid, tol).F(c, b)
 
 
 # -- bracketing scan ---------------------------------------------------------
@@ -251,21 +266,15 @@ def _segment_intersections(pa, pb):
 
 
 def _scan_seeds(params, tol, rho_mid, c_lo, c_hi, n_c, b_lo, b_hi, n_b):
-    """Candidate (c, b) intersection seeds from discretized C0 and C1."""
+    """Candidate (c, b) intersection seeds of discretized C0 and C1, ascending in c."""
     cs = np.exp(np.linspace(math.log(c_lo), math.log(c_hi), n_c))
     bs = np.linspace(b_lo, b_hi, n_b)
-    dscale = abs(du_singular(params, rho_mid))
-
-    def cimg(c):
-        st = _center_shot(c, rho_mid, params, tol).endpoint()
-        return (st.u, st.du / dscale)
-
-    def limg(b):
-        st = _lightcone_shot(b, rho_mid, params, tol).endpoint()
-        return (st.u, st.du / dscale)
-
-    pa = np.array(thread_map(cimg, cs))
-    pb = np.array(thread_map(limg, bs))
+    # bracketing only needs a few digits; the Newton stage re-integrates tightly
+    images = _ImageCache(params, rho_mid, Tolerances(
+        rtol=max(1e-8, tol.rtol), atol=max(1e-10, tol.atol),
+        max_steps=tol.max_steps, h_min=tol.h_min))
+    pa = np.array([images.scaled("center", c) for c in cs])
+    pb = np.array([images.scaled("lightcone", b) for b in bs])
     seeds = []
     for fi, fj in _segment_intersections(pa, pb):
         i = int(fi)
@@ -279,42 +288,15 @@ def _scan_seeds(params, tol, rho_mid, c_lo, c_hi, n_c, b_lo, b_hi, n_b):
         if out and abs(c / out[-1][0] - 1.0) < 1e-3 and abs(b - out[-1][1]) < 1e-3:
             continue
         out.append((c, b))
-    return out, [(float(c),) + tuple(map(float, pt)) for c, pt in zip(cs, pa)]
+    return out
 
 
 # -- Newton refinement -------------------------------------------------------
 
 
-class _MismatchCache:
-    def __init__(self, params, rho_mid, tol):
-        self.params = params
-        self.rho_mid = rho_mid
-        self.tol = tol
-        self.dscale = abs(du_singular(params, rho_mid))
-        self._center = {}
-        self._cone = {}
-
-    def center(self, c):
-        if c not in self._center:
-            st = _center_shot(c, self.rho_mid, self.params, self.tol).endpoint()
-            self._center[c] = (st.u, st.du)
-        return self._center[c]
-
-    def cone(self, b):
-        if b not in self._cone:
-            st = _lightcone_shot(b, self.rho_mid, self.params, self.tol).endpoint()
-            self._cone[b] = (st.u, st.du)
-        return self._cone[b]
-
-    def F(self, c, b):
-        uc, dc = self.center(c)
-        ul, dl = self.cone(b)
-        return np.array([uc - ul, (dc - dl) / self.dscale])
-
-
 def _newton_refine(c0, b0, params, rho_mid, tol, max_iter=30):
     """Damped Newton on F(ln c, b); returns (c, b, |F|) or raises SearchError."""
-    cache = _MismatchCache(params, rho_mid, tol)
+    cache = _ImageCache(params, rho_mid, tol)
     target = max(1e-11, 20.0 * tol.rtol)
     s = math.log(c0)
     b = b0
@@ -361,34 +343,6 @@ def _newton_refine(c0, b0, params, rho_mid, tol, max_iter=30):
 # -- nodal classification ----------------------------------------------------
 
 
-def w_zero_locations(traj, params: ModelParams) -> np.ndarray:
-    """Zeros of w = u/u_singular - 1 in rho, refined through dense output."""
-    zeros = []
-    pieces = getattr(traj, "pieces", (traj,))
-    for piece in pieces:
-        t, w, _ = piece.w_samples()
-        k = 1.0 if piece.chart == "rho" else piece._k()
-        for i in range(len(t) - 1):
-            wi, wj = w[i], w[i + 1]
-            if wi == 0.0:
-                zeros.append(float(t[i]) * k)
-            elif (wi < 0.0 < wj) or (wj < 0.0 < wi):
-                tz = brentq(lambda tq: float(piece.w_of_t(tq)[0]), t[i], t[i + 1],
-                            xtol=1e-15, rtol=8.9e-16)
-                zeros.append(float(tz) * k)
-        if len(t) and w[-1] == 0.0:
-            zeros.append(float(t[-1]) * k)
-    zeros = sorted(zeros)
-    # junction duplicates (a zero straddling the glue point) collapse to one;
-    # distinct zeros are whole spiral turns apart, so a relative test is safe
-    out = []
-    for z in zeros:
-        if out and z <= out[-1] * (1.0 + 1e-6):
-            continue
-        out.append(z)
-    return np.asarray(out)
-
-
 def nodal_index(traj, params: ModelParams) -> int:
     """Number of zeros of w, sign-change count cross-checked by phase winding."""
     n_sign = len(w_zero_locations(traj, params))
@@ -404,11 +358,11 @@ def nodal_index(traj, params: ModelParams) -> int:
 
 
 def _assemble(n_label, c, b, norm, params, rho_mid, tol) -> ShootingResult:
-    cen = _center_shot(c, rho_mid, params, tol, store_dense=True)
-    cone = _lightcone_shot(b, rho_mid, params, tol, store_dense=True)
-    merged = MergedTrajectory(center=cen, lightcone=cone, rho_mid=rho_mid, params=params)
+    cen = _shot("center", c, rho_mid, params, tol, store_dense=True)
+    cone = _shot("lightcone", b, rho_mid, params, tol, store_dense=True)
+    merged = MergedTrajectory(center=cen, lightcone=cone, rho_mid=rho_mid)
     zeros = nodal_index(merged, params)
-    if n_label is not None and zeros != n_label + 1:
+    if zeros != n_label + 1:
         raise SearchError(
             f"refined root (c={c:.6g}, b={b:.6g}) has {zeros} zeros, "
             f"wanted {n_label + 1}")
@@ -424,34 +378,33 @@ def constant_solution_result(params: ModelParams, tol: Tolerances = Tolerances()
     return _assemble(0, b0, b0, float(np.hypot(*F)), params, rho_mid, tol)
 
 
-def _scan_tol(tol: Tolerances) -> Tolerances:
-    # bracketing only needs a few digits; the Newton stage re-integrates tightly
-    return Tolerances(rtol=max(1e-8, tol.rtol), atol=max(1e-10, tol.atol),
-                      max_steps=tol.max_steps, h_min=tol.h_min)
+def _first_match(candidates, zeros: int, where: str, params, rho_mid, tol) -> ShootingResult:
+    """The first candidate seed whose refined root has `zeros` zeros.
+
+    Each rejected candidate goes into the SearchError trace as
+    (c_seed, b_seed, reason).
+    """
+    rejected = []
+    for c_s, b_s in candidates:
+        try:
+            c, b, norm = _newton_refine(c_s, b_s, params, rho_mid, tol)
+            return _assemble(zeros - 1, c, b, norm, params, rho_mid, tol)
+        except ShootingError as e:
+            rejected.append((c_s, b_s, str(e)))
+    first = f"; first: {rejected[0][2]}" if rejected else ""
+    raise SearchError(f"no refined root with {zeros} zeros {where} "
+                      f"({len(rejected)} candidates rejected{first})", rejected)
 
 
-def _initial_rows(params, tol, rho_mid, want: int):
-    """Scan the first spiral turns and return refined rows n = 1..want (<= 2)."""
+def _first_row(params, tol, rho_mid) -> ShootingResult:
+    """Row 1: the first scan seed, ascending in c, whose refined root has 2 zeros."""
     c_lo = 1.05 * params.b0 + 0.2
     c_hi = c_lo * params.ratio_c ** 2.6
     n_c = int(SCAN_POINTS_PER_TURN * 2.6) + 1
-    seeds, trace = _scan_seeds(params, _scan_tol(tol), rho_mid,
-                               c_lo, c_hi, n_c, 0.02, params.b0 - 1e-3, 81)
-    found = {}
-    for c_seed, b_seed in seeds:
-        try:
-            c, b, norm = _newton_refine(c_seed, b_seed, params, rho_mid, tol)
-            res = _assemble(None, c, b, norm, params, rho_mid, tol)
-        except (SearchError, ShootingError):
-            continue
-        if res.n not in found:
-            found[res.n] = res
-    missing = [k for k in range(1, want + 1) if k not in found]
-    if missing:
-        raise SearchError(
-            f"initial scan over c in [{c_lo:.3g}, {c_hi:.3g}] found rows "
-            f"{sorted(found)} but not {missing}", trace)
-    return [found[k] for k in range(1, want + 1)]
+    seeds = _scan_seeds(params, tol, rho_mid,
+                        c_lo, c_hi, n_c, 0.02, params.b0 - 1e-3, 81)
+    return _first_match(seeds, 2, f"in the initial scan over c in [{c_lo:.3g}, {c_hi:.3g}]",
+                        params, rho_mid, tol)
 
 
 def _next_row(prev: ShootingResult, params, tol) -> ShootingResult:
@@ -459,58 +412,59 @@ def _next_row(prev: ShootingResult, params, tol) -> ShootingResult:
     rho_mid = prev.rho_mid
     c_seed = prev.c * params.ratio_c
     b_seed = params.b_inf - params.ratio_b * (prev.b - params.b_inf)
-    try:
-        c, b, norm = _newton_refine(c_seed, b_seed, params, rho_mid, tol)
-        return _assemble(prev.n + 1, c, b, norm, params, rho_mid, tol)
-    except SearchError:
-        pass
-    # fallback: local rescan of one spiral window around the seed
-    spread = 0.45 * math.log(params.ratio_c)
-    db = max(6.0 * abs(b_seed - params.b_inf), 1e-5)
-    seeds, trace = _scan_seeds(
-        params, _scan_tol(tol), rho_mid,
-        c_seed * math.exp(-spread), c_seed * math.exp(spread), 40,
-        max(params.b_inf - db, 1e-3), min(params.b_inf + db, params.b0 - 1e-6), 41)
-    errs = []
-    for c_s, b_s in seeds:
-        try:
-            c, b, norm = _newton_refine(c_s, b_s, params, rho_mid, tol)
-            return _assemble(prev.n + 1, c, b, norm, params, rho_mid, tol)
-        except (SearchError, ShootingError) as e:
-            errs.append(str(e))
-    raise SearchError(
-        f"no refined root with {prev.n + 2} zeros near seed c={c_seed:.6g} "
-        f"({len(seeds)} candidates tried)", trace)
+
+    def candidates():
+        yield c_seed, b_seed
+        # fallback: local rescan of one spiral window around the seed
+        spread = 0.45 * math.log(params.ratio_c)
+        db = max(6.0 * abs(b_seed - params.b_inf), 1e-5)
+        yield from _scan_seeds(
+            params, tol, rho_mid,
+            c_seed * math.exp(-spread), c_seed * math.exp(spread), 40,
+            max(params.b_inf - db, 1e-3), min(params.b_inf + db, params.b0 - 1e-6), 41)
+
+    return _first_match(candidates(), prev.n + 2, f"near seed c={c_seed:.6g}",
+                        params, rho_mid, tol)
 
 
 def find_solution(n: int, params: ModelParams, tol: Tolerances = Tolerances(),
                   rho_mid: float = 0.5,
                   prev: ShootingResult | None = None) -> ShootingResult:
-    """Profile n >= 1 (n + 1 zeros); chains upward from the first spiral turn.
+    """Profile n >= 1 (n + 1 zeros): row 1 from the initial scan, every
+    later row chained from the one below it.
 
-    Passing `prev` (row n-1) skips the chain below it.
+    Passing `prev` (row n-1 at the same rho_mid) skips the chain below it.
     """
     if n < 1:
         raise ValueError("find_solution labels start at n = 1; n = 0 is the "
                          "constant solution (constant_solution_result)")
-    if prev is not None and prev.n == n - 1 and prev.rho_mid == rho_mid:
-        return _next_row(prev, params, tol)
-    rows = _initial_rows(params, tol, rho_mid, want=min(n, 2))
-    row = rows[min(n, 2) - 1]
+    chained = prev is not None and prev.n == n - 1 and prev.rho_mid == rho_mid
+    row = prev if chained else _first_row(params, tol, rho_mid)
     while row.n < n:
         row = _next_row(row, params, tol)
     return row
 
 
+def iter_rows(n_max: int, params: ModelParams, tol: Tolerances = Tolerances(),
+              rho_mid: float = 0.5):
+    """Rows n = 1..n_max, one find_solution call each, chained from the last.
+
+    A generator, so a caller keeps the rows already yielded when a deeper
+    one raises.
+    """
+    row = None
+    for n in range(1, n_max + 1):
+        row = find_solution(n, params, tol, rho_mid, prev=row)
+        yield row
+
+
 def spectrum(n_max: int, params: ModelParams, tol: Tolerances = Tolerances(),
              rho_mid: float = 0.5) -> SpectrumResult:
-    """Rows n = 1..n_max of the family, chained from the initial scan."""
+    """Rows n = 1..n_max of the family (see iter_rows)."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    rows = _initial_rows(params, tol, rho_mid, want=min(n_max, 2))
-    while len(rows) < n_max:
-        rows.append(_next_row(rows[-1], params, tol))
-    return SpectrumResult(rows=rows, params=params, rho_mid=rho_mid)
+    return SpectrumResult(rows=list(iter_rows(n_max, params, tol, rho_mid)),
+                          params=params, rho_mid=rho_mid)
 
 
 def sample_curves(params: ModelParams, tol: Tolerances, rho_mid: float,
@@ -520,6 +474,5 @@ def sample_curves(params: ModelParams, tol: Tolerances, rho_mid: float,
     includes b_inf, whose image is the spiral limit point."""
     cs = np.exp(np.linspace(math.log(c_lo), math.log(c_hi), n_c))
     bs = np.unique(np.append(np.linspace(b_lo, b_hi, n_b), params.b_inf))
-    c_imgs = thread_map(lambda c: center_image(c, rho_mid, params, tol), cs)
-    b_imgs = thread_map(lambda b: lightcone_image(b, rho_mid, params, tol), bs)
-    return c_imgs, b_imgs
+    images = _ImageCache(params, rho_mid, tol)
+    return [images("center", c) for c in cs], [images("lightcone", b) for b in bs]

@@ -3,10 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from blowup.model import derive_constants
 from blowup.integrate import Tolerances, drive_ode, lightcone_trajectory
 from blowup import asymptotics as asym
-from reference_values import ORACLES
 
 
 @pytest.fixture(scope="module")
@@ -111,17 +109,6 @@ def test_linearization_matches_finite_difference(p7, tol):
         wl = float(dense(np.array([rho]))[0][0])
         fd = float(hi.w_of_t(rho)[0] - lo.w_of_t(rho)[0]) / (2.0 * d)
         assert fd == pytest.approx(wl, rel=1e-6)
-
-
-def test_scaling_predictions(p7):
-    rc, rb = asym.scaling_predictions(p7)
-    assert (rc, rb) == (p7.ratio_c, p7.ratio_b)
-    assert rc == pytest.approx(ORACLES["ratio_c"], rel=1e-14)
-    assert rb == pytest.approx(ORACLES["ratio_b"], rel=1e-14)
-    assert rb == pytest.approx(rc ** (-(p7.p - 5.0) / 4.0), rel=1e-14)
-    P9 = derive_constants(9)
-    assert P9.ratio_c == pytest.approx(ORACLES["ratio_c_p9"], rel=1e-14)
-    assert P9.ratio_b == pytest.approx(ORACLES["ratio_b_p9"], rel=1e-14)
 
 
 def test_matched_amplitudes_alternate_and_converge(family, ringdown, conefit, p7):

@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +14,8 @@ SCHEMA = json.loads(
 
 
 def run_cli(*args, expect: int = 0):
-    env = dict(os.environ, BLOWUP_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "blowup", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
     assert proc.returncode == expect, proc.stderr or proc.stdout
     return proc.stdout
 
@@ -51,7 +49,7 @@ def test_solve_row():
     assert abs(float(mm)) < 1e-9
 
 
-def test_spectrum_csv_shape_and_inf_row():
+def test_spectrum_csv_shape_and_inf_row(family):
     out = run_cli("spectrum", "--n-max", "4")
     header, rows = rows_of(out)
     assert header == "n,c_n,b_n,delta_c,delta_b,mismatch,zeros"
@@ -61,6 +59,13 @@ def test_spectrum_csv_shape_and_inf_row():
     # delta columns are backfilled wherever the next row exists
     assert float(rows[0][3]) == pytest.approx(2.8018, abs=1e-3)
     assert rows[3][3] == ""
+    # the library chain prints the same digits in every column
+    for n, printed in enumerate(rows[:-1], start=1):
+        r = family.rows[n - 1]
+        deltas = (["%.10g" % family.delta_c(n), "%.10g" % family.delta_b(n)]
+                  if n < 4 else ["", ""])
+        assert printed == [str(r.n), "%.10g" % r.c, "%.10g" % r.b, *deltas,
+                           "%.10g" % r.mismatch, str(r.zeros)]
     # byte-identical on a second run
     assert out == run_cli("spectrum", "--n-max", "4")
 

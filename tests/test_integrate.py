@@ -75,11 +75,11 @@ def test_center_trajectory_charts_agree(p7, tol):
         assert tr.termination == TERM_REACHED_END
     lo = center_trajectory(9.9, 0.6, p7, tol, store_dense=True)
     hi = center_trajectory(10.1, 0.6, p7, tol, store_dense=True)
-    assert lo.chart == "rho" and hi.chart == "x"
+    assert lo.c_scale == 1.0 and hi.c_scale == 10.1
     # cross-check one amplitude through both charts explicitly
     plain = center_trajectory(10.1, 0.6, p7, tol, store_dense=True,
                               rescale_threshold=1e9)
-    assert plain.chart == "rho"
+    assert plain.c_scale == 1.0
     rho = np.linspace(0.05, 0.6, 23)
     u_a, du_a = hi.eval(rho)
     u_b, du_b = plain.eval(rho)

@@ -6,19 +6,16 @@ import pytest
 from blowup.model import ProfileState, derive_constants, du_singular, u_singular
 from blowup import odecore
 from blowup.odecore import (
-    LightConeChart,
     SeriesRangeError,
     SingularPointError,
     center_launch,
     center_launch_rescaled,
     equation_residual,
-    from_lightcone_chart,
     lightcone_launch,
     limit_launch,
     rhs_interior,
     series_at_center,
     series_at_lightcone,
-    to_lightcone_chart,
 )
 from reference_values import ORACLES
 
@@ -136,23 +133,6 @@ def test_limit_launch_curvature(p7):
     assert U == pytest.approx(1.0, abs=1e-6)
     assert dU / x0 == pytest.approx(-1.0 / 3.0, rel=1e-5)
     assert est <= 1e-12 + 1e-14
-
-
-def test_chart_round_trip(p7):
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        rho = float(rng.uniform(0.01, 0.999))
-        u = float(rng.uniform(-2.0, 2.0))
-        du = float(rng.uniform(-5.0, 5.0))
-        st = ProfileState(rho, u, du)
-        back = from_lightcone_chart(to_lightcone_chart(st, p7), p7)
-        assert back.rho == pytest.approx(rho, abs=1e-12)
-        assert back.u == pytest.approx(u, abs=1e-12)
-        assert back.du == pytest.approx(du, rel=1e-9, abs=1e-12)
-    with pytest.raises(ValueError):
-        to_lightcone_chart(ProfileState(1.5, 1.0, 0.0), p7)
-    with pytest.raises(ValueError):
-        from_lightcone_chart(LightConeChart(0.0, 1.0, 0.0), p7)
 
 
 # -- symbolic derivations ------------------------------------------------------

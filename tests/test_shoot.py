@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blowup.integrate import Tolerances
+from blowup.model import derive_constants
 from blowup import shoot
 from blowup.shoot import (
     MISMATCH_ACCEPT,
@@ -133,3 +134,37 @@ def test_chained_solution_matches_direct(p7, tol, family):
     direct = find_solution(3, p7, tol)
     assert direct.c == pytest.approx(family.rows[2].c, rel=1e-9)
     assert direct.b == pytest.approx(family.rows[2].b, rel=1e-9)
+
+
+def test_spectrum_chains_every_row_after_the_first_for_p17(tol):
+    # the scan window for p = 17 holds rows 1 and 3 but not row 2, so the
+    # family only exists if row 2 is chained from row 1
+    spec = shoot.spectrum(3, derive_constants(17), tol)
+    assert [r.n for r in spec.rows] == [1, 2, 3]
+    assert all(r.zeros == r.n + 1 for r in spec.rows)
+
+
+def test_rejected_chain_seed_reports_its_reason(p7, tol, u1, monkeypatch):
+    def stall(c0, b0, *args, **kwargs):
+        raise shoot.SearchError("forced stall")
+
+    monkeypatch.setattr(shoot, "_newton_refine", stall)
+    monkeypatch.setattr(shoot, "_scan_seeds", lambda *args: [])
+    with pytest.raises(shoot.SearchError) as info:
+        find_solution(2, p7, tol, prev=u1)
+    c_seed = u1.c * p7.ratio_c
+    b_seed = p7.b_inf - p7.ratio_b * (u1.b - p7.b_inf)
+    assert info.value.trace == [(c_seed, b_seed, "forced stall")]
+    assert "1 candidates rejected; first: forced stall" in str(info.value)
+
+
+def test_rejected_scan_seeds_report_their_reasons(p7, tol, monkeypatch):
+    def stall(c0, b0, *args, **kwargs):
+        raise shoot.SearchError(f"forced stall at c={c0:.4g}")
+
+    monkeypatch.setattr(shoot, "_newton_refine", stall)
+    with pytest.raises(shoot.SearchError) as info:
+        find_solution(1, p7, tol)
+    trace = info.value.trace
+    assert trace and all(reason == f"forced stall at c={c:.4g}" for c, _, reason in trace)
+    assert f"{len(trace)} candidates rejected; first: {trace[0][2]}" in str(info.value)
