@@ -10,7 +10,7 @@ cone linearization whose ringdowns set the family's geometric scaling,
 and a CLI that exports all of it deterministically.
 """
 
-from .model import ModelParams, ProfileState, derive_constants, u_constant, u_singular
+from .model import ModelParams, ProfileState, derive_constants, u_singular
 from .integrate import (
     Tolerances,
     Trajectory,
@@ -58,7 +58,7 @@ from .asymptotics import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ModelParams", "ProfileState", "derive_constants", "u_constant", "u_singular",
+    "ModelParams", "ProfileState", "derive_constants", "u_singular",
     "Tolerances", "Trajectory", "center_trajectory",
     "integrate_limit", "lightcone_trajectory",
     "center_launch", "center_launch_rescaled", "lightcone_launch", "limit_launch",

@@ -27,7 +27,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .model import ModelParams
-from .odecore import SERIES_ORDER, SeriesRangeError, limit_launch
+from .odecore import SERIES_ORDER, _shrink_until_valid, limit_launch
 from .integrate import TERM_REACHED_END, Tolerances, Trajectory, drive_ode, integrate_limit
 
 __all__ = [
@@ -45,6 +45,8 @@ __all__ = [
 ]
 
 DEFAULT_X_MAX = 1e16   # ~6.7 ringdown periods for p = 7
+SAMPLES_PER_PERIOD = 256   # fit grid density, uniform in the log radius
+CONE_TRANSIENT_RHO = 0.2   # the cone fit window stops here, short of the transient at the cone
 
 
 class InsufficientSpanError(ValueError):
@@ -84,8 +86,7 @@ class OscillationFit:
 
 
 def integrate_limit_equation(x_max: float, params: ModelParams,
-                             tol: Tolerances = Tolerances(),
-                             samples_per_period: int = 256) -> list[LimitState]:
+                             tol: Tolerances = Tolerances()) -> list[LimitState]:
     """Solve the limit equation from the regular center to x_max.
 
     Returns states on a grid uniform in tau = ln x (the natural variable of
@@ -98,7 +99,7 @@ def integrate_limit_equation(x_max: float, params: ModelParams,
     if traj.termination != TERM_REACHED_END:
         raise RuntimeError(f"limit integration stopped early ({traj.termination})")
     period = 2.0 * math.pi / params.omega
-    n = max(64, int((math.log(x_max) - math.log(x0)) / period * samples_per_period))
+    n = max(64, int((math.log(x_max) - math.log(x0)) / period * SAMPLES_PER_PERIOD))
     xs = np.exp(np.linspace(math.log(x0), math.log(x_max), n))
     Us, dUs = traj.eval(xs)
     al = params.alpha
@@ -169,6 +170,7 @@ def _project_sinusoid(t, y, omega):
     return A, delta, float(np.sqrt(np.mean(resid**2)))
 
 
+# not folded into _refine_ringdown: that moves the cone frequency error 2.3e-5 -> 8.3e-5
 def _refine_damped(t, y_raw, A0, delta0, omega0, decay0):
     """Free fit of y_raw = A e^{-decay t} sin(omega t + delta).
 
@@ -295,9 +297,7 @@ def _linearized_cone_rhs(params: ModelParams):
 
 
 def solve_linearized_lightcone(rho_min: float, params: ModelParams,
-                               tol: Tolerances = Tolerances(),
-                               transient_rho: float = 0.2,
-                               samples_per_period: int = 256) -> OscillationFit:
+                               tol: Tolerances = Tolerances()) -> OscillationFit:
     """A1, delta1 of the cone linearization w_L ~ rho^{-(p-5)/(2(p-1))}
     A1 sin(omega ln rho + delta1), from a series launch at the cone."""
     if not 0.0 < rho_min < 0.5:
@@ -307,18 +307,7 @@ def solve_linearized_lightcone(rho_min: float, params: ModelParams,
     lam = (p - 5.0) / (2.0 * (p - 1.0))
     order = SERIES_ORDER + 4
     beta = _linearized_cone_coeffs(params, order + 2)
-
-    s0 = -1e-3
-    for _ in range(40):
-        tail = abs(beta[order] * s0**order) + abs(beta[order + 1] * s0 ** (order + 1))
-        if tail <= tol.rtol + tol.atol:
-            break
-        s0 *= 0.5
-    else:
-        raise SeriesRangeError("cone series for the linearization failed to settle")
-    w0 = float(np.polynomial.polynomial.polyval(s0, beta[:order + 1]))
-    dw0 = float(np.polynomial.polynomial.polyval(
-        s0, np.polynomial.polynomial.polyder(beta[:order + 1])))
+    s0, w0, dw0, _ = _shrink_until_valid(beta, -1e-3, order, tol.rtol, tol.atol, 1.0, 1.0)
 
     t, y, dense, term = drive_ode(_linearized_cone_rhs(params), 1.0 + s0,
                                   (w0, dw0), rho_min, tol, blow_cap=None,
@@ -328,13 +317,13 @@ def solve_linearized_lightcone(rho_min: float, params: ModelParams,
 
     period = 2.0 * math.pi / om
     lo = math.log(rho_min)
-    hi = math.log(min(transient_rho, float(np.max(t))))
+    hi = math.log(min(CONE_TRANSIENT_RHO, float(np.max(t))))
     n_periods = (hi - lo) / period
     if n_periods < 1.0:
         raise InsufficientSpanError(
-            f"window [{rho_min:g}, {transient_rho:g}] covers {n_periods:.2f} "
+            f"window [{rho_min:g}, {CONE_TRANSIENT_RHO:g}] covers {n_periods:.2f} "
             "oscillation periods; at least 1 is needed")
-    n = max(64, int(n_periods * samples_per_period))
+    n = max(64, int(n_periods * SAMPLES_PER_PERIOD))
     sigma = np.linspace(lo, hi, n)            # ln rho grid
     rr = np.exp(sigma)
     wl = dense(rr)[0]

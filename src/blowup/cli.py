@@ -34,6 +34,11 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 
+# computational failures (exit 1), tested before ValueError, which two of them
+# subclass; RuntimeError covers ShootingError
+COMPUTE_ERRORS = (RuntimeError, diag.DegenerateTrajectoryError,
+                  asy.InsufficientSpanError)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -138,7 +143,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     try:
         for res in shoot.iter_rows(args.n_max, P, cfg.tol, cfg.rho_mid):
             spec.rows.append(res)
-    except (shoot.ShootingError, RuntimeError) as exc:
+    except COMPUTE_ERRORS as exc:
         print(f"spectrum: row {len(spec.rows) + 1} failed: {exc}", file=sys.stderr)
         failed = True
     # quotient columns are filled wherever the next row exists
@@ -297,9 +302,12 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     res0 = shoot.constant_solution_result(P, tol, cfg.rho_mid)
     zs = diag.w_zero_locations(res0.trajectory, P)
     target = math.sqrt((P.p - 3.0) / (P.p + 1.0))
-    err = abs(float(zs[0]) - target) if len(zs) == 1 else math.inf
-    out.append(("constant_solution_zero", err <= 1e-9,
-                "zero at %.12f, expected %.12f" % (zs[0], target)))
+    if len(zs) == 1:
+        out.append(("constant_solution_zero", abs(float(zs[0]) - target) <= 1e-9,
+                    "zero at %.12f, expected %.12f" % (zs[0], target)))
+    else:
+        out.append(("constant_solution_zero", False,
+                    "%d zeros, expected one at %.12f" % (len(zs), target)))
 
     ok = True
     detail = []
@@ -382,8 +390,8 @@ def _add_common(sp, rho_mid_default: float = 0.5) -> None:
     sp.add_argument("--p", type=int, default=7, help="nonlinearity exponent")
     sp.add_argument("--rho-mid", dest="rho_mid", type=float,
                     default=rho_mid_default, help="matching radius in (0, 1)")
-    sp.add_argument("--rtol", type=float, default=1e-12)
-    sp.add_argument("--atol", type=float, default=1e-14)
+    sp.add_argument("--rtol", type=float, default=Tolerances.rtol)
+    sp.add_argument("--atol", type=float, default=Tolerances.atol)
     sp.add_argument("--out", default="-", help="output path, - for stdout")
     sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -454,16 +462,12 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(cfg, args)
-    except asy.InsufficientSpanError as exc:
+    except COMPUTE_ERRORS as exc:
         print(f"blowup: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except ValueError as exc:
         print(f"blowup: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (shoot.ShootingError, diag.DegenerateTrajectoryError,
-            RuntimeError) as exc:
-        print(f"blowup: {exc}", file=sys.stderr)
-        return EXIT_COMPUTE
 
 
 if __name__ == "__main__":

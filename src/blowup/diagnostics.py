@@ -56,6 +56,10 @@ __all__ = [
 ]
 
 R_DEGENERATE = 1e-12   # phase radius below which the spiral is meaningless
+PHASE_MAX_STEP = 0.5 * math.pi   # widest phase step kept without subdividing
+CROSSING_RHO_END = 0.999   # first_crossing_report integrates the center shot to here
+DISCRIMINANT_GRID = 2001   # samples of the discriminant scan on [v*, 1]
+CONE_FIT_POINTS = 8        # samples nearest the cone in singular_mode_amplitude
 
 
 class DegenerateTrajectoryError(ValueError):
@@ -138,16 +142,15 @@ class MonotonicityReport:
 
 
 def monotonicity_report(traj, params: ModelParams,
-                        functionals=("energy", "virial", "deviation_energy"),
                         drift_tol: float = 1e-9) -> MonotonicityReport:
-    """Evaluate the requested functionals along increasing rho and flag any
-    rise above drift_tol * (1 + |value|)."""
+    """Evaluate energy, virial and deviation energy along increasing rho and
+    flag any rise above drift_tol * (1 + |value|)."""
     rho, u, du = traj.profile_samples()
     order = np.argsort(rho)
     rho, u, du = rho[order], u[order], du[order]
     checks = {}
-    for name in functionals:
-        vals = _FUNCTIONALS[name](rho, u, du, params)
+    for name, functional in _FUNCTIONALS.items():
+        vals = functional(rho, u, du, params)
         rises = (vals[1:] - vals[:-1]) / (1.0 + np.abs(vals[:-1]))
         drift = np.abs(vals - vals[0]) / (1.0 + abs(float(vals[0])))
         max_rise = float(rises.max()) if len(rises) else 0.0
@@ -185,8 +188,7 @@ def _piece_chain(piece: Trajectory):
     return t, w, rw, piece.rho_per_t()
 
 
-def phase_trajectory(traj, params: ModelParams,
-                     max_step: float = 0.5 * math.pi) -> list[PhasePoint]:
+def phase_trajectory(traj, params: ModelParams) -> list[PhasePoint]:
     """Unwrapped deviation phase along rho, subdividing wide angle steps."""
     pts: list[PhasePoint] = []
     theta = None
@@ -204,7 +206,7 @@ def phase_trajectory(traj, params: ModelParams,
 
         def advance(t_a, th_a, t_b, w_b, rw_b, depth=0):
             d = _principal(math.atan2(rw_b, w_b) - th_a)
-            if abs(d) <= max_step:
+            if abs(d) <= PHASE_MAX_STEP:
                 push(t_b * k, w_b, rw_b, th_a + d)
                 return th_a + d
             if depth >= 48:
@@ -293,8 +295,7 @@ class FirstCrossingReport:
 
 
 def first_crossing_report(c: float, params: ModelParams,
-                          tol: Tolerances = Tolerances(),
-                          rho_end: float = 0.999) -> FirstCrossingReport:
+                          tol: Tolerances = Tolerances()) -> FirstCrossingReport:
     """Locate the first zero of w for a center launch and compare with the
     closed-form bound; also record the later floor of w."""
     p = params.p
@@ -302,7 +303,7 @@ def first_crossing_report(c: float, params: ModelParams,
     if c * d <= params.b0:
         raise ValueError(f"bound needs c > b0 p/(p-1) = {params.b0 / d:.6g}")
     bound = (params.b_inf / (d * c)) ** ((p - 1) / 2.0)
-    traj = center_trajectory(c, rho_end, params, tol, store_dense=True)
+    traj = center_trajectory(c, CROSSING_RHO_END, params, tol, store_dense=True)
     if traj.termination != TERM_REACHED_END:
         raise RuntimeError(f"center trajectory c={c:g} stopped early "
                            f"({traj.termination})")
@@ -310,7 +311,7 @@ def first_crossing_report(c: float, params: ModelParams,
     zs = w_zero_locations(traj, params)
     if len(zs) == 0:
         raise RuntimeError(f"no crossing of the singular solution below "
-                           f"rho={rho_end} for c={c:g}")
+                           f"rho={CROSSING_RHO_END} for c={c:g}")
     rho1 = float(zs[0])
     rw1 = float(traj.w_of_t(rho1 / traj.rho_per_t())[1])
     after = [q.w for q in phase_trajectory(traj, params) if q.rho > rho1]
@@ -349,14 +350,14 @@ class DiscriminantReport:
     decreasing: bool
 
 
-def discriminant_report(params: ModelParams, n_grid: int = 2001) -> DiscriminantReport:
+def discriminant_report(params: ModelParams) -> DiscriminantReport:
     """Scan the discriminant on [v*, 1], v* = (p-5)/(p-1); spiraling toward
     the singular solution is transversal when it stays negative there."""
     p = params.p
     v_star = (p - 5.0) / (p - 1.0)
     closed = ((2.0 * p * p - 8.0 * p + 6.0) * ((p - 5.0) / (p - 1.0)) ** p
               - p * p + 6.0 * p - 5.0)
-    grid = np.linspace(v_star, 1.0, n_grid)
+    grid = np.linspace(v_star, 1.0, DISCRIMINANT_GRID)
     vals = crossing_discriminant(grid, params)
     return DiscriminantReport(
         p=p, v_star=v_star,
@@ -421,7 +422,7 @@ def extend_beyond_lightcone(b: float, params: ModelParams, rho_max: float = 100.
 # -- singular component near the cone ----------------------------------------
 
 
-def singular_mode_amplitude(traj, params: ModelParams, n_points: int = 8) -> float:
+def singular_mode_amplitude(traj, params: ModelParams) -> float:
     """Extrapolated size of the singular mode at the cone.
 
     In the compactified chart sigma = (1-rho)^alpha the derivative variable
@@ -432,9 +433,9 @@ def singular_mode_amplitude(traj, params: ModelParams, n_points: int = 8) -> flo
     rho, u, du = traj.pieces[-1].profile_samples()
     mask = rho < 1.0
     rho, du = rho[mask], du[mask]
-    if len(rho) < n_points or rho.max() < 0.98:
+    if len(rho) < CONE_FIT_POINTS or rho.max() < 0.98:
         raise ValueError("trajectory has too few samples near the cone")
-    order = np.argsort(rho)[-n_points:]
+    order = np.argsort(rho)[-CONE_FIT_POINTS:]
     sig = (1.0 - rho[order]) ** params.alpha
     th = sig * du[order]
     coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(sig), sig]),

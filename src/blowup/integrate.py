@@ -44,6 +44,10 @@ TERM_BLEW_UP = "blew_up"
 TERM_STEP_UNDERFLOW = "step_underflow"
 TERM_STEP_LIMIT = "step_limit"
 
+MAX_STEPS = 200_000       # accepted steps before an integration stops (step_limit)
+H_MIN = 1e-15             # step size below which it stops (step_underflow)
+RESCALE_THRESHOLD = 10.0  # center launches above this c use the rescaled chart
+
 
 @dataclass(frozen=True)
 class Tolerances:
@@ -51,18 +55,12 @@ class Tolerances:
 
     rtol: float = 1e-12
     atol: float = 1e-14
-    max_steps: int = 200_000
-    h_min: float = 1e-15
 
     def __post_init__(self):
         if not (0.0 < self.rtol <= 1e-6):
             raise ValueError(f"rtol must be in (0, 1e-6], got {self.rtol}")
         if self.atol <= 0.0:
             raise ValueError(f"atol must be positive, got {self.atol}")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
-        if self.h_min <= 0.0:
-            raise ValueError("h_min must be positive")
 
 
 def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
@@ -71,7 +69,7 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
 
     t is the accepted-step grid (monotone), y has shape (2, len(t)), dense
     is an OdeSolution or None.  Stops early on |y[0]| > blow_cap, a step
-    below tol.h_min, or tol.max_steps.
+    below H_MIN, or MAX_STEPS accepted steps.
     """
     if t_end == t0:
         raise ValueError("empty integration span")
@@ -83,7 +81,7 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
     termination = TERM_REACHED_END
     nsteps = 0
     while solver.status == "running":
-        if nsteps >= tol.max_steps:
+        if nsteps >= MAX_STEPS:
             termination = TERM_STEP_LIMIT
             break
         solver.step()
@@ -98,7 +96,7 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
         if blow_cap is not None and abs(solver.y[0]) > blow_cap:
             termination = TERM_BLEW_UP
             break
-        if solver.h_abs < tol.h_min:
+        if solver.h_abs < H_MIN:
             termination = TERM_STEP_UNDERFLOW
             break
     t = np.array(ts)
@@ -235,7 +233,7 @@ def integrate_limit(x_start: float, U: float, dU: float, x_end: float,
 
 def center_trajectory(c: float, rho_end: float, params: ModelParams,
                       tol: Tolerances = Tolerances(), store_dense: bool = False,
-                      rescale_threshold: float = 10.0) -> Trajectory:
+                      rescale_threshold: float = RESCALE_THRESHOLD) -> Trajectory:
     """Series launch at the center followed by integration out to rho_end.
 
     Amplitudes above rescale_threshold run in the x-chart, where the launch

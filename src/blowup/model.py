@@ -30,7 +30,6 @@ __all__ = [
     "ModelParams",
     "ProfileState",
     "derive_constants",
-    "u_constant",
     "u_singular",
     "du_singular",
 ]
@@ -124,11 +123,6 @@ def derive_constants(p: int) -> ModelParams:
     if p < 6:
         raise ValueError(f"exponent p must be >= 6, got {p}")
     return _derive_unchecked(p)
-
-
-def u_constant(params: ModelParams) -> float:
-    """The rho-independent solution u = b0."""
-    return params.b0
 
 
 def u_singular(params: ModelParams, rho: float) -> float:

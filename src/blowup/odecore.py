@@ -52,7 +52,7 @@ __all__ = [
     "limit_launch",
 ]
 
-SERIES_ORDER = 6  # default truncation; launch offsets are validated against it
+SERIES_ORDER = 6  # truncation of every launch and default of series_at_*
 
 
 class SingularPointError(ValueError):
@@ -73,7 +73,6 @@ class SeriesStart:
 
     rho0: float
     state: ProfileState
-    order: int
     trunc_error_est: float
 
 
@@ -220,14 +219,14 @@ def _shrink_until_valid(coeffs, t0, order, rtol, atol, scale_u, scale_du):
 
 
 def _center_launch(amp: float, mu: float, t0: float, params: ModelParams, rtol: float,
-                   atol: float, order: int) -> tuple[float, float, float, float]:
+                   atol: float) -> tuple[float, float, float, float]:
     # validated offset of the center series u(0) = amp in the chart with parameter mu
-    coeffs = _center_coeffs(amp, params, order + 2, mu=mu)
-    return _shrink_until_valid(coeffs, t0, order, rtol, atol, abs(amp), abs(amp))
+    coeffs = _center_coeffs(amp, params, SERIES_ORDER + 2, mu=mu)
+    return _shrink_until_valid(coeffs, t0, SERIES_ORDER, rtol, atol, abs(amp), abs(amp))
 
 
-def center_launch(c: float, params: ModelParams, rtol: float = 1e-12, atol: float = 1e-14,
-                  order: int = SERIES_ORDER) -> SeriesStart:
+def center_launch(c: float, params: ModelParams, rtol: float = 1e-12,
+                  atol: float = 1e-14) -> SeriesStart:
     """Pick a validated offset rho0 and return the launch state there.
 
     The series converges only out to roughly sqrt(6) c^{-(p-1)/2} (where the
@@ -237,34 +236,34 @@ def center_launch(c: float, params: ModelParams, rtol: float = 1e-12, atol: floa
     """
     scale = max(abs(c), 1.0) ** (-(params.p - 1) / 2.0)
     rho_cap = min(1.0e-3, 0.02 * scale)
-    rho0, u, du, est = _center_launch(c, 1.0, rho_cap, params, rtol, atol, order)
-    return SeriesStart(rho0=rho0, state=ProfileState(rho0, u, du), order=order, trunc_error_est=est)
+    rho0, u, du, est = _center_launch(c, 1.0, rho_cap, params, rtol, atol)
+    return SeriesStart(rho0=rho0, state=ProfileState(rho0, u, du), trunc_error_est=est)
 
 
 def lightcone_launch(b: float, params: ModelParams, rtol: float = 1e-12, atol: float = 1e-14,
-                     order: int = SERIES_ORDER, side: int = -1) -> SeriesStart:
+                     side: int = -1) -> SeriesStart:
     """Validated launch at rho = 1 + side*s0; side=-1 interior, +1 exterior."""
     if side not in (-1, 1):
         raise ValueError("side must be -1 (inside the cone) or +1 (outside)")
-    coeffs = _lightcone_coeffs(b, params, order + 2)
-    s0, u, du, est = _shrink_until_valid(coeffs, side * 1.0e-3, order, rtol, atol,
+    coeffs = _lightcone_coeffs(b, params, SERIES_ORDER + 2)
+    s0, u, du, est = _shrink_until_valid(coeffs, side * 1.0e-3, SERIES_ORDER, rtol, atol,
                                          abs(b), max(abs(b), 1.0))
     rho0 = 1.0 + s0
-    return SeriesStart(rho0=rho0, state=ProfileState(rho0, u, du), order=order, trunc_error_est=est)
+    return SeriesStart(rho0=rho0, state=ProfileState(rho0, u, du), trunc_error_est=est)
 
 
-def center_launch_rescaled(c: float, params: ModelParams, rtol: float = 1e-12, atol: float = 1e-14,
-                           order: int = SERIES_ORDER) -> tuple[float, float, float, float]:
+def center_launch_rescaled(c: float, params: ModelParams, rtol: float = 1e-12,
+                           atol: float = 1e-14) -> tuple[float, float, float, float]:
     """Launch data (x0, U, dU, trunc_est) in the rescaled chart U(0) = 1.
 
     Used for large c, where the plain chart's convergence radius collapses;
     here the radius is O(1) uniformly because mu = c^{-(p-1)} <= 1.
     """
-    return _center_launch(1.0, float(c) ** (-(params.p - 1)), 1.0e-3, params, rtol, atol, order)
+    return _center_launch(1.0, float(c) ** (-(params.p - 1)), 1.0e-3, params, rtol, atol)
 
 
-def limit_launch(params: ModelParams, rtol: float = 1e-12, atol: float = 1e-14,
-                 order: int = SERIES_ORDER) -> tuple[float, float, float, float]:
+def limit_launch(params: ModelParams, rtol: float = 1e-12,
+                 atol: float = 1e-14) -> tuple[float, float, float, float]:
     """Launch data (x0, U, dU, trunc_est) for the infinite-amplitude limit
     equation U'' + (2/x)U' + U^p = 0, normalized to U(0) = 1."""
-    return _center_launch(1.0, 0.0, 1.0e-3, params, rtol, atol, order)
+    return _center_launch(1.0, 0.0, 1.0e-3, params, rtol, atol)

@@ -58,7 +58,6 @@ __all__ = [
     "SpectrumResult",
     "ShootingError",
     "SearchError",
-    "RESCALE_THRESHOLD",
     "center_image",
     "lightcone_image",
     "mismatch",
@@ -71,9 +70,9 @@ __all__ = [
     "sample_curves",
 ]
 
-RESCALE_THRESHOLD = 10.0   # center launches above this c use the rescaled chart
 SCAN_POINTS_PER_TURN = 40
 MISMATCH_ACCEPT = 1e-9     # scaled norm below which a root is accepted
+NEWTON_MAX_ITER = 30       # Newton iterations before a root search gives up
 
 
 class ShootingError(RuntimeError):
@@ -179,8 +178,7 @@ def _shot(side: str, param: float, rho_mid: float, params: ModelParams, tol: Tol
     if not 0.0 < rho_mid < 1.0:
         raise ValueError("rho_mid must lie strictly inside the cone")
     if side == "center":
-        traj = center_trajectory(param, rho_mid, params, tol, store_dense,
-                                 rescale_threshold=RESCALE_THRESHOLD)
+        traj = center_trajectory(param, rho_mid, params, tol, store_dense)
     else:
         traj = lightcone_trajectory(param, rho_mid, params, tol, store_dense)
     if traj.termination != TERM_REACHED_END:
@@ -271,8 +269,7 @@ def _scan_seeds(params, tol, rho_mid, c_lo, c_hi, n_c, b_lo, b_hi, n_b):
     bs = np.linspace(b_lo, b_hi, n_b)
     # bracketing only needs a few digits; the Newton stage re-integrates tightly
     images = _ImageCache(params, rho_mid, Tolerances(
-        rtol=max(1e-8, tol.rtol), atol=max(1e-10, tol.atol),
-        max_steps=tol.max_steps, h_min=tol.h_min))
+        rtol=max(1e-8, tol.rtol), atol=max(1e-10, tol.atol)))
     pa = np.array([images.scaled("center", c) for c in cs])
     pb = np.array([images.scaled("lightcone", b) for b in bs])
     seeds = []
@@ -294,7 +291,7 @@ def _scan_seeds(params, tol, rho_mid, c_lo, c_hi, n_c, b_lo, b_hi, n_b):
 # -- Newton refinement -------------------------------------------------------
 
 
-def _newton_refine(c0, b0, params, rho_mid, tol, max_iter=30):
+def _newton_refine(c0, b0, params, rho_mid, tol):
     """Damped Newton on F(ln c, b); returns (c, b, |F|) or raises SearchError."""
     cache = _ImageCache(params, rho_mid, tol)
     target = max(1e-11, 20.0 * tol.rtol)
@@ -303,7 +300,7 @@ def _newton_refine(c0, b0, params, rho_mid, tol, max_iter=30):
     F = cache.F(math.exp(s), b)
     norm = float(np.hypot(*F))
     trace = [(c0, norm)]
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if norm < target:
             break
         c = math.exp(s)

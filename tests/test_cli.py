@@ -5,9 +5,11 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import blowup
+from blowup import cli, diagnostics, shoot
 
 SCHEMA = json.loads(
     (Path(blowup.__file__).parent / "schemas" / "cli_output.schema.json").read_text())
@@ -152,3 +154,49 @@ def test_output_file_writing(tmp_path):
     text = target.read_text()
     assert text.startswith("n,c_n,b_n")
     assert text.endswith("\n")
+
+
+def _fail_on_call(real, k: int):
+    """Wrap real so its k-th call raises a degenerate-trajectory error."""
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == k:
+            raise diagnostics.DegenerateTrajectoryError("forced degenerate phase")
+        return real(*args, **kwargs)
+
+    return wrapped
+
+
+def test_spectrum_keeps_solved_rows_on_a_degenerate_row(monkeypatch, capsys):
+    monkeypatch.setattr(shoot, "nodal_index", _fail_on_call(shoot.nodal_index, 2))
+    assert cli.main(["spectrum", "--n-max", "2"]) == 1
+    _, rows = rows_of(capsys.readouterr().out)
+    assert [r[0] for r in rows] == ["1", "2", "inf"]
+    assert float(rows[0][1]) == pytest.approx(2.054390385, rel=1e-6)
+    assert rows[1][1] == "FAIL"
+
+
+def test_degenerate_trajectory_is_a_computational_failure(monkeypatch):
+    monkeypatch.setattr(diagnostics, "phase_trajectory",
+                        _fail_on_call(diagnostics.phase_trajectory, 1))
+    assert cli.main(["profile", "--n", "0"]) == 1
+
+
+def test_check_reports_a_missing_constant_solution_zero(monkeypatch, capsys):
+    real = diagnostics.w_zero_locations
+    calls = []
+
+    def first_call_empty(traj, params):
+        # the first call is the constant solution's; later ones pass through
+        calls.append(1)
+        return np.array([]) if len(calls) == 1 else real(traj, params)
+
+    monkeypatch.setattr(diagnostics, "w_zero_locations", first_call_empty)
+    assert cli.main(["check"]) == 1
+    out = capsys.readouterr().out
+    assert ("\nconstant_solution_zero,false,0 zeros, expected one at 0.707106781187\n"
+            in out)
+    _, rows = rows_of(out)
+    assert all(r[1] == "true" for r in rows if r[0] != "constant_solution_zero")

@@ -8,7 +8,6 @@ from blowup.model import (
     _derive_unchecked,
     derive_constants,
     du_singular,
-    u_constant,
     u_singular,
 )
 from reference_values import ORACLES
@@ -92,7 +91,6 @@ def test_domain_validation():
 
 
 def test_singular_solution_closed_form(p7):
-    assert u_constant(p7) == p7.b0
     assert u_singular(p7, 1.0) == pytest.approx(p7.b_inf, rel=1e-15)
     assert u_singular(p7, 0.1) == pytest.approx(ORACLES["u_inf_01"], rel=1e-14)
     assert du_singular(p7, 0.1) == pytest.approx(ORACLES["du_inf_01"], rel=1e-14)
