@@ -180,8 +180,7 @@ def cmd_profile(cfg: RunConfig, args) -> int:
     rho = np.linspace(lo, hi, args.samples)
     u, du = traj.eval(rho)
     w = rho ** P.alpha * u / P.b_inf - 1.0
-    pts = diag.phase_trajectory(traj, P)
-    theta = np.interp(rho, [q.rho for q in pts], [q.theta for q in pts])
+    theta = diag.phase_at(traj, P, rho)
     H = diag.eval_energy(rho, u, du, P)
     Q = diag.eval_virial(rho, u, du, P)
     cols = zip(rho, u, du, w, theta, H, Q)

@@ -268,15 +268,23 @@ def phase_zero_count(traj, params: ModelParams) -> int:
     return int(sum(abs(b - a) for a, b in zip(levels[:-1], levels[1:])))
 
 
-def phase_at(traj, params: ModelParams, rho: float) -> float:
-    """Unwrapped phase interpolated at a radius inside the trajectory span."""
+def phase_at(traj, params: ModelParams, rho):
+    """Unwrapped phase at radii inside the trajectory span: the exact
+    atan2(rho w', w) from dense output, on the branch of the interpolated
+    phase trajectory.  A scalar rho gives a float, an array an array."""
     pts = phase_trajectory(traj, params)
     rhos = np.array([q.rho for q in pts])
     thetas = np.array([q.theta for q in pts])
-    if not rhos[0] <= rho <= rhos[-1]:
-        raise ValueError(f"rho={rho:g} outside sampled span "
+    r = np.asarray(rho, dtype=float)
+    if not (rhos[0] <= r.min() and r.max() <= rhos[-1]):
+        raise ValueError(f"rho in [{r.min():g}, {r.max():g}] outside sampled span "
                          f"[{rhos[0]:g}, {rhos[-1]:g}]")
-    return float(np.interp(rho, rhos, thetas))
+    u, du = traj.eval(r)
+    ra = r ** params.alpha / params.b_inf
+    exact = np.arctan2(ra * (r * du + params.alpha * u), ra * u - 1.0)
+    branch = np.interp(r, rhos, thetas)
+    theta = branch + _principal(exact - branch)
+    return float(theta) if theta.ndim == 0 else theta
 
 
 # -- first crossing at large center amplitude --------------------------------

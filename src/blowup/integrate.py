@@ -46,7 +46,7 @@ TERM_STEP_LIMIT = "step_limit"
 
 MAX_STEPS = 200_000       # accepted steps before an integration stops (step_limit)
 H_MIN = 1e-15             # step size below which it stops (step_underflow)
-RESCALE_THRESHOLD = 10.0  # center launches above this c use the rescaled chart
+RESCALE_THRESHOLD = 1e3   # stretch c^{(p-1)/2} above which center launches use the x-chart
 
 
 @dataclass(frozen=True)
@@ -236,17 +236,18 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
                       rescale_threshold: float = RESCALE_THRESHOLD) -> Trajectory:
     """Series launch at the center followed by integration out to rho_end.
 
-    Amplitudes above rescale_threshold run in the x-chart, where the launch
-    offset stays O(1) instead of shrinking like c^{-(p-1)/2}.
+    Launches whose stretch c^{(p-1)/2} exceeds rescale_threshold (c > 10
+    for p = 7) run in the x-chart, where the offset stays O(1), not 1/stretch.
     """
     if c <= 0.0:
         raise ValueError("center launches need c > 0")
     if not 0.0 < rho_end < 1.0:
         raise ValueError("rho_end must lie strictly inside the cone")
-    if c > rescale_threshold:
+    stretch = float(c) ** ((params.p - 1) / 2.0)
+    if stretch > rescale_threshold:
         x0, U, dU, _ = center_launch_rescaled(c, params, tol.rtol, tol.atol)
-        x_end = rho_end * float(c) ** ((params.p - 1) / 2.0)
-        return integrate_rescaled(c, x0, U, dU, x_end, params, tol, store_dense)
+        return integrate_rescaled(c, x0, U, dU, rho_end * stretch, params, tol,
+                                  store_dense)
     ls = center_launch(c, params, tol.rtol, tol.atol)
     return integrate(ls.state, rho_end, params, tol, store_dense)
 

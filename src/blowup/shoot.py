@@ -13,19 +13,18 @@ and profiles are transversal intersections C0(c_n) = C1(b_n).  Because C0
 winds around P once per factor ratio_c in c, the intersections form the
 geometric sequence the solver reproduces.
 
-Bracketing is a polyline intersection scan of the two discretized curves
-(log grid in c, 40 points per expected spiral turn), refinement a damped
-two-variable Newton iteration on the scaled midpoint mismatch
+Refinement is a damped two-variable Newton iteration on the scaled
+midpoint mismatch
 
     F(c, b) = ( u_C0 - u_C1,  (u'_C0 - u'_C1) / |u_singular'(rho_mid)| )
 
 with a forward-difference Jacobian in (ln c, b).  Every entry point builds
-the family by one rule: row 1 is the first scan seed, in ascending c, whose
-refined root has 2 zeros, and every row n >= 2 is chained from row n-1,
-seeded through the closed-form ratios (with a local rescan if that seed
-fails).  So only the first turns of the spiral are ever scanned.  Center
-launches with c above a threshold integrate in the exact rescaled chart,
-which keeps the curve data well conditioned for arbitrarily large c.
+the family by one rule: starting at the exact constant solution
+(n, c, b) = (0, b0, b0), row n+1 is seeded from row n by the closed-form
+ratios, and only if that seed fails does a polyline intersection scan of the
+two discretized curves bracket one spiral window around it.  Center launches
+with large c integrate in the exact rescaled chart, which keeps the curve
+data well conditioned for arbitrarily large c.
 
 Solutions are classified by their nodal index: the number of zeros of
 w = u/u_singular - 1, counted by sign changes on the dense trajectory and
@@ -70,7 +69,6 @@ __all__ = [
     "sample_curves",
 ]
 
-SCAN_POINTS_PER_TURN = 40
 MISMATCH_ACCEPT = 1e-9     # scaled norm below which a root is accepted
 NEWTON_MAX_ITER = 30       # Newton iterations before a root search gives up
 
@@ -393,22 +391,10 @@ def _first_match(candidates, zeros: int, where: str, params, rho_mid, tol) -> Sh
                       f"({len(rejected)} candidates rejected{first})", rejected)
 
 
-def _first_row(params, tol, rho_mid) -> ShootingResult:
-    """Row 1: the first scan seed, ascending in c, whose refined root has 2 zeros."""
-    c_lo = 1.05 * params.b0 + 0.2
-    c_hi = c_lo * params.ratio_c ** 2.6
-    n_c = int(SCAN_POINTS_PER_TURN * 2.6) + 1
-    seeds = _scan_seeds(params, tol, rho_mid,
-                        c_lo, c_hi, n_c, 0.02, params.b0 - 1e-3, 81)
-    return _first_match(seeds, 2, f"in the initial scan over c in [{c_lo:.3g}, {c_hi:.3g}]",
-                        params, rho_mid, tol)
-
-
-def _next_row(prev: ShootingResult, params, tol) -> ShootingResult:
-    """Row n+1 from row n through the closed-form geometric seeding."""
-    rho_mid = prev.rho_mid
-    c_seed = prev.c * params.ratio_c
-    b_seed = params.b_inf - params.ratio_b * (prev.b - params.b_inf)
+def _next_row(n: int, c: float, b: float, params, tol, rho_mid) -> ShootingResult:
+    """Row n+1 from row n = (n, c, b) through the closed-form geometric seeding."""
+    c_seed = c * params.ratio_c
+    b_seed = params.b_inf - params.ratio_b * (b - params.b_inf)
 
     def candidates():
         yield c_seed, b_seed
@@ -420,15 +406,15 @@ def _next_row(prev: ShootingResult, params, tol) -> ShootingResult:
             c_seed * math.exp(-spread), c_seed * math.exp(spread), 40,
             max(params.b_inf - db, 1e-3), min(params.b_inf + db, params.b0 - 1e-6), 41)
 
-    return _first_match(candidates(), prev.n + 2, f"near seed c={c_seed:.6g}",
+    return _first_match(candidates(), n + 2, f"near seed c={c_seed:.6g}",
                         params, rho_mid, tol)
 
 
 def find_solution(n: int, params: ModelParams, tol: Tolerances = Tolerances(),
                   rho_mid: float = 0.5,
                   prev: ShootingResult | None = None) -> ShootingResult:
-    """Profile n >= 1 (n + 1 zeros): row 1 from the initial scan, every
-    later row chained from the one below it.
+    """Profile n >= 1 (n + 1 zeros), chained row by row from the exact
+    constant solution (n, c, b) = (0, b0, b0), which costs no integration.
 
     Passing `prev` (row n-1 at the same rho_mid) skips the chain below it.
     """
@@ -436,9 +422,10 @@ def find_solution(n: int, params: ModelParams, tol: Tolerances = Tolerances(),
         raise ValueError("find_solution labels start at n = 1; n = 0 is the "
                          "constant solution (constant_solution_result)")
     chained = prev is not None and prev.n == n - 1 and prev.rho_mid == rho_mid
-    row = prev if chained else _first_row(params, tol, rho_mid)
-    while row.n < n:
-        row = _next_row(row, params, tol)
+    k, c, b = (prev.n, prev.c, prev.b) if chained else (0, params.b0, params.b0)
+    while k < n:
+        row = _next_row(k, c, b, params, tol, rho_mid)
+        k, c, b = row.n, row.c, row.b
     return row
 
 
@@ -447,8 +434,10 @@ def iter_rows(n_max: int, params: ModelParams, tol: Tolerances = Tolerances(),
     """Rows n = 1..n_max, one find_solution call each, chained from the last.
 
     A generator, so a caller keeps the rows already yielded when a deeper
-    one raises.
+    one raises.  n_max < 1 raises ValueError at the first row request.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     row = None
     for n in range(1, n_max + 1):
         row = find_solution(n, params, tol, rho_mid, prev=row)
@@ -458,8 +447,6 @@ def iter_rows(n_max: int, params: ModelParams, tol: Tolerances = Tolerances(),
 def spectrum(n_max: int, params: ModelParams, tol: Tolerances = Tolerances(),
              rho_mid: float = 0.5) -> SpectrumResult:
     """Rows n = 1..n_max of the family (see iter_rows)."""
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
     return SpectrumResult(rows=list(iter_rows(n_max, params, tol, rho_mid)),
                           params=params, rho_mid=rho_mid)
 

@@ -39,6 +39,7 @@ def test_constants_csv_and_values():
 def test_invalid_exponent_is_usage_error():
     run_cli("constants", "--p", "4", expect=2)
     run_cli("solve", "--n", "1", "--rho-mid", "1.5", expect=2)
+    run_cli("spectrum", "--n-max", "0", expect=2)
 
 
 def test_solve_row():
@@ -86,6 +87,20 @@ def test_profile_constant_solution_columns():
     assert len(flips) == 1
     rho_cross = float(rows[flips[0]][0])
     assert rho_cross == pytest.approx(1.0 / math.sqrt(2.0), abs=0.01)
+
+
+def test_profile_theta_is_the_angle_of_the_printed_deviation(p7, capsys):
+    # Theta is atan2(rho w', w) at each sample, not an interpolation between
+    # phase points up to pi/2 apart; the 1e-9 bound covers the 10 printed digits
+    for n in (1, 3):
+        assert cli.main(["profile", "--n", str(n), "--samples", "200"]) == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        rho, u, du, _, theta, _, _ = np.array(rows, dtype=float).T
+        ra = rho ** p7.alpha / p7.b_inf
+        w, rw = ra * u - 1.0, ra * (rho * du + p7.alpha * u)
+        R = np.hypot(w, rw)
+        assert np.max(np.abs(R * np.cos(theta) - w)) < 1e-9, f"n={n}"
+        assert np.max(np.abs(R * np.sin(theta) - rw)) < 1e-9, f"n={n}"
 
 
 def test_curves_contain_the_limit_point():

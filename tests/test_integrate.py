@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blowup.model import ProfileState, du_singular, u_singular
+from blowup.model import ProfileState, derive_constants, du_singular, u_singular
 from blowup.integrate import (
     TERM_BLEW_UP,
     TERM_REACHED_END,
@@ -68,8 +68,8 @@ def test_cone_crossing_rejected(p7, tol):
 
 
 def test_center_trajectory_charts_agree(p7, tol):
-    # the same profile through the plain and rescaled paths; threshold 10
-    # routes c=9.9 plainly and c=10.1 through the x-chart
+    # the same profile through the plain and rescaled paths; the stretch
+    # threshold c^3 > 1e3 routes c=9.9 plainly and c=10.1 through the x-chart
     for c in (9.9, 10.1):
         tr = center_trajectory(c, 0.6, p7, tol, store_dense=True)
         assert tr.termination == TERM_REACHED_END
@@ -155,3 +155,13 @@ def test_tolerances_validation():
     with pytest.raises(ValueError):
         Tolerances(rtol=-1.0)
     Tolerances(rtol=1e-8, atol=1e-10)
+
+
+def test_center_chart_routes_on_the_stretch_for_large_p(tol):
+    # for p = 27 the plain-chart launch offset 0.02 c^{-13} at c = 10 falls
+    # under the minimum step; routing on c^{(p-1)/2} sends it to the x-chart
+    p27 = derive_constants(27)
+    for c in (5.0, 10.0):
+        traj = center_trajectory(c, 0.999, p27, tol)
+        assert traj.termination == TERM_REACHED_END
+        assert traj.c_scale == c

@@ -137,11 +137,24 @@ def test_chained_solution_matches_direct(p7, tol, family):
 
 
 def test_spectrum_chains_every_row_after_the_first_for_p17(tol):
-    # the scan window for p = 17 holds rows 1 and 3 but not row 2, so the
-    # family only exists if row 2 is chained from row 1
+    # a scan of the first spiral turns for p = 17 brackets rows 1 and 3 but
+    # not row 2; the chain from the constant solution reaches every row
     spec = shoot.spectrum(3, derive_constants(17), tol)
     assert [r.n for r in spec.rows] == [1, 2, 3]
     assert all(r.zeros == r.n + 1 for r in spec.rows)
+
+
+@pytest.mark.parametrize("p", [19, 21])
+def test_spectrum_for_large_p(p, tol):
+    # c_1 sits just above b0 -> 1 here, below any fixed scan window; the
+    # chain from the constant solution still reaches it
+    params = derive_constants(p)
+    spec = shoot.spectrum(3, params, tol)
+    assert [r.n for r in spec.rows] == [1, 2, 3]
+    assert all(r.zeros == r.n + 1 for r in spec.rows)
+    assert all(r.b < params.b0 for r in spec.rows)
+    above = [r.b > params.b_inf for r in spec.rows]
+    assert above[0] != above[1] != above[2]
 
 
 def test_rejected_chain_seed_reports_its_reason(p7, tol, u1, monkeypatch):
@@ -150,12 +163,15 @@ def test_rejected_chain_seed_reports_its_reason(p7, tol, u1, monkeypatch):
 
     monkeypatch.setattr(shoot, "_newton_refine", stall)
     monkeypatch.setattr(shoot, "_scan_seeds", lambda *args: [])
-    with pytest.raises(shoot.SearchError) as info:
-        find_solution(2, p7, tol, prev=u1)
-    c_seed = u1.c * p7.ratio_c
-    b_seed = p7.b_inf - p7.ratio_b * (u1.b - p7.b_inf)
-    assert info.value.trace == [(c_seed, b_seed, "forced stall")]
-    assert "1 candidates rejected; first: forced stall" in str(info.value)
+    # row 1 is chained from the constant solution (c, b) = (b0, b0) like
+    # every later row from the one below it
+    for n, prev, c, b in ((1, None, p7.b0, p7.b0), (2, u1, u1.c, u1.b)):
+        with pytest.raises(shoot.SearchError) as info:
+            find_solution(n, p7, tol, prev=prev)
+        c_seed = c * p7.ratio_c
+        b_seed = p7.b_inf - p7.ratio_b * (b - p7.b_inf)
+        assert info.value.trace == [(c_seed, b_seed, "forced stall")]
+        assert "1 candidates rejected; first: forced stall" in str(info.value)
 
 
 def test_rejected_scan_seeds_report_their_reasons(p7, tol, monkeypatch):
