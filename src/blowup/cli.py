@@ -251,121 +251,157 @@ def cmd_extend(cfg: RunConfig, args) -> int:
 # -- invariant suite -----------------------------------------------------------
 
 
+def _attempt(make):
+    """Run make() now; return a getter of its value that re-raises, on every
+    call, the computational failure make() raised instead."""
+    try:
+        value, error = make(), None
+    except COMPUTE_ERRORS as exc:
+        value, error = None, exc
+
+    def get():
+        if error is not None:
+            raise error
+        return value
+
+    return get
+
+
 def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
+    """(name, passed, detail) of every invariant, in a fixed order.
+
+    An invariant that raises a computational failure fails with the error
+    as its detail, and the others still run.  Inputs several invariants
+    share (the family rows, the limit-equation states) are computed once;
+    their failure fails each invariant that reads them.
+    """
     P = cfg.params
     tol = cfg.tol
-    out: list[tuple[str, bool, str]] = []
-
-    spec = shoot.spectrum(6, P, tol, cfg.rho_mid)
-    rows = spec.rows
-
-    ok = all(r.zeros == r.n + 1 for r in rows)
-    out.append(("nodal_counts", ok,
-                "zeros " + " ".join(str(r.zeros) for r in rows)))
-
-    ok = all(r.b < P.b0 for r in rows) and all(r.c > P.b0 for r in rows)
-    out.append(("cone_value_below_constant", ok,
-                "max b %.6f vs b0 %.6f" % (max(r.b for r in rows), P.b0)))
-
-    signs = [math.copysign(1.0, r.b - P.b_inf) for r in rows]
-    ok = all(a * b < 0 for a, b in zip(signs[:-1], signs[1:]))
-    out.append(("cone_value_alternation", ok,
-                "signs " + " ".join("%+d" % int(s) for s in signs)))
-
-    worst = 0.0
-    ok = True
-    for r in rows:
-        rep = diag.monotonicity_report(r.trajectory, P)
-        ok = ok and rep.passed
-        worst = max(worst, max(c.max_rise_scaled for c in rep.checks.values()))
-    out.append(("monotone_functionals", ok, "max scaled rise %.3g" % worst))
-
-    qmax = -math.inf
-    q0_excess = 0.0
-    for r in rows:
-        rho, u, du = r.trajectory.profile_samples()
-        q = diag.eval_virial(rho, u, du, P)
-        qmax = max(qmax, float(q.max()))
-        # every term of Q carries rho^2 or rho^3, so at the launch radius the
-        # value must sit at its cubic natural size, not merely below a fixed cap
-        r0, u0 = float(rho[0]), float(u[0])
-        ddu0 = (P.aa1 * u0 - u0 ** P.p) / 3.0
-        scale = r0 ** 3 * (abs(3.0 * (5 - P.p) / (4.0 * (P.p - 1))
-                               - 2.0 / (P.p - 1) ** 2) * u0 ** 2
-                           + u0 ** (P.p + 1) / (P.p + 1) + abs(u0 * ddu0))
-        q0_excess = max(q0_excess, abs(float(q[0])) / (100.0 * scale + 1e-10))
-    ok = qmax <= 1e-12 and q0_excess <= 1.0
-    out.append(("virial_nonpositive", ok,
-                "max Q %.3g, center excess %.3g" % (qmax, q0_excess)))
-
-    res0 = shoot.constant_solution_result(P, tol, cfg.rho_mid)
-    zs = diag.w_zero_locations(res0.trajectory, P)
-    target = math.sqrt((P.p - 3.0) / (P.p + 1.0))
-    if len(zs) == 1:
-        out.append(("constant_solution_zero", abs(float(zs[0]) - target) <= 1e-9,
-                    "zero at %.12f, expected %.12f" % (zs[0], target)))
-    else:
-        out.append(("constant_solution_zero", False,
-                    "%d zeros, expected one at %.12f" % (len(zs), target)))
-
-    ok = True
-    detail = []
-    for c in (5.0, 10.0, 50.0):
-        rep = diag.first_crossing_report(c, P, tol)
-        ok = ok and rep.passed
-        detail.append("c=%g rho1=%.4f<=%.4f" % (c, rep.rho_first, rep.crossing_bound))
-    out.append(("first_crossing_bound", ok, "; ".join(detail)))
-
-    drep = diag.discriminant_report(P)
-    ok = (abs(drep.closed_form - drep.value_at_v_star) <= 1e-12
-          and drep.all_negative and drep.decreasing)
-    out.append(("crossing_discriminant", ok,
-                "value %.6f, all negative %s" % (drep.closed_form, drep.all_negative)))
-
-    states = asy.integrate_limit_equation(asy.DEFAULT_X_MAX, P, tol)
-    fit = asy.fit_limit_asymptotics(states, P)
     lam = (P.p - 5.0) / (2.0 * (P.p - 1.0))
-    ok = (abs(fit.frequency - P.omega) <= 1e-3 and abs(fit.decay - lam) <= 5e-3)
-    out.append(("limit_ringdown_fit", ok,
-                "omega %.6f (pred %.6f), decay %.6f (pred %.6f)"
-                % (fit.frequency, P.omega, fit.decay, lam)))
+    spec = _attempt(lambda: shoot.spectrum(6, P, tol, cfg.rho_mid))
+    states = _attempt(lambda: asy.integrate_limit_equation(asy.DEFAULT_X_MAX, P, tol))
 
-    tau, h = asy.limit_lyapunov(states, P)
-    rise = float(np.max(np.diff(h)))
-    out.append(("limit_lyapunov_monotone", rise <= 1e-12, "max rise %.3g" % rise))
+    def nodal_counts():
+        rows = spec().rows
+        return (all(r.zeros == r.n + 1 for r in rows),
+                "zeros " + " ".join(str(r.zeros) for r in rows))
 
-    cfit = asy.solve_linearized_lightcone(1e-6, P, tol)
-    ok = abs(cfit.frequency - P.omega) <= 1e-3 and abs(cfit.decay - lam) <= 5e-3
-    out.append(("cone_linearization_fit", ok,
-                "omega %.6f, decay %.6f" % (cfit.frequency, cfit.decay)))
+    def cone_value_below_constant():
+        rows = spec().rows
+        ok = all(r.b < P.b0 for r in rows) and all(r.c > P.b0 for r in rows)
+        return ok, "max b %.6f vs b0 %.6f" % (max(r.b for r in rows), P.b0)
 
-    erep = diag.extend_beyond_lightcone(rows[0].b, P, 100.0, tol)
-    out.append(("outward_extension", erep.passed,
-                "u(100) %.3g, min margin %.3g" % (erep.u_final, erep.min_decay_margin)))
+    def cone_value_alternation():
+        signs = [math.copysign(1.0, r.b - P.b_inf) for r in spec().rows]
+        ok = all(a * b < 0 for a, b in zip(signs[:-1], signs[1:]))
+        return ok, "signs " + " ".join("%+d" % int(s) for s in signs)
 
-    dc = spec.delta_c(5)
-    db = spec.delta_b(5)
-    ok = (abs(dc / P.ratio_c - 1.0) < 0.05 and abs(db / P.ratio_b - 1.0) < 0.1)
-    out.append(("quotient_convergence", ok,
-                "delta_c %.4f -> %.4f, delta_b %.4f -> %.4f"
-                % (dc, P.ratio_c, db, P.ratio_b)))
+    def monotone_functionals():
+        worst = 0.0
+        ok = True
+        for r in spec().rows:
+            rep = diag.monotonicity_report(r.trajectory, P)
+            ok = ok and rep.passed
+            worst = max(worst, max(c.max_rise_scaled for c in rep.checks.values()))
+        return ok, "max scaled rise %.3g" % worst
 
-    P5 = _derive_unchecked(5)
-    rng = np.random.default_rng(20260816)
-    drift = 0.0
-    ok = True
-    for c in 0.3 + 2.2 * rng.random(10):
-        traj = center_trajectory(float(c), 0.999, P5, tol)
-        if traj.termination != TERM_REACHED_END:
-            ok = False
-            continue
-        rho, u, du = traj.profile_samples()
-        q = diag.eval_virial(rho, u, du, P5)
-        drift = max(drift, float(np.max(np.abs(q - q[0]))) / (1.0 + abs(float(q[0]))))
-    ok = ok and drift <= 1e-9
-    out.append(("critical_case_first_integral", ok,
-                "max scaled drift %.3g over 10 launches" % drift))
+    def virial_nonpositive():
+        qmax = -math.inf
+        q0_excess = 0.0
+        for r in spec().rows:
+            rho, u, du = r.trajectory.profile_samples()
+            q = diag.eval_virial(rho, u, du, P)
+            qmax = max(qmax, float(q.max()))
+            # every term of Q carries rho^2 or rho^3, so at the launch radius the
+            # value must sit at its cubic natural size, not merely below a fixed cap
+            r0, u0 = float(rho[0]), float(u[0])
+            ddu0 = (P.aa1 * u0 - u0 ** P.p) / 3.0
+            scale = r0 ** 3 * (abs(3.0 * (5 - P.p) / (4.0 * (P.p - 1))
+                                   - 2.0 / (P.p - 1) ** 2) * u0 ** 2
+                               + u0 ** (P.p + 1) / (P.p + 1) + abs(u0 * ddu0))
+            q0_excess = max(q0_excess, abs(float(q[0])) / (100.0 * scale + 1e-10))
+        ok = qmax <= 1e-12 and q0_excess <= 1.0
+        return ok, "max Q %.3g, center excess %.3g" % (qmax, q0_excess)
 
+    def constant_solution_zero():
+        res0 = shoot.constant_solution_result(P, tol, cfg.rho_mid)
+        zs = diag.w_zero_locations(res0.trajectory, P)
+        target = math.sqrt((P.p - 3.0) / (P.p + 1.0))
+        if len(zs) != 1:
+            return False, "%d zeros, expected one at %.12f" % (len(zs), target)
+        return (abs(float(zs[0]) - target) <= 1e-9,
+                "zero at %.12f, expected %.12f" % (zs[0], target))
+
+    def first_crossing_bound():
+        ok = True
+        detail = []
+        for c in (5.0, 10.0, 50.0):
+            rep = diag.first_crossing_report(c, P, tol)
+            ok = ok and rep.passed
+            detail.append("c=%g rho1=%.4f<=%.4f" % (c, rep.rho_first, rep.crossing_bound))
+        return ok, "; ".join(detail)
+
+    def crossing_discriminant():
+        drep = diag.discriminant_report(P)
+        ok = (abs(drep.closed_form - drep.value_at_v_star) <= 1e-12
+              and drep.all_negative and drep.decreasing)
+        return ok, "value %.6f, all negative %s" % (drep.closed_form, drep.all_negative)
+
+    def limit_ringdown_fit():
+        fit = asy.fit_limit_asymptotics(states(), P)
+        ok = (abs(fit.frequency - P.omega) <= 1e-3 and abs(fit.decay - lam) <= 5e-3)
+        return ok, ("omega %.6f (pred %.6f), decay %.6f (pred %.6f)"
+                    % (fit.frequency, P.omega, fit.decay, lam))
+
+    def limit_lyapunov_monotone():
+        tau, h = asy.limit_lyapunov(states(), P)
+        rise = float(np.max(np.diff(h)))
+        return rise <= 1e-12, "max rise %.3g" % rise
+
+    def cone_linearization_fit():
+        cfit = asy.solve_linearized_lightcone(1e-6, P, tol)
+        ok = abs(cfit.frequency - P.omega) <= 1e-3 and abs(cfit.decay - lam) <= 5e-3
+        return ok, "omega %.6f, decay %.6f" % (cfit.frequency, cfit.decay)
+
+    def outward_extension():
+        b1 = spec().rows[0].b
+        erep = diag.extend_beyond_lightcone(b1, P, 100.0, tol)
+        return erep.passed, ("u(100) %.3g, min margin %.3g"
+                             % (erep.u_final, erep.min_decay_margin))
+
+    def quotient_convergence():
+        dc = spec().delta_c(5)
+        db = spec().delta_b(5)
+        ok = (abs(dc / P.ratio_c - 1.0) < 0.05 and abs(db / P.ratio_b - 1.0) < 0.1)
+        return ok, ("delta_c %.4f -> %.4f, delta_b %.4f -> %.4f"
+                    % (dc, P.ratio_c, db, P.ratio_b))
+
+    def critical_case_first_integral():
+        P5 = _derive_unchecked(5)
+        rng = np.random.default_rng(20260816)
+        drift = 0.0
+        ok = True
+        for c in 0.3 + 2.2 * rng.random(10):
+            traj = center_trajectory(float(c), 0.999, P5, tol)
+            if traj.termination != TERM_REACHED_END:
+                ok = False
+                continue
+            rho, u, du = traj.profile_samples()
+            q = diag.eval_virial(rho, u, du, P5)
+            drift = max(drift, float(np.max(np.abs(q - q[0]))) / (1.0 + abs(float(q[0]))))
+        return ok and drift <= 1e-9, "max scaled drift %.3g over 10 launches" % drift
+
+    out = []
+    for fn in (nodal_counts, cone_value_below_constant, cone_value_alternation,
+               monotone_functionals, virial_nonpositive, constant_solution_zero,
+               first_crossing_bound, crossing_discriminant, limit_ringdown_fit,
+               limit_lyapunov_monotone, cone_linearization_fit, outward_extension,
+               quotient_convergence, critical_case_first_integral):
+        try:
+            ok, detail = fn()
+        except COMPUTE_ERRORS as exc:
+            ok, detail = False, " ".join(f"{type(exc).__name__}: {exc}".split())
+        out.append((fn.__name__, ok, detail))
     return out
 
 

@@ -1,10 +1,10 @@
 """Adaptive integration of the profile equation with dense output.
 
-The stepper is an embedded explicit pair of order 8 (scipy's DOP853) with
-proportional-integral step control, driven through its low-level interface
-so step budgets, minimum step size, and termination reasons are explicit.
-Dense output interpolates at the order of the stepper, so trajectories can
-be sampled anywhere without re-integration.
+The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as
+scipy 1.17.1 steps it, run on Python floats for the two-component systems
+(u, u') every caller integrates.  Step budget, minimum step size and
+termination reasons are explicit.  Dense output interpolates at the order of
+the stepper, so trajectories can be sampled anywhere without re-integration.
 
 Every trajectory lives in one chart family: (U, U') in x = rho c^{(p-1)/2}
 with u = c U.  The plain equation in rho is the member c = 1; large center
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from .model import ModelParams, ProfileState
 from .odecore import center_launch, center_launch_rescaled, chart_rhs, lightcone_launch
@@ -47,6 +48,7 @@ TERM_STEP_LIMIT = "step_limit"
 MAX_STEPS = 200_000       # accepted steps before an integration stops (step_limit)
 H_MIN = 1e-15             # step size below which it stops (step_underflow)
 RESCALE_THRESHOLD = 1e3   # stretch c^{(p-1)/2} above which center launches use the x-chart
+_RTOL_MIN = 100.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -57,52 +59,169 @@ class Tolerances:
     atol: float = 1e-14
 
     def __post_init__(self):
-        if not (0.0 < self.rtol <= 1e-6):
-            raise ValueError(f"rtol must be in (0, 1e-6], got {self.rtol}")
+        # below 100 eps the stepper could not honor rtol (scipy's floor)
+        if not (_RTOL_MIN <= self.rtol <= 1e-6):
+            raise ValueError(
+                f"rtol must be in [{_RTOL_MIN:.3g}, 1e-6], got {self.rtol}")
         if self.atol <= 0.0:
             raise ValueError(f"atol must be positive, got {self.atol}")
+
+
+def _sparse(row) -> tuple:
+    """(a, stage) pairs of a tableau row, zeros dropped."""
+    return tuple((float(a), j) for j, a in enumerate(row) if a)
+
+
+# DOP853's tableau as (c, sparse row): the 11 stages after the first, then
+# the 3 extra stages of the interpolant
+_STAGES = DOP853.n_stages
+_MAIN = [(float(c), _sparse(row[:s])) for s, (c, row) in
+         enumerate(zip(DOP853.C, DOP853.A)) if s]
+_EXTRA = [(float(c), _sparse(row[:s])) for s, (c, row) in
+          enumerate(zip(DOP853.C_EXTRA, DOP853.A_EXTRA), start=_STAGES + 1)]
+_B, _E5, _E3 = _sparse(DOP853.B), _sparse(DOP853.E5), _sparse(DOP853.E3)
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
+
+
+def _combine(row, K0, K1) -> tuple[float, float]:
+    """The sparse row's combination of the stages of each component."""
+    d0 = d1 = 0.0
+    for a, j in row:
+        d0 += a * K0[j]
+        d1 += a * K1[j]
+    return d0, d1
+
+
+def _add_stages(rows, rhs, t, u, du, h, K0, K1) -> None:
+    """Append the stages of `rows` for the step h from (t, u, du)."""
+    for c, row in rows:
+        d0, d1 = _combine(row, K0, K1)
+        k0, k1 = rhs(t + c * h, (u + d0 * h, du + d1 * h))
+        K0.append(k0)
+        K1.append(k1)
+
+
+def _initial_step(rhs, t, u, du, f, t_end, direction, rtol, atol) -> float:
+    """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4)."""
+    span = abs(t_end - t)
+    s0 = atol + abs(u) * rtol
+    s1 = atol + abs(du) * rtol
+    d0 = math.hypot(u / s0, du / s1) / math.sqrt(2.0)
+    d1 = math.hypot(f[0] / s0, f[1] / s1) / math.sqrt(2.0)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    hd = h0 * direction
+    try:
+        g = rhs(t + hd, (u + hd * f[0], du + hd * f[1]))
+    except OverflowError:      # scipy's inf slope difference, which gives h = 0
+        return 0.0
+    d2 = math.hypot((g[0] - f[0]) / s0, (g[1] - f[1]) / s1) / math.sqrt(2.0) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        return min(100.0 * h0, max(1e-6, h0 * 1e-3), span)
+    return min(100.0 * h0, (0.01 / max(d1, d2)) ** (1.0 / 8.0), span)
+
+
+def _step(rhs, t, u, du, f, h_abs, t_end, direction, rtol, atol):
+    """One accepted step from (t, u, du), where rhs is f, retrying rejected
+    sizes.  Returns (t, u, du, f, h, next h_abs, K0, K1) with the 13 stages
+    of each component, or None once the size falls under 10 ulp of t."""
+    min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+    h_abs = max(h_abs, min_step)
+    rejected = False
+    while h_abs >= min_step:
+        t_new = t + h_abs * direction
+        if direction * (t_new - t_end) > 0:
+            t_new = t_end
+        h = t_new - t
+        h_abs = abs(h)
+        K0, K1 = [f[0]], [f[1]]
+        try:
+            _add_stages(_MAIN, rhs, t, u, du, h, K0, K1)
+            b0, b1 = _combine(_B, K0, K1)
+            u_new, du_new = u + h * b0, du + h * b1
+            f_new = rhs(t_new, (u_new, du_new))
+        except OverflowError:
+            # u**p left the float range; there scipy's arrays hold inf and
+            # its error norm rejects the step by the smallest factor
+            h_abs *= _MIN_FACTOR
+            rejected = True
+            continue
+        K0.append(f_new[0])
+        K1.append(f_new[1])
+        s0 = atol + max(abs(u), abs(u_new)) * rtol
+        s1 = atol + max(abs(du), abs(du_new)) * rtol
+        e0, e1 = _combine(_E5, K0, K1)
+        err5 = (e0 / s0) ** 2 + (e1 / s1) ** 2
+        e0, e1 = _combine(_E3, K0, K1)
+        err3 = (e0 / s0) ** 2 + (e1 / s1) ** 2
+        err = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0) if err5 or err3 else 0.0
+        if err < 1.0:
+            factor = min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT) if err else _MAX_FACTOR
+            h_next = h_abs * (min(1.0, factor) if rejected else factor)
+            return t_new, u_new, du_new, f_new, h, h_next, K0, K1
+        h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+        rejected = True
+    return None
+
+
+def _dense_output(t: np.ndarray, y: np.ndarray, stages: list) -> OdeSolution:
+    """DOP853's interpolant on every step, from each step's 16 stages;
+    row i of y is the state at t[i]."""
+    K = np.array(stages)                          # (step, component, stage)
+    h = np.diff(t)[:, None]
+    dy = np.diff(y, axis=0)
+    f_old, f_new = K[:, :, 0], K[:, :, _STAGES]
+    F = np.concatenate(
+        (np.stack((dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)), axis=1),
+         h[:, :, None] * np.swapaxes(K @ DOP853.D.T, 1, 2)), axis=1)
+    return OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[i], F[i])
+                           for i in range(len(h))])
 
 
 def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
               blow_cap: float | None = None, store_dense: bool = True):
     """Step rhs from t0 to t_end; returns (t, y, dense, termination).
 
-    t is the accepted-step grid (monotone), y has shape (2, len(t)), dense
-    is an OdeSolution or None.  Stops early on |y[0]| > blow_cap, a step
-    below H_MIN, or MAX_STEPS accepted steps.
+    y0 holds the two components (u, u'); rhs(t, (u, du)) gets a tuple of
+    floats and returns the pair (u', u'').  t is the accepted-step grid
+    (monotone), y has shape (2, len(t)), dense is an OdeSolution or None.
+    Stops early on |y[0]| > blow_cap, a step below H_MIN, or MAX_STEPS
+    accepted steps.
     """
     if t_end == t0:
         raise ValueError("empty integration span")
-    solver = DOP853(rhs, t0, np.asarray(y0, dtype=float), t_end,
-                    rtol=tol.rtol, atol=tol.atol)
-    ts = [t0]
-    ys = [np.asarray(y0, dtype=float)]
-    interps = [] if store_dense else None
+    if len(y0) != 2:
+        raise ValueError(f"drive_ode integrates 2 components, got {len(y0)}")
+    t, u, du = float(t0), float(y0[0]), float(y0[1])
+    direction = 1.0 if t_end > t0 else -1.0
+    try:
+        f = rhs(t, (u, du))
+    except OverflowError:      # the start is past the float range: no step
+        return np.array([t]), np.array([[u], [du]]), None, TERM_STEP_UNDERFLOW
+    h_abs = _initial_step(rhs, t, u, du, f, t_end, direction, tol.rtol, tol.atol)
+    ts, ys, stages = [t], [(u, du)], []
     termination = TERM_REACHED_END
-    nsteps = 0
-    while solver.status == "running":
-        if nsteps >= MAX_STEPS:
+    while direction * (t - t_end) < 0:
+        if len(ts) > MAX_STEPS:
             termination = TERM_STEP_LIMIT
             break
-        solver.step()
-        if solver.status == "failed":
+        step = _step(rhs, t, u, du, f, h_abs, t_end, direction, tol.rtol, tol.atol)
+        if step is None:
             termination = TERM_STEP_UNDERFLOW
             break
-        nsteps += 1
-        ts.append(solver.t)
-        ys.append(solver.y.copy())
+        t, u, du, f, h, h_abs, K0, K1 = step
         if store_dense:
-            interps.append(solver.dense_output())
-        if blow_cap is not None and abs(solver.y[0]) > blow_cap:
+            _add_stages(_EXTRA, rhs, ts[-1], *ys[-1], h, K0, K1)
+            stages.append((K0, K1))
+        ts.append(t)
+        ys.append((u, du))
+        if blow_cap is not None and abs(u) > blow_cap:
             termination = TERM_BLEW_UP
             break
-        if solver.h_abs < H_MIN:
+        if h_abs < H_MIN:
             termination = TERM_STEP_UNDERFLOW
             break
-    t = np.array(ts)
-    y = np.array(ys).T
-    dense = OdeSolution(t, interps) if store_dense and interps else None
-    return t, y, dense, termination
+    t, y = np.array(ts), np.array(ys)
+    return t, y.T, _dense_output(t, y, stages) if stages else None, termination
 
 
 @dataclass(frozen=True, eq=False)

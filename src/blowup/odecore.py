@@ -77,7 +77,7 @@ class SeriesStart:
 
 
 def chart_rhs(params: ModelParams, mu: float):
-    """rhs(t, y) -> (u', u'') of the profile equation in the chart with parameter mu.
+    """rhs(t, (u, du)) -> (u', u'') of the profile equation in the chart with parameter mu.
 
     mu = 1 is the plain equation in rho, mu = c^{-(p-1)} the rescaled one in
     x, mu = 0 the limit equation.  The closure is the integrator's hot path,

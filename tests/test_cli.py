@@ -215,3 +215,29 @@ def test_check_reports_a_missing_constant_solution_zero(monkeypatch, capsys):
             in out)
     _, rows = rows_of(out)
     assert all(r[1] == "true" for r in rows if r[0] != "constant_solution_zero")
+
+
+def test_check_runs_every_invariant_past_a_raising_report(monkeypatch, capsys):
+    monkeypatch.setattr(diagnostics, "first_crossing_report",
+                        _fail_on_call(diagnostics.first_crossing_report, 1))
+    assert cli.main(["check"]) == 1
+    _, rows = rows_of(capsys.readouterr().out)
+    assert len(rows) == 14
+    assert [r for r in rows if r[1] != "true"] == [
+        ["first_crossing_bound", "false",
+         "DegenerateTrajectoryError: forced degenerate phase"]]
+
+
+def test_check_fails_the_invariants_that_read_a_failed_spectrum(monkeypatch, capsys):
+    def no_family(*args, **kwargs):
+        raise shoot.ShootingError("forced chain failure")
+
+    monkeypatch.setattr(shoot, "spectrum", no_family)
+    assert cli.main(["check"]) == 1
+    _, rows = rows_of(capsys.readouterr().out)
+    failed = {r[0]: r[2] for r in rows if r[1] != "true"}
+    assert len(rows) == 14
+    assert failed == dict.fromkeys(
+        ["nodal_counts", "cone_value_below_constant", "cone_value_alternation",
+         "monotone_functionals", "virial_nonpositive", "outward_extension",
+         "quotient_convergence"], "ShootingError: forced chain failure")

@@ -2,17 +2,30 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853, OdeSolution
 
+from blowup import asymptotics, integrate as integrate_module
 from blowup.model import ProfileState, derive_constants, du_singular, u_singular
 from blowup.integrate import (
     TERM_BLEW_UP,
     TERM_REACHED_END,
+    TERM_STEP_LIMIT,
     TERM_STEP_UNDERFLOW,
     Tolerances,
     center_trajectory,
+    drive_ode,
     integrate,
     integrate_rescaled,
     lightcone_trajectory,
+)
+from blowup.odecore import (
+    SERIES_ORDER,
+    _shrink_until_valid,
+    center_launch,
+    center_launch_rescaled,
+    chart_rhs,
+    lightcone_launch,
+    limit_launch,
 )
 from reference_values import ORACLES
 
@@ -107,6 +120,16 @@ def test_blowup_detection(p7):
     assert traj.rho_span()[1] < 3.0
 
 
+@pytest.mark.parametrize("u0", [1e6, 1e50])
+def test_overflowing_power_stops_with_a_label(p7, u0):
+    # u**p on Python floats raises OverflowError past the float range: at
+    # u0 = 1e6 in trial stages of the first steps, at 1e50 at the start
+    tol = Tolerances(rtol=1e-10, atol=1e-12)
+    traj = integrate(ProfileState(0.5, u0, 0.0), 0.9, p7, tol)
+    assert traj.termination in (TERM_BLEW_UP, TERM_STEP_UNDERFLOW)
+    assert traj.rho_span()[1] < 0.9
+
+
 def test_rescaled_cone_guard(p7, tol):
     with pytest.raises(ValueError):
         integrate_rescaled(2.0, 0.1, 1.0, 0.0, 10.0, p7, tol)  # x_end past the cone image
@@ -154,6 +177,8 @@ def test_tolerances_validation():
         Tolerances(rtol=1e-3)
     with pytest.raises(ValueError):
         Tolerances(rtol=-1.0)
+    with pytest.raises(ValueError):
+        Tolerances(rtol=1e-15)     # under the stepper's 100 eps floor
     Tolerances(rtol=1e-8, atol=1e-10)
 
 
@@ -165,3 +190,101 @@ def test_center_chart_routes_on_the_stretch_for_large_p(tol):
         traj = center_trajectory(c, 0.999, p27, tol)
         assert traj.termination == TERM_REACHED_END
         assert traj.c_scale == c
+
+
+def _counted(rhs):
+    calls = []
+
+    def wrapped(t, y):
+        calls.append(1)
+        return rhs(t, y)
+
+    return wrapped, calls
+
+
+def _scipy_dop853(rhs, t0, y0, t_end, tol):
+    """The reference: scipy's DOP853 stepped to t_end with an interpolant
+    per step; returns (t, y, dense, RHS calls)."""
+    solver = DOP853(rhs, t0, np.array(y0, dtype=float), t_end,
+                    rtol=tol.rtol, atol=tol.atol)
+    ts, ys, pieces = [t0], [solver.y.copy()], []
+    while solver.status == "running":
+        solver.step()
+        ts.append(solver.t)
+        ys.append(solver.y.copy())
+        pieces.append(solver.dense_output())
+    assert solver.status == "finished"
+    return np.array(ts), np.array(ys).T, OdeSolution(np.array(ts), pieces), solver.nfev
+
+
+def _oracle_case(name, p7, tol):
+    """(rhs, t0, y0, t_end) of the integrations the package runs."""
+    if name == "center c=2":
+        st = center_launch(2.0, p7, tol.rtol, tol.atol).state
+        return chart_rhs(p7, 1.0), st.rho, (st.u, st.du), 0.5
+    if name == "x-chart c=1e4":
+        x0, U, dU, _ = center_launch_rescaled(1e4, p7, tol.rtol, tol.atol)
+        return chart_rhs(p7, 1e4 ** -(p7.p - 1)), x0, (U, dU), 0.5 * 1e4 ** 3
+    if name == "cone b=0.7":
+        st = lightcone_launch(0.7, p7, tol.rtol, tol.atol, side=-1).state
+        return chart_rhs(p7, 1.0), st.rho, (st.u, st.du), 0.5
+    if name == "limit":
+        x0, U, dU, _ = limit_launch(p7, tol.rtol, tol.atol)
+        return chart_rhs(p7, 0.0), x0, (U, dU), 1e6
+    beta = asymptotics._linearized_cone_coeffs(p7, SERIES_ORDER + 6)
+    s0, w0, dw0, _ = _shrink_until_valid(beta, -1e-3, SERIES_ORDER + 4,
+                                         tol.rtol, tol.atol, 1.0, 1.0)
+    return asymptotics._linearized_cone_rhs(p7), 1.0 + s0, (w0, dw0), 1e-3
+
+
+@pytest.mark.parametrize("name", ["center c=2", "x-chart c=1e4", "cone b=0.7",
+                                  "limit", "cone linearization"])
+def test_stepper_agrees_with_scipy_dop853(name, p7, tol):
+    rhs, t0, y0, t_end = _oracle_case(name, p7, tol)
+    t_ref, y_ref, dense_ref, ref_calls = _scipy_dop853(rhs, t0, y0, t_end, tol)
+    rhs_new, calls = _counted(rhs)
+    t, y, dense, term = drive_ode(rhs_new, t0, y0, t_end, tol, store_dense=True)
+    assert term == TERM_REACHED_END
+    # the same accepted steps and RHS calls, interpolant stages included
+    assert len(t) == len(t_ref)
+    assert len(calls) == ref_calls
+    # scipy sums the stages through BLAS with fused multiply-adds, Python
+    # floats without, so the stage sums differ in the last bit.  The error
+    # estimate cancels them down to ~rtol of their size, which turns that
+    # bit into a relative change ~eps/rtol of the error and, through the
+    # exponent -1/8, into step sizes a few eps/rtol apart
+    assert np.max(np.abs(t / t_ref - 1.0)) < 5.0 * np.finfo(float).eps / tol.rtol
+    scale = np.max(np.abs(y_ref), axis=1, keepdims=True)
+    assert np.max(np.abs(y - dense_ref(t)) / scale) < 1e-12
+    tq = np.linspace(min(t0, t_end), max(t0, t_end), 200)
+    assert np.max(np.abs(dense(tq) - dense_ref(tq)) / scale) < 1e-12
+    # without dense output: the same grid, three stages fewer per step
+    rhs_plain, plain_calls = _counted(rhs)
+    t_plain, y_plain, dense_plain, _ = drive_ode(rhs_plain, t0, y0, t_end, tol,
+                                                 store_dense=False)
+    assert dense_plain is None
+    assert np.array_equal(t_plain, t) and np.array_equal(y_plain, y)
+    assert len(plain_calls) == len(calls) - 3 * (len(t) - 1)
+
+
+def test_step_budget_stops_with_step_limit(p7, tol, monkeypatch):
+    monkeypatch.setattr(integrate_module, "MAX_STEPS", 5)
+    rhs, t0, y0, t_end = _oracle_case("center c=2", p7, tol)
+    t, y, dense, term = drive_ode(rhs, t0, y0, t_end, tol, store_dense=True)
+    assert term == TERM_STEP_LIMIT
+    assert len(t) == 6 and y.shape == (2, 6)
+    assert dense(t[-1]) == pytest.approx(y[:, -1], rel=1e-15)
+
+
+def test_step_below_h_min_stops_after_one_step(p7, tol, monkeypatch):
+    monkeypatch.setattr(integrate_module, "H_MIN", 1.0)
+    rhs, t0, y0, t_end = _oracle_case("center c=2", p7, tol)
+    t, _, _, term = drive_ode(rhs, t0, y0, t_end, tol)
+    assert term == TERM_STEP_UNDERFLOW
+    assert len(t) == 2
+
+
+@pytest.mark.parametrize("y0", [(1.0,), (1.0, 0.0, 0.0)])
+def test_drive_ode_needs_two_components(y0, tol):
+    with pytest.raises(ValueError):
+        drive_ode(lambda t, y: y, 0.5, y0, 0.6, tol)
