@@ -197,8 +197,9 @@ def cmd_profile(cfg: RunConfig, args) -> int:
 
 def cmd_curves(cfg: RunConfig, args) -> int:
     P = cfg.params
-    if not (0 < args.c_lo < args.c_hi and 0 < args.b_lo < args.b_hi):
-        raise ValueError("curve ranges must be positive and increasing")
+    if not (0 < args.c_lo < args.c_hi and 0 < args.b_lo < args.b_hi
+            and math.isfinite(args.c_hi) and math.isfinite(args.b_hi)):
+        raise ValueError("curve ranges must be finite, positive and increasing")
     c_imgs, b_imgs = shoot.sample_curves(
         P, cfg.tol, cfg.rho_mid, args.c_lo, args.c_hi, args.n_c,
         args.b_lo, args.b_hi, args.n_b)

@@ -63,8 +63,10 @@ class Tolerances:
         if not (_RTOL_MIN <= self.rtol <= 1e-6):
             raise ValueError(
                 f"rtol must be in [{_RTOL_MIN:.3g}, 1e-6], got {self.rtol}")
-        if self.atol <= 0.0:
-            raise ValueError(f"atol must be positive, got {self.atol}")
+        # an atol that dominates every component would let the stepper take
+        # unchecked steps; this bound also rejects nan and inf
+        if not (0.0 < self.atol <= 1e-6):
+            raise ValueError(f"atol must be in (0, 1e-6], got {self.atol}")
 
 
 def _sparse(row) -> tuple:

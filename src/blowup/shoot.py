@@ -21,10 +21,10 @@ midpoint mismatch
 with a forward-difference Jacobian in (ln c, b).  Every entry point builds
 the family by one rule: starting at the exact constant solution
 (n, c, b) = (0, b0, b0), row n+1 is seeded from row n by the closed-form
-ratios, and only if that seed fails does a polyline intersection scan of the
-two discretized curves bracket one spiral window around it.  Center launches
-with large c integrate in the exact rescaled chart, which keeps the curve
-data well conditioned for arbitrarily large c.
+ratios, which land inside the right spiral window, and that seed gets
+exactly one Newton solve.  Center launches with large c integrate in the
+exact rescaled chart, which keeps the curve data well conditioned for
+arbitrarily large c.
 
 Solutions are classified by their nodal index: the number of zeros of
 w = u/u_singular - 1, counted by sign changes on the dense trajectory and
@@ -78,11 +78,10 @@ class ShootingError(RuntimeError):
 
 
 class SearchError(ShootingError):
-    """Bracketing or refinement failed.
+    """Refinement failed or refined to the wrong row.
 
-    trace holds what the search tried: (c, |F|) per Newton iterate when
-    refinement stalls, (c_seed, b_seed, reason) per rejected candidate when
-    no candidate yields the wanted row.
+    trace holds the (c, |F|) of every Newton iterate when refinement stalls,
+    and is empty when the refined root has the wrong zero count.
     """
 
     def __init__(self, message: str, trace=None):
@@ -188,8 +187,8 @@ def _shot(side: str, param: float, rho_mid: float, params: ModelParams, tol: Tol
 class _ImageCache:
     """Memoized images at rho_mid of center shots u(0) = c and cone shots u(1) = b.
 
-    The one place a shot's image is computed: the scan, Newton, mismatch()
-    and the curve samplers all read through an instance of it.
+    The one place a shot's image is computed: Newton, mismatch() and the
+    curve samplers all read through an instance of it.
     """
 
     def __init__(self, params: ModelParams, rho_mid: float, tol: Tolerances):
@@ -206,11 +205,6 @@ class _ImageCache:
             img = MidpointImage(side, param, self.rho_mid, st.u, st.du)
             self._memo[(side, param)] = img
         return img
-
-    def scaled(self, side: str, param: float) -> tuple[float, float]:
-        """(u, u' / |u_singular'(rho_mid)|), the plane the scan intersects in."""
-        img = self(side, param)
-        return img.u, img.du / self.dscale
 
     def F(self, c: float, b: float) -> np.ndarray:
         """Scaled two-component gap between the center and cone images."""
@@ -237,62 +231,14 @@ def mismatch(c: float, b: float, rho_mid: float, params: ModelParams,
     return _ImageCache(params, rho_mid, tol).F(c, b)
 
 
-# -- bracketing scan ---------------------------------------------------------
-
-
-def _segment_intersections(pa, pb):
-    """Parameter pairs (i+s, j+t) where polyline pa crosses polyline pb."""
-    hits = []
-    a0 = pa[:-1]
-    a1 = pa[1:]
-    for j in range(len(pb) - 1):
-        q0, q1 = pb[j], pb[j + 1]
-        d1 = a1 - a0
-        d2 = q1 - q0
-        den = d1[:, 0] * d2[1] - d1[:, 1] * d2[0]
-        rx = q0[0] - a0[:, 0]
-        ry = q0[1] - a0[:, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (rx * d2[1] - ry * d2[0]) / den
-            t = (rx * d1[:, 1] - ry * d1[:, 0]) / -den
-        ok = np.isfinite(s) & np.isfinite(t) & (s >= 0) & (s < 1) & (t >= 0) & (t < 1)
-        for i in np.nonzero(ok)[0]:
-            hits.append((i + s[i], j + t[i]))
-    return hits
-
-
-def _scan_seeds(params, tol, rho_mid, c_lo, c_hi, n_c, b_lo, b_hi, n_b):
-    """Candidate (c, b) intersection seeds of discretized C0 and C1, ascending in c."""
-    cs = np.exp(np.linspace(math.log(c_lo), math.log(c_hi), n_c))
-    bs = np.linspace(b_lo, b_hi, n_b)
-    # bracketing only needs a few digits; the Newton stage re-integrates tightly
-    images = _ImageCache(params, rho_mid, Tolerances(
-        rtol=max(1e-8, tol.rtol), atol=max(1e-10, tol.atol)))
-    pa = np.array([images.scaled("center", c) for c in cs])
-    pb = np.array([images.scaled("lightcone", b) for b in bs])
-    seeds = []
-    for fi, fj in _segment_intersections(pa, pb):
-        i = int(fi)
-        c_seed = cs[i] * (cs[i + 1] / cs[i]) ** (fi - i)  # log interpolation
-        j = int(fj)
-        b_seed = bs[j] + (bs[j + 1] - bs[j]) * (fj - j)
-        seeds.append((float(c_seed), float(b_seed)))
-    seeds.sort()
-    out = []
-    for c, b in seeds:
-        if out and abs(c / out[-1][0] - 1.0) < 1e-3 and abs(b - out[-1][1]) < 1e-3:
-            continue
-        out.append((c, b))
-    return out
-
-
 # -- Newton refinement -------------------------------------------------------
 
 
 def _newton_refine(c0, b0, params, rho_mid, tol):
     """Damped Newton on F(ln c, b); returns (c, b, |F|) or raises SearchError."""
     cache = _ImageCache(params, rho_mid, tol)
-    target = max(1e-11, 20.0 * tol.rtol)
+    # a loose rtol may stop Newton early, but never short of what is accepted
+    target = min(MISMATCH_ACCEPT, max(1e-11, 20.0 * tol.rtol))
     s = math.log(c0)
     b = b0
     F = cache.F(math.exp(s), b)
@@ -373,41 +319,13 @@ def constant_solution_result(params: ModelParams, tol: Tolerances = Tolerances()
     return _assemble(0, b0, b0, float(np.hypot(*F)), params, rho_mid, tol)
 
 
-def _first_match(candidates, zeros: int, where: str, params, rho_mid, tol) -> ShootingResult:
-    """The first candidate seed whose refined root has `zeros` zeros.
-
-    Each rejected candidate goes into the SearchError trace as
-    (c_seed, b_seed, reason).
-    """
-    rejected = []
-    for c_s, b_s in candidates:
-        try:
-            c, b, norm = _newton_refine(c_s, b_s, params, rho_mid, tol)
-            return _assemble(zeros - 1, c, b, norm, params, rho_mid, tol)
-        except ShootingError as e:
-            rejected.append((c_s, b_s, str(e)))
-    first = f"; first: {rejected[0][2]}" if rejected else ""
-    raise SearchError(f"no refined root with {zeros} zeros {where} "
-                      f"({len(rejected)} candidates rejected{first})", rejected)
-
-
 def _next_row(n: int, c: float, b: float, params, tol, rho_mid) -> ShootingResult:
-    """Row n+1 from row n = (n, c, b) through the closed-form geometric seeding."""
+    """Row n+1 from row n = (n, c, b): one Newton solve from the closed-form
+    geometric seed."""
     c_seed = c * params.ratio_c
     b_seed = params.b_inf - params.ratio_b * (b - params.b_inf)
-
-    def candidates():
-        yield c_seed, b_seed
-        # fallback: local rescan of one spiral window around the seed
-        spread = 0.45 * math.log(params.ratio_c)
-        db = max(6.0 * abs(b_seed - params.b_inf), 1e-5)
-        yield from _scan_seeds(
-            params, tol, rho_mid,
-            c_seed * math.exp(-spread), c_seed * math.exp(spread), 40,
-            max(params.b_inf - db, 1e-3), min(params.b_inf + db, params.b0 - 1e-6), 41)
-
-    return _first_match(candidates(), n + 2, f"near seed c={c_seed:.6g}",
-                        params, rho_mid, tol)
+    c, b, norm = _newton_refine(c_seed, b_seed, params, rho_mid, tol)
+    return _assemble(n + 1, c, b, norm, params, rho_mid, tol)
 
 
 def find_solution(n: int, params: ModelParams, tol: Tolerances = Tolerances(),

@@ -40,6 +40,16 @@ def test_invalid_exponent_is_usage_error():
     run_cli("constants", "--p", "4", expect=2)
     run_cli("solve", "--n", "1", "--rho-mid", "1.5", expect=2)
     run_cli("spectrum", "--n-max", "0", expect=2)
+    run_cli("solve", "--n", "1", "--atol", "inf", expect=2)
+    # rejected before any shot, so no numpy warning reaches stderr
+    proc = subprocess.run([sys.executable, "-m", "blowup", "curves", "--c-hi", "inf"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "blowup: curve ranges must be finite, positive and increasing\n"
+
+
+def test_loose_tolerance_spectrum_succeeds():
+    run_cli("spectrum", "--n-max", "3", "--rtol", "1e-8", "--atol", "1e-10")
 
 
 def test_solve_row():

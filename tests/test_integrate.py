@@ -179,6 +179,9 @@ def test_tolerances_validation():
         Tolerances(rtol=-1.0)
     with pytest.raises(ValueError):
         Tolerances(rtol=1e-15)     # under the stepper's 100 eps floor
+    for atol in (math.inf, math.nan, 1e-3):
+        with pytest.raises(ValueError):
+            Tolerances(atol=atol)
     Tolerances(rtol=1e-8, atol=1e-10)
 
 

@@ -157,30 +157,41 @@ def test_spectrum_for_large_p(p, tol):
     assert above[0] != above[1] != above[2]
 
 
+@pytest.mark.parametrize("n_max, p, rtol", [(3, 7, 1e-8), (4, 17, 1e-10)])
+def test_loose_tolerance_refines_to_the_acceptance_bound(n_max, p, rtol):
+    # 20 rtol lies above MISMATCH_ACCEPT here; Newton must still iterate
+    # down to a mismatch that the row accepts
+    spec = shoot.spectrum(n_max, derive_constants(p),
+                          Tolerances(rtol=rtol, atol=rtol * 1e-2))
+    assert [r.n for r in spec.rows] == list(range(1, n_max + 1))
+    assert all(r.zeros == r.n + 1 for r in spec.rows)
+    assert all(r.mismatch <= MISMATCH_ACCEPT for r in spec.rows)
+
+
 def test_rejected_chain_seed_reports_its_reason(p7, tol, u1, monkeypatch):
+    calls = []
+    trace = [(1.0, 0.5), (2.0, 0.25)]
+
     def stall(c0, b0, *args, **kwargs):
-        raise shoot.SearchError("forced stall")
+        calls.append((c0, b0))
+        raise shoot.SearchError("forced stall", trace)
 
     monkeypatch.setattr(shoot, "_newton_refine", stall)
-    monkeypatch.setattr(shoot, "_scan_seeds", lambda *args: [])
     # row 1 is chained from the constant solution (c, b) = (b0, b0) like
     # every later row from the one below it
     for n, prev, c, b in ((1, None, p7.b0, p7.b0), (2, u1, u1.c, u1.b)):
+        calls.clear()
         with pytest.raises(shoot.SearchError) as info:
             find_solution(n, p7, tol, prev=prev)
         c_seed = c * p7.ratio_c
         b_seed = p7.b_inf - p7.ratio_b * (b - p7.b_inf)
-        assert info.value.trace == [(c_seed, b_seed, "forced stall")]
-        assert "1 candidates rejected; first: forced stall" in str(info.value)
+        assert calls == [(c_seed, b_seed)]
+        assert str(info.value) == "forced stall"
+        assert info.value.trace == trace
 
 
-def test_rejected_scan_seeds_report_their_reasons(p7, tol, monkeypatch):
-    def stall(c0, b0, *args, **kwargs):
-        raise shoot.SearchError(f"forced stall at c={c0:.4g}")
-
-    monkeypatch.setattr(shoot, "_newton_refine", stall)
-    with pytest.raises(shoot.SearchError) as info:
+def test_root_with_wrong_zero_count_is_rejected(p7, tol, monkeypatch):
+    # row 1 wants n + 1 = 2 zeros; the stub counts n + 2
+    monkeypatch.setattr(shoot, "nodal_index", lambda traj, params: 3)
+    with pytest.raises(shoot.SearchError, match="has 3 zeros, wanted 2"):
         find_solution(1, p7, tol)
-    trace = info.value.trace
-    assert trace and all(reason == f"forced stall at c={c:.4g}" for c, _, reason in trace)
-    assert f"{len(trace)} candidates rejected; first: {trace[0][2]}" in str(info.value)
