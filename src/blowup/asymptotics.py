@@ -47,6 +47,7 @@ __all__ = [
 DEFAULT_X_MAX = 1e16   # ~6.7 ringdown periods for p = 7
 SAMPLES_PER_PERIOD = 256   # fit grid density, uniform in the log radius
 CONE_TRANSIENT_RHO = 0.2   # the cone fit window stops here, short of the transient at the cone
+TRANSIENT_PERIODS = 2.0    # ringdown periods past x = 1 skipped before the limit fit window
 
 
 class InsufficientSpanError(ValueError):
@@ -95,7 +96,7 @@ def integrate_limit_equation(x_max: float, params: ModelParams,
     if x_max <= 1.0:
         raise ValueError("x_max must exceed 1")
     x0, U0, dU0, _ = limit_launch(params, tol.rtol, tol.atol)
-    traj = integrate_limit(x0, U0, dU0, x_max, params, tol, store_dense=True)
+    traj = integrate_limit(x0, U0, dU0, x_max, params, tol)
     if traj.termination != TERM_REACHED_END:
         raise RuntimeError(f"limit integration stopped early ({traj.termination})")
     period = 2.0 * math.pi / params.omega
@@ -126,35 +127,13 @@ def limit_lyapunov(states: list[LimitState], params: ModelParams):
     return tau, h
 
 
-def limit_fixed_point_eigenvalues(params: ModelParams, numeric: bool = False):
-    """Eigenvalue pair of the autonomous form linearized at Ubar = b_inf.
-
-    numeric=True builds the Jacobian by finite differences instead of the
-    closed form; the two agree to the differencing error.
-    """
+def limit_fixed_point_eigenvalues(params: ModelParams):
+    """Eigenvalue pair of the autonomous form linearized at Ubar = b_inf,
+    in closed form."""
     p = params.p
-    if not numeric:
-        re = -(p - 5.0) / (2.0 * (p - 1.0))
-        im = math.sqrt(7.0 * p * p - 22.0 * p - 1.0) / (2.0 * (p - 1.0))
-        return complex(re, im), complex(re, -im)
-
-    kdamp = (p - 5.0) / (p - 1.0)
-    klin = 2.0 * (p - 3.0) / (p - 1.0) ** 2
-
-    def rhs(y):
-        ub, v = y
-        return np.array([v, -kdamp * v - ub**p + klin * ub])
-
-    y0 = np.array([params.b_inf, 0.0])
-    eps = 1e-7
-    J = np.empty((2, 2))
-    for j in range(2):
-        dy = np.zeros(2)
-        dy[j] = eps * max(1.0, abs(y0[j]))
-        J[:, j] = (rhs(y0 + dy) - rhs(y0 - dy)) / (2.0 * dy[j])
-    ev = np.linalg.eigvals(J)
-    ev = sorted(ev, key=lambda z: -z.imag)
-    return complex(ev[0]), complex(ev[1])
+    re = -(p - 5.0) / (2.0 * (p - 1.0))
+    im = math.sqrt(7.0 * p * p - 22.0 * p - 1.0) / (2.0 * (p - 1.0))
+    return complex(re, im), complex(re, -im)
 
 
 # -- oscillation fits ---------------------------------------------------------
@@ -218,8 +197,7 @@ def _refine_ringdown(t, y_raw, A0, delta0, omega0, decay0):
     return float(om), float(dec), bool(sol.success)
 
 
-def fit_limit_asymptotics(states: list[LimitState], params: ModelParams,
-                          transient_periods: float = 2.0) -> OscillationFit:
+def fit_limit_asymptotics(states: list[LimitState], params: ModelParams) -> OscillationFit:
     """A0, delta0 of the ringdown U = b_inf x^{-alpha}(1 + A0 x^{-(p-5)/(2(p-1))}
     sin(omega ln x + delta0)), plus free-fit frequency and decay."""
     p = params.p
@@ -230,7 +208,7 @@ def fit_limit_asymptotics(states: list[LimitState], params: ModelParams,
     w = np.array([s.Ubar for s in states]) / params.b_inf - 1.0
 
     tol_floor = 1e3 * 1e-12
-    lo = transient_periods * period        # ringdown counted from x = 1
+    lo = TRANSIENT_PERIODS * period        # ringdown counted from x = 1
     hi = float(tau.max())
     # drop any tail where the raw envelope sinks into integration noise
     keep = tau >= lo
@@ -310,8 +288,7 @@ def solve_linearized_lightcone(rho_min: float, params: ModelParams,
     s0, w0, dw0, _ = _shrink_until_valid(beta, -1e-3, order, tol.rtol, tol.atol, 1.0, 1.0)
 
     t, y, dense, term = drive_ode(_linearized_cone_rhs(params), 1.0 + s0,
-                                  (w0, dw0), rho_min, tol, blow_cap=None,
-                                  store_dense=True)
+                                  (w0, dw0), rho_min, tol, blow_cap=None)
     if term != TERM_REACHED_END:
         raise RuntimeError(f"cone linearization integration stopped early ({term})")
 

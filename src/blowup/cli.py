@@ -215,8 +215,8 @@ def cmd_curves(cfg: RunConfig, args) -> int:
 
 def cmd_limit(cfg: RunConfig, args) -> int:
     P = cfg.params
-    if args.x_max <= 1.0:
-        raise ValueError("--x-max must exceed 1")
+    if not (1.0 < args.x_max and math.isfinite(args.x_max)):
+        raise ValueError("--x-max must be finite and exceed 1")
     states = asy.integrate_limit_equation(args.x_max, P, cfg.tol)
     fit = asy.fit_limit_asymptotics(states, P)
     lam = (P.p - 5.0) / (2.0 * (P.p - 1.0))
@@ -232,8 +232,8 @@ def cmd_limit(cfg: RunConfig, args) -> int:
 
 
 def cmd_extend(cfg: RunConfig, args) -> int:
-    if args.rho_max <= 1.0:
-        raise ValueError("--rho-max must exceed 1")
+    if not (1.0 < args.rho_max and math.isfinite(args.rho_max)):
+        raise ValueError("--rho-max must be finite and exceed 1")
     res = _solve_chain(args.n, cfg)
     rep = diag.extend_beyond_lightcone(res.b, cfg.params, args.rho_max, cfg.tol)
     fields = [

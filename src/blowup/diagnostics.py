@@ -58,6 +58,7 @@ __all__ = [
 R_DEGENERATE = 1e-12   # phase radius below which the spiral is meaningless
 PHASE_MAX_STEP = 0.5 * math.pi   # widest phase step kept without subdividing
 CROSSING_RHO_END = 0.999   # first_crossing_report integrates the center shot to here
+DRIFT_TOL = 1e-9           # largest scaled rise monotonicity_report lets pass
 DISCRIMINANT_GRID = 2001   # samples of the discriminant scan on [v*, 1]
 CONE_FIT_POINTS = 8        # samples nearest the cone in singular_mode_amplitude
 
@@ -141,10 +142,9 @@ class MonotonicityReport:
         return all(c.passed for c in self.checks.values())
 
 
-def monotonicity_report(traj, params: ModelParams,
-                        drift_tol: float = 1e-9) -> MonotonicityReport:
+def monotonicity_report(traj, params: ModelParams) -> MonotonicityReport:
     """Evaluate energy, virial and deviation energy along increasing rho and
-    flag any rise above drift_tol * (1 + |value|)."""
+    flag any rise above DRIFT_TOL * (1 + |value|)."""
     rho, u, du = traj.profile_samples()
     order = np.argsort(rho)
     rho, u, du = rho[order], u[order], du[order]
@@ -160,7 +160,7 @@ def monotonicity_report(traj, params: ModelParams,
             max_rise_scaled=max_rise,
             max_drift_scaled=float(drift.max()),
             min_value=float(vals.min()), max_value=float(vals.max()),
-            passed=max_rise <= drift_tol)
+            passed=max_rise <= DRIFT_TOL)
     return MonotonicityReport(checks=checks)
 
 
@@ -311,7 +311,7 @@ def first_crossing_report(c: float, params: ModelParams,
     if c * d <= params.b0:
         raise ValueError(f"bound needs c > b0 p/(p-1) = {params.b0 / d:.6g}")
     bound = (params.b_inf / (d * c)) ** ((p - 1) / 2.0)
-    traj = center_trajectory(c, CROSSING_RHO_END, params, tol, store_dense=True)
+    traj = center_trajectory(c, CROSSING_RHO_END, params, tol)
     if traj.termination != TERM_REACHED_END:
         raise RuntimeError(f"center trajectory c={c:g} stopped early "
                            f"({traj.termination})")
@@ -405,7 +405,7 @@ def extend_beyond_lightcone(b: float, params: ModelParams, rho_max: float = 100.
         raise ValueError("outward decay requires 0 < b < b0")
     if rho_max <= 1.0:
         raise ValueError("rho_max must exceed the cone")
-    traj = lightcone_trajectory(b, rho_max, params, tol, store_dense=True)
+    traj = lightcone_trajectory(b, rho_max, params, tol)
     if traj.termination != TERM_REACHED_END:
         raise RuntimeError(f"outward continuation stopped early ({traj.termination})")
     rho, u, du = traj.profile_samples()

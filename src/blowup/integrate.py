@@ -3,8 +3,9 @@
 The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as
 scipy 1.17.1 steps it, run on Python floats for the two-component systems
 (u, u') every caller integrates.  Step budget, minimum step size and
-termination reasons are explicit.  Dense output interpolates at the order of
-the stepper, so trajectories can be sampled anywhere without re-integration.
+termination reasons are explicit.  Dense output, built on first use from the
+stages kept while stepping, interpolates at the order of the stepper, so
+trajectories can be sampled anywhere without re-integration.
 
 Every trajectory lives in one chart family: (U, U') in x = rho c^{(p-1)/2}
 with u = c U.  The plain equation in rho is the member c = 1; large center
@@ -124,7 +125,7 @@ def _initial_step(rhs, t, u, du, f, t_end, direction, rtol, atol) -> float:
 
 def _step(rhs, t, u, du, f, h_abs, t_end, direction, rtol, atol):
     """One accepted step from (t, u, du), where rhs is f, retrying rejected
-    sizes.  Returns (t, u, du, f, h, next h_abs, K0, K1) with the 13 stages
+    sizes.  Returns (t, u, du, f, next h_abs, K0, K1) with the 13 stages
     of each component, or None once the size falls under 10 ulp of t."""
     min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
     h_abs = max(h_abs, min_step)
@@ -159,16 +160,21 @@ def _step(rhs, t, u, du, f, h_abs, t_end, direction, rtol, atol):
         if err < 1.0:
             factor = min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT) if err else _MAX_FACTOR
             h_next = h_abs * (min(1.0, factor) if rejected else factor)
-            return t_new, u_new, du_new, f_new, h, h_next, K0, K1
+            return t_new, u_new, du_new, f_new, h_next, K0, K1
         h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
         rejected = True
     return None
 
 
-def _dense_output(t: np.ndarray, y: np.ndarray, stages: list) -> OdeSolution:
-    """DOP853's interpolant on every step, from each step's 16 stages;
-    row i of y is the state at t[i]."""
-    K = np.array(stages)                          # (step, component, stage)
+def _dense_output(rhs, t: np.ndarray, y: np.ndarray, stages: np.ndarray) -> OdeSolution:
+    """DOP853's interpolant on every step: the 3 extra stages of each step,
+    taken on Python floats from its 13 kept ones as the stepper would, then
+    the interpolant coefficients; row i of y is the state at t[i]."""
+    ts, ys, full = t.tolist(), y.tolist(), []
+    for i, (K0, K1) in enumerate(stages.tolist()):
+        _add_stages(_EXTRA, rhs, ts[i], *ys[i], ts[i + 1] - ts[i], K0, K1)
+        full.append((K0, K1))
+    K = np.array(full)                            # (step, component, stage)
     h = np.diff(t)[:, None]
     dy = np.diff(y, axis=0)
     f_old, f_new = K[:, :, 0], K[:, :, _STAGES]
@@ -179,15 +185,30 @@ def _dense_output(t: np.ndarray, y: np.ndarray, stages: list) -> OdeSolution:
                            for i in range(len(h))])
 
 
+class _DenseOutput:
+    """Dense output of one drive_ode run, built by its first call from the
+    13 stages kept per accepted step; the 3 interpolant stages of each step
+    are RHS calls made then, after drive_ode returned."""
+
+    def __init__(self, rhs, t: np.ndarray, y: np.ndarray, stages: np.ndarray):
+        self._pending, self._solution = (rhs, t, y, stages), None
+
+    def __call__(self, tq):
+        if self._solution is None:
+            self._solution, self._pending = _dense_output(*self._pending), None
+        return self._solution(tq)
+
+
 def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
               blow_cap: float | None = None, store_dense: bool = True):
     """Step rhs from t0 to t_end; returns (t, y, dense, termination).
 
     y0 holds the two components (u, u'); rhs(t, (u, du)) gets a tuple of
     floats and returns the pair (u', u'').  t is the accepted-step grid
-    (monotone), y has shape (2, len(t)), dense is an OdeSolution or None.
-    Stops early on |y[0]| > blow_cap, a step below H_MIN, or MAX_STEPS
-    accepted steps.
+    (monotone), y has shape (2, len(t)), dense is a _DenseOutput holding the
+    13 stages of every step in one float64 array, or None without
+    store_dense or a step.  Stops early on |y[0]| > blow_cap, a step below
+    H_MIN, or MAX_STEPS accepted steps.
     """
     if t_end == t0:
         raise ValueError("empty integration span")
@@ -210,10 +231,10 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
         if step is None:
             termination = TERM_STEP_UNDERFLOW
             break
-        t, u, du, f, h, h_abs, K0, K1 = step
+        t, u, du, f, h_abs, K0, K1 = step
         if store_dense:
-            _add_stages(_EXTRA, rhs, ts[-1], *ys[-1], h, K0, K1)
-            stages.append((K0, K1))
+            stages += K0
+            stages += K1
         ts.append(t)
         ys.append((u, du))
         if blow_cap is not None and abs(u) > blow_cap:
@@ -223,7 +244,8 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
             termination = TERM_STEP_UNDERFLOW
             break
     t, y = np.array(ts), np.array(ys)
-    return t, y.T, _dense_output(t, y, stages) if stages else None, termination
+    K = np.array(stages).reshape(-1, 2, _STAGES + 1)   # (step, component, stage)
+    return t, y.T, _DenseOutput(rhs, t, y, K) if stages else None, termination
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,13 +258,15 @@ class Trajectory:
     deviation variable w = u/u_singular - 1 and its scale-invariant slope
     rho*w' have the same expression in every chart's native variables, so
     w_samples()/w_of_t() never leave the well-conditioned representation.
+    dense builds its interpolant on the first eval()/w_of_t(), so a shot
+    read only on its grid, like a Newton trial, never pays for it.
     """
 
     params: ModelParams
     c_scale: float
     t: np.ndarray
     y: np.ndarray
-    dense: OdeSolution | None
+    dense: _DenseOutput | None
     termination: str
 
     @property
@@ -268,7 +292,7 @@ class Trajectory:
     def eval(self, rho):
         """(u, du) at arbitrary rho inside the integrated span."""
         if self.dense is None:
-            raise ValueError("trajectory was integrated without dense output")
+            raise ValueError("trajectory has no step to interpolate")
         yv = self.dense(np.asarray(rho) / self.rho_per_t())
         return self.c_scale * yv[0], self.c_scale ** ((self.params.p + 1) / 2.0) * yv[1]
 
@@ -292,22 +316,20 @@ class Trajectory:
     def w_of_t(self, tq):
         """(w, rho*w') at arbitrary chart coordinate tq via dense output."""
         if self.dense is None:
-            raise ValueError("trajectory was integrated without dense output")
+            raise ValueError("trajectory has no step to interpolate")
         yv = self.dense(tq)
         return self._w_expr(tq, yv[0], yv[1])
 
 
 def _trajectory(params: ModelParams, mu: float, c_scale: float, t0: float, y0,
-                t_end: float, tol: Tolerances, blow_cap: float,
-                store_dense: bool) -> Trajectory:
-    t, y, dense, term = drive_ode(chart_rhs(params, mu), t0, y0, t_end, tol,
-                                  blow_cap, store_dense)
+                t_end: float, tol: Tolerances, blow_cap: float) -> Trajectory:
+    t, y, dense, term = drive_ode(chart_rhs(params, mu), t0, y0, t_end, tol, blow_cap)
     return Trajectory(params=params, c_scale=c_scale, t=t, y=y, dense=dense,
                       termination=term)
 
 
 def integrate(start: ProfileState, rho_end: float, params: ModelParams,
-              tol: Tolerances = Tolerances(), store_dense: bool = True) -> Trajectory:
+              tol: Tolerances = Tolerances()) -> Trajectory:
     """Integrate the profile equation in the plain chart (c_scale = 1).
 
     start.rho and rho_end must lie strictly on the same side of the cone
@@ -321,13 +343,11 @@ def integrate(start: ProfileState, rho_end: float, params: ModelParams,
         raise ValueError(
             f"span [{r0}, {rho_end}] must stay strictly on one side of the cone")
     cap = max(1.0e6, 1.0e3 * (abs(start.u) + 1.0))
-    return _trajectory(params, 1.0, 1.0, r0, (start.u, start.du), rho_end, tol,
-                       cap, store_dense)
+    return _trajectory(params, 1.0, 1.0, r0, (start.u, start.du), rho_end, tol, cap)
 
 
 def integrate_rescaled(c: float, x_start: float, U: float, dU: float, x_end: float,
-                       params: ModelParams, tol: Tolerances = Tolerances(),
-                       store_dense: bool = True) -> Trajectory:
+                       params: ModelParams, tol: Tolerances = Tolerances()) -> Trajectory:
     """Integrate the exact rescaled equation in x; valid while rho < 1."""
     if c <= 0.0:
         raise ValueError("rescaled chart needs c > 0")
@@ -335,29 +355,25 @@ def integrate_rescaled(c: float, x_start: float, U: float, dU: float, x_end: flo
     x_cone = (1.0 - 1e-12) / math.sqrt(mu)
     if not (0.0 < x_start < x_cone and 0.0 < x_end < x_cone):
         raise ValueError("x span must stay inside the cone image")
-    return _trajectory(params, mu, float(c), x_start, (U, dU), x_end, tol,
-                       1.0e3, store_dense)
+    return _trajectory(params, mu, float(c), x_start, (U, dU), x_end, tol, 1.0e3)
 
 
 def integrate_limit(x_start: float, U: float, dU: float, x_end: float,
-                    params: ModelParams, tol: Tolerances = Tolerances(),
-                    store_dense: bool = True) -> Trajectory:
+                    params: ModelParams, tol: Tolerances = Tolerances()) -> Trajectory:
     """Integrate the infinite-amplitude limit equation (the mu = 0 chart).
 
     The trajectory is stored with unit scale, so the deviation helpers
     compare against the limit equation's own singular solution."""
     if x_start <= 0.0 or x_end <= 0.0:
         raise ValueError("limit chart needs x > 0")
-    return _trajectory(params, 0.0, 1.0, x_start, (U, dU), x_end, tol,
-                       1.0e3, store_dense)
+    return _trajectory(params, 0.0, 1.0, x_start, (U, dU), x_end, tol, 1.0e3)
 
 
 def center_trajectory(c: float, rho_end: float, params: ModelParams,
-                      tol: Tolerances = Tolerances(), store_dense: bool = False,
-                      rescale_threshold: float = RESCALE_THRESHOLD) -> Trajectory:
+                      tol: Tolerances = Tolerances()) -> Trajectory:
     """Series launch at the center followed by integration out to rho_end.
 
-    Launches whose stretch c^{(p-1)/2} exceeds rescale_threshold (c > 10
+    Launches whose stretch c^{(p-1)/2} exceeds RESCALE_THRESHOLD (c > 10
     for p = 7) run in the x-chart, where the offset stays O(1), not 1/stretch.
     """
     if c <= 0.0:
@@ -365,17 +381,15 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
     if not 0.0 < rho_end < 1.0:
         raise ValueError("rho_end must lie strictly inside the cone")
     stretch = float(c) ** ((params.p - 1) / 2.0)
-    if stretch > rescale_threshold:
+    if stretch > RESCALE_THRESHOLD:
         x0, U, dU, _ = center_launch_rescaled(c, params, tol.rtol, tol.atol)
-        return integrate_rescaled(c, x0, U, dU, rho_end * stretch, params, tol,
-                                  store_dense)
+        return integrate_rescaled(c, x0, U, dU, rho_end * stretch, params, tol)
     ls = center_launch(c, params, tol.rtol, tol.atol)
-    return integrate(ls.state, rho_end, params, tol, store_dense)
+    return integrate(ls.state, rho_end, params, tol)
 
 
 def lightcone_trajectory(b: float, rho_end: float, params: ModelParams,
-                         tol: Tolerances = Tolerances(),
-                         store_dense: bool = False) -> Trajectory:
+                         tol: Tolerances = Tolerances()) -> Trajectory:
     """Series launch on the cone followed by integration to rho_end (either side)."""
     if b <= 0.0:
         raise ValueError("light-cone launches need b > 0")
@@ -383,4 +397,4 @@ def lightcone_trajectory(b: float, rho_end: float, params: ModelParams,
         raise ValueError("rho_end must be positive and off the cone")
     side = -1 if rho_end < 1.0 else +1
     ls = lightcone_launch(b, params, tol.rtol, tol.atol, side=side)
-    return integrate(ls.state, rho_end, params, tol, store_dense)
+    return integrate(ls.state, rho_end, params, tol)

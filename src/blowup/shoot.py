@@ -169,15 +169,15 @@ class SpectrumResult:
 # -- one-sided shots ---------------------------------------------------------
 
 
-def _shot(side: str, param: float, rho_mid: float, params: ModelParams, tol: Tolerances,
-          store_dense: bool = False) -> Trajectory:
+def _shot(side: str, param: float, rho_mid: float, params: ModelParams,
+          tol: Tolerances) -> Trajectory:
     """Center shot u(0) = param or cone shot u(1) = param, integrated to rho_mid."""
     if not 0.0 < rho_mid < 1.0:
         raise ValueError("rho_mid must lie strictly inside the cone")
     if side == "center":
-        traj = center_trajectory(param, rho_mid, params, tol, store_dense)
+        traj = center_trajectory(param, rho_mid, params, tol)
     else:
-        traj = lightcone_trajectory(param, rho_mid, params, tol, store_dense)
+        traj = lightcone_trajectory(param, rho_mid, params, tol)
     if traj.termination != TERM_REACHED_END:
         raise ShootingError(
             f"{side} shot from {param:g} stopped early ({traj.termination})")
@@ -185,10 +185,11 @@ def _shot(side: str, param: float, rho_mid: float, params: ModelParams, tol: Tol
 
 
 class _ImageCache:
-    """Memoized images at rho_mid of center shots u(0) = c and cone shots u(1) = b.
+    """Memoized center shots u(0) = c and cone shots u(1) = b to rho_mid.
 
-    The one place a shot's image is computed: Newton, mismatch() and the
-    curve samplers all read through an instance of it.
+    The one place a shot is integrated.  An instance lives for one Newton
+    solve, so _assemble reads the accepted pair back from it, dense output
+    and all, instead of integrating it again.
     """
 
     def __init__(self, params: ModelParams, rho_mid: float, tol: Tolerances):
@@ -196,15 +197,17 @@ class _ImageCache:
         self.rho_mid = rho_mid
         self.tol = tol
         self.dscale = abs(du_singular(params, rho_mid))
-        self._memo: dict[tuple[str, float], MidpointImage] = {}
+        self._memo: dict[tuple[str, float], Trajectory] = {}
+
+    def shot(self, side: str, param: float) -> Trajectory:
+        key = (side, param)
+        if key not in self._memo:
+            self._memo[key] = _shot(side, param, self.rho_mid, self.params, self.tol)
+        return self._memo[key]
 
     def __call__(self, side: str, param: float) -> MidpointImage:
-        img = self._memo.get((side, param))
-        if img is None:
-            st = _shot(side, param, self.rho_mid, self.params, self.tol).endpoint()
-            img = MidpointImage(side, param, self.rho_mid, st.u, st.du)
-            self._memo[(side, param)] = img
-        return img
+        st = self.shot(side, param).endpoint()
+        return MidpointImage(side, param, self.rho_mid, st.u, st.du)
 
     def F(self, c: float, b: float) -> np.ndarray:
         """Scaled two-component gap between the center and cone images."""
@@ -234,14 +237,13 @@ def mismatch(c: float, b: float, rho_mid: float, params: ModelParams,
 # -- Newton refinement -------------------------------------------------------
 
 
-def _newton_refine(c0, b0, params, rho_mid, tol):
+def _newton_refine(c0, b0, shots: _ImageCache):
     """Damped Newton on F(ln c, b); returns (c, b, |F|) or raises SearchError."""
-    cache = _ImageCache(params, rho_mid, tol)
     # a loose rtol may stop Newton early, but never short of what is accepted
-    target = min(MISMATCH_ACCEPT, max(1e-11, 20.0 * tol.rtol))
+    target = min(MISMATCH_ACCEPT, max(1e-11, 20.0 * shots.tol.rtol))
     s = math.log(c0)
     b = b0
-    F = cache.F(math.exp(s), b)
+    F = shots.F(math.exp(s), b)
     norm = float(np.hypot(*F))
     trace = [(c0, norm)]
     for _ in range(NEWTON_MAX_ITER):
@@ -252,8 +254,8 @@ def _newton_refine(c0, b0, params, rho_mid, tol):
         # amplitude, and with it |dF/d ln c|, decays like c^{-(p-5)/4}
         ds = 1e-7 * max(1.0, (c / 100.0) ** 0.5)
         db = 1e-9
-        Fc = cache.F(math.exp(s + ds), b)
-        Fb = cache.F(c, b + db)
+        Fc = shots.F(math.exp(s + ds), b)
+        Fb = shots.F(c, b + db)
         J = np.column_stack([(Fc - F) / ds, (Fb - F) / db])
         try:
             step = np.linalg.solve(J, F)
@@ -265,7 +267,7 @@ def _newton_refine(c0, b0, params, rho_mid, tol):
             s_t = s - lam * step[0]
             b_t = b - lam * step[1]
             if b_t > 1e-5 and abs(s_t - s) < 2.0:
-                Ft = cache.F(math.exp(s_t), b_t)
+                Ft = shots.F(math.exp(s_t), b_t)
                 nt = float(np.hypot(*Ft))
                 if nt < norm:
                     s, b, F, norm = s_t, b_t, Ft, nt
@@ -298,25 +300,27 @@ def nodal_index(traj, params: ModelParams) -> int:
 # -- assembly ----------------------------------------------------------------
 
 
-def _assemble(n_label, c, b, norm, params, rho_mid, tol) -> ShootingResult:
-    cen = _shot("center", c, rho_mid, params, tol, store_dense=True)
-    cone = _shot("lightcone", b, rho_mid, params, tol, store_dense=True)
-    merged = MergedTrajectory(center=cen, lightcone=cone, rho_mid=rho_mid)
-    zeros = nodal_index(merged, params)
+def _assemble(n_label, c, b, norm, shots: _ImageCache) -> ShootingResult:
+    """Row n_label from the shots of the accepted pair (c, b), read back
+    from `shots`; the nodal count builds their dense output."""
+    merged = MergedTrajectory(center=shots.shot("center", c),
+                              lightcone=shots.shot("lightcone", b),
+                              rho_mid=shots.rho_mid)
+    zeros = nodal_index(merged, shots.params)
     if zeros != n_label + 1:
         raise SearchError(
             f"refined root (c={c:.6g}, b={b:.6g}) has {zeros} zeros, "
             f"wanted {n_label + 1}")
     return ShootingResult(n=zeros - 1, c=c, b=b, mismatch=norm, zeros=zeros,
-                          rho_mid=rho_mid, trajectory=merged)
+                          rho_mid=shots.rho_mid, trajectory=merged)
 
 
 def constant_solution_result(params: ModelParams, tol: Tolerances = Tolerances(),
                              rho_mid: float = 0.5) -> ShootingResult:
     """The n = 0 member, u = b0, pushed through the standard pipeline."""
     b0 = params.b0
-    F = mismatch(b0, b0, rho_mid, params, tol)
-    return _assemble(0, b0, b0, float(np.hypot(*F)), params, rho_mid, tol)
+    shots = _ImageCache(params, rho_mid, tol)
+    return _assemble(0, b0, b0, float(np.hypot(*shots.F(b0, b0))), shots)
 
 
 def _next_row(n: int, c: float, b: float, params, tol, rho_mid) -> ShootingResult:
@@ -324,8 +328,9 @@ def _next_row(n: int, c: float, b: float, params, tol, rho_mid) -> ShootingResul
     geometric seed."""
     c_seed = c * params.ratio_c
     b_seed = params.b_inf - params.ratio_b * (b - params.b_inf)
-    c, b, norm = _newton_refine(c_seed, b_seed, params, rho_mid, tol)
-    return _assemble(n + 1, c, b, norm, params, rho_mid, tol)
+    shots = _ImageCache(params, rho_mid, tol)
+    c, b, norm = _newton_refine(c_seed, b_seed, shots)
+    return _assemble(n + 1, c, b, norm, shots)
 
 
 def find_solution(n: int, params: ModelParams, tol: Tolerances = Tolerances(),
@@ -376,5 +381,6 @@ def sample_curves(params: ModelParams, tol: Tolerances, rho_mid: float,
     includes b_inf, whose image is the spiral limit point."""
     cs = np.exp(np.linspace(math.log(c_lo), math.log(c_hi), n_c))
     bs = np.unique(np.append(np.linspace(b_lo, b_hi, n_b), params.b_inf))
-    images = _ImageCache(params, rho_mid, tol)
-    return [images("center", c) for c in cs], [images("lightcone", b) for b in bs]
+    # one cache per shot, so no curve keeps its trajectories
+    return ([center_image(c, rho_mid, params, tol) for c in cs],
+            [lightcone_image(b, rho_mid, params, tol) for b in bs])

@@ -80,7 +80,7 @@ def test_criterion_04_nodal_structure(family, p7, tol):
 def test_criterion_05_monotone_functionals(family, p7):
     worst_drift = 0.0
     for row in family.rows[:8]:
-        rep = diag.monotonicity_report(row.trajectory, p7, drift_tol=1e-9)
+        rep = diag.monotonicity_report(row.trajectory, p7)
         assert rep.passed, row.n
         worst_drift = max(worst_drift,
                           max(c.max_rise_scaled for c in rep.checks.values()))
@@ -112,7 +112,7 @@ def test_criterion_05_monotone_functionals(family, p7):
 def _closed_form_error(p7, tol):
     rho0, rho1 = 0.1, 0.9
     start = ProfileState(rho0, u_singular(p7, rho0), du_singular(p7, rho0))
-    traj = integrate(start, rho1, p7, tol, store_dense=True)
+    traj = integrate(start, rho1, p7, tol)
     assert traj.termination == TERM_REACHED_END
     grid = np.linspace(rho0, rho1, 33)
     u, _ = traj.eval(grid)

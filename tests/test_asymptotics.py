@@ -51,8 +51,10 @@ def test_ringdown_fit_recovers_spiral_eigenvalue(ringdown, p7):
     assert ringdown.amplitude == pytest.approx(0.1986, abs=2e-3)
 
 
-def test_ringdown_fit_stable_under_window_choice(limit_states, ringdown, p7):
-    alt = asym.fit_limit_asymptotics(limit_states, p7, transient_periods=2.5)
+def test_ringdown_fit_stable_under_window_choice(limit_states, ringdown, p7,
+                                                monkeypatch):
+    monkeypatch.setattr(asym, "TRANSIENT_PERIODS", 2.5)
+    alt = asym.fit_limit_asymptotics(limit_states, p7)
     assert abs(alt.amplitude - ringdown.amplitude) < 5e-4
     assert abs(alt.phase - ringdown.phase) < 5e-3
 
@@ -66,12 +68,34 @@ def test_lyapunov_descends_to_fixed_point_level(limit_states, p7):
     assert h[-1] == pytest.approx(h_eq, abs=1e-6)
 
 
+def _fixed_point_eigenvalues_numeric(params):
+    """The same pair from a central-difference Jacobian of the autonomous form."""
+    p = params.p
+    kdamp = (p - 5.0) / (p - 1.0)
+    klin = 2.0 * (p - 3.0) / (p - 1.0) ** 2
+
+    def rhs(y):
+        ub, v = y
+        return np.array([v, -kdamp * v - ub**p + klin * ub])
+
+    y0 = np.array([params.b_inf, 0.0])
+    eps = 1e-7
+    J = np.empty((2, 2))
+    for j in range(2):
+        dy = np.zeros(2)
+        dy[j] = eps * max(1.0, abs(y0[j]))
+        J[:, j] = (rhs(y0 + dy) - rhs(y0 - dy)) / (2.0 * dy[j])
+    ev = np.linalg.eigvals(J)
+    ev = sorted(ev, key=lambda z: -z.imag)
+    return complex(ev[0]), complex(ev[1])
+
+
 def test_fixed_point_eigenvalues_closed_vs_numeric(p7):
     lam_p, lam_m = asym.limit_fixed_point_eigenvalues(p7)
     assert lam_p.real == pytest.approx(-1.0 / 6.0, rel=1e-15)
     assert lam_p.imag == pytest.approx(p7.omega, rel=1e-15)
     assert lam_m == lam_p.conjugate()
-    num_p, num_m = asym.limit_fixed_point_eigenvalues(p7, numeric=True)
+    num_p, num_m = _fixed_point_eigenvalues_numeric(p7)
     assert abs(num_p - lam_p) < 1e-8
     assert abs(num_m - lam_m) < 1e-8
 
@@ -99,12 +123,11 @@ def test_linearization_matches_finite_difference(p7, tol):
     dw0 = float(np.polynomial.polynomial.polyval(
         s0, np.polynomial.polynomial.polyder(beta)))
     _, _, dense, term = drive_ode(asym._linearized_cone_rhs(p7), 1.0 + s0,
-                                  (w0, dw0), 0.25, tol, blow_cap=None,
-                                  store_dense=True)
+                                  (w0, dw0), 0.25, tol, blow_cap=None)
     assert term == "reached_end"
     d = 1e-6
-    hi = lightcone_trajectory(p7.b_inf * (1 + d), 0.25, p7, tol, store_dense=True)
-    lo = lightcone_trajectory(p7.b_inf * (1 - d), 0.25, p7, tol, store_dense=True)
+    hi = lightcone_trajectory(p7.b_inf * (1 + d), 0.25, p7, tol)
+    lo = lightcone_trajectory(p7.b_inf * (1 - d), 0.25, p7, tol)
     for rho in (0.3, 0.5, 0.8):
         wl = float(dense(np.array([rho]))[0][0])
         fd = float(hi.w_of_t(rho)[0] - lo.w_of_t(rho)[0]) / (2.0 * d)

@@ -46,6 +46,15 @@ def test_invalid_exponent_is_usage_error():
                           capture_output=True, text=True)
     assert proc.returncode == 2
     assert proc.stderr == "blowup: curve ranges must be finite, positive and increasing\n"
+    # non-finite upper bounds are usage errors, not failed integrations
+    for args, message in ((("limit", "--x-max", "nan"), "--x-max must be finite and exceed 1"),
+                          (("limit", "--x-max", "inf"), "--x-max must be finite and exceed 1"),
+                          (("extend", "--n", "1", "--rho-max", "inf"),
+                           "--rho-max must be finite and exceed 1")):
+        proc = subprocess.run([sys.executable, "-m", "blowup", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == f"blowup: {message}\n"
 
 
 def test_loose_tolerance_spectrum_succeeds():

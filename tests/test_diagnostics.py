@@ -131,7 +131,7 @@ def test_phase_drops_by_pi_per_family_index(family, p7):
 def test_degenerate_deviation_raises(p7, tol):
     # launching the cone branch exactly at the singular amplitude gives
     # w = rw = 0 identically: no phase is defined there
-    traj = lightcone_trajectory(p7.b_inf, 0.5, p7, tol, store_dense=True)
+    traj = lightcone_trajectory(p7.b_inf, 0.5, p7, tol)
     with pytest.raises(diag.DegenerateTrajectoryError):
         diag.phase_trajectory(traj, p7)
 
@@ -200,7 +200,7 @@ def test_singular_mode_amplitude_separates_roots(u1, p7, tol):
     # the intercept estimator carries a floor from the regular Taylor tail
     # over the fit window, so the root reads small-but-nonzero
     amp_root = diag.singular_mode_amplitude(u1.trajectory, p7)
-    traj = center_trajectory(3.0, 0.9995, p7, tol, store_dense=True)
+    traj = center_trajectory(3.0, 0.9995, p7, tol)
     amp_generic = diag.singular_mode_amplitude(traj, p7)
     assert abs(amp_root) < 1e-2
     assert abs(amp_generic) > 3e-2

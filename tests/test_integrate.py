@@ -80,18 +80,18 @@ def test_cone_crossing_rejected(p7, tol):
         integrate(ProfileState(1.2, 0.5, 0.0), 0.8, p7, tol)
 
 
-def test_center_trajectory_charts_agree(p7, tol):
+def test_center_trajectory_charts_agree(p7, tol, monkeypatch):
     # the same profile through the plain and rescaled paths; the stretch
     # threshold c^3 > 1e3 routes c=9.9 plainly and c=10.1 through the x-chart
     for c in (9.9, 10.1):
-        tr = center_trajectory(c, 0.6, p7, tol, store_dense=True)
+        tr = center_trajectory(c, 0.6, p7, tol)
         assert tr.termination == TERM_REACHED_END
-    lo = center_trajectory(9.9, 0.6, p7, tol, store_dense=True)
-    hi = center_trajectory(10.1, 0.6, p7, tol, store_dense=True)
+    lo = center_trajectory(9.9, 0.6, p7, tol)
+    hi = center_trajectory(10.1, 0.6, p7, tol)
     assert lo.c_scale == 1.0 and hi.c_scale == 10.1
     # cross-check one amplitude through both charts explicitly
-    plain = center_trajectory(10.1, 0.6, p7, tol, store_dense=True,
-                              rescale_threshold=1e9)
+    monkeypatch.setattr(integrate_module, "RESCALE_THRESHOLD", 1e9)
+    plain = center_trajectory(10.1, 0.6, p7, tol)
     assert plain.c_scale == 1.0
     rho = np.linspace(0.05, 0.6, 23)
     u_a, du_a = hi.eval(rho)
@@ -137,8 +137,8 @@ def test_rescaled_cone_guard(p7, tol):
 
 def test_lightcone_trajectory_inward_and_outward(p7, tol):
     b = 0.6887
-    inner = lightcone_trajectory(b, 0.5, p7, tol, store_dense=True)
-    outer = lightcone_trajectory(b, 2.0, p7, tol, store_dense=True)
+    inner = lightcone_trajectory(b, 0.5, p7, tol)
+    outer = lightcone_trajectory(b, 2.0, p7, tol)
     assert inner.termination == TERM_REACHED_END
     assert outer.termination == TERM_REACHED_END
     lo_in, hi_in = inner.rho_span()
@@ -163,7 +163,7 @@ def test_singular_point_landmarks(p7, tol):
 
 def test_w_expression_matches_samples(p7, tol):
     b = 0.72
-    traj = lightcone_trajectory(b, 0.4, p7, tol, store_dense=True)
+    traj = lightcone_trajectory(b, 0.4, p7, tol)
     t, w, rw = traj.w_samples()
     rho, u, du = traj.profile_samples()
     w_direct = rho ** p7.alpha * u / p7.b_inf - 1.0
@@ -246,11 +246,14 @@ def test_stepper_agrees_with_scipy_dop853(name, p7, tol):
     rhs, t0, y0, t_end = _oracle_case(name, p7, tol)
     t_ref, y_ref, dense_ref, ref_calls = _scipy_dop853(rhs, t0, y0, t_end, tol)
     rhs_new, calls = _counted(rhs)
-    t, y, dense, term = drive_ode(rhs_new, t0, y0, t_end, tol, store_dense=True)
+    t, y, dense, term = drive_ode(rhs_new, t0, y0, t_end, tol)
     assert term == TERM_REACHED_END
-    # the same accepted steps and RHS calls, interpolant stages included
     assert len(t) == len(t_ref)
-    assert len(calls) == ref_calls
+    # each accepted step has cost its 13 stages (12 RHS calls, the first
+    # stage is the last slope of the step before); the 3 interpolant stages
+    # per step wait for the first dense evaluation
+    steps = len(t) - 1
+    assert len(calls) == ref_calls - 3 * steps
     # scipy sums the stages through BLAS with fused multiply-adds, Python
     # floats without, so the stage sums differ in the last bit.  The error
     # estimate cancels them down to ~rtol of their size, which turns that
@@ -261,19 +264,24 @@ def test_stepper_agrees_with_scipy_dop853(name, p7, tol):
     assert np.max(np.abs(y - dense_ref(t)) / scale) < 1e-12
     tq = np.linspace(min(t0, t_end), max(t0, t_end), 200)
     assert np.max(np.abs(dense(tq) - dense_ref(tq)) / scale) < 1e-12
-    # without dense output: the same grid, three stages fewer per step
+    # after it: the same RHS calls as scipy, interpolant stages included,
+    # and later evaluations reuse the interpolant
+    assert len(calls) == ref_calls
+    dense(tq)
+    assert len(calls) == ref_calls
+    # without dense output: the same grid and the calls of the steps alone
     rhs_plain, plain_calls = _counted(rhs)
     t_plain, y_plain, dense_plain, _ = drive_ode(rhs_plain, t0, y0, t_end, tol,
                                                  store_dense=False)
     assert dense_plain is None
     assert np.array_equal(t_plain, t) and np.array_equal(y_plain, y)
-    assert len(plain_calls) == len(calls) - 3 * (len(t) - 1)
+    assert len(plain_calls) == ref_calls - 3 * steps
 
 
 def test_step_budget_stops_with_step_limit(p7, tol, monkeypatch):
     monkeypatch.setattr(integrate_module, "MAX_STEPS", 5)
     rhs, t0, y0, t_end = _oracle_case("center c=2", p7, tol)
-    t, y, dense, term = drive_ode(rhs, t0, y0, t_end, tol, store_dense=True)
+    t, y, dense, term = drive_ode(rhs, t0, y0, t_end, tol)
     assert term == TERM_STEP_LIMIT
     assert len(t) == 6 and y.shape == (2, 6)
     assert dense(t[-1]) == pytest.approx(y[:, -1], rel=1e-15)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from blowup import integrate as integrate_module
 from blowup.integrate import Tolerances
 from blowup.model import derive_constants
 from blowup import shoot
@@ -195,3 +196,29 @@ def test_root_with_wrong_zero_count_is_rejected(p7, tol, monkeypatch):
     monkeypatch.setattr(shoot, "nodal_index", lambda traj, params: 3)
     with pytest.raises(shoot.SearchError, match="has 3 zeros, wanted 2"):
         find_solution(1, p7, tol)
+
+
+def test_each_shot_is_integrated_once(p7, tol, monkeypatch):
+    # every row assembles its accepted pair from the shots Newton already
+    # integrated, so the rows integrate exactly the distinct shots read
+    integrations = []
+    drive = integrate_module.drive_ode
+
+    def counted(*args, **kwargs):
+        integrations.append(args[1:4])
+        return drive(*args, **kwargs)
+
+    shots = set()
+    read = shoot._ImageCache.__call__
+
+    def recorded(cache, side, param):
+        shots.add((cache, side, param))
+        return read(cache, side, param)
+
+    monkeypatch.setattr(integrate_module, "drive_ode", counted)
+    monkeypatch.setattr(shoot._ImageCache, "__call__", recorded)
+    assert find_solution(3, p7, tol).zeros == 4
+    assert len(integrations) == len(shots) > 0
+    integrations.clear()
+    assert constant_solution_result(p7, tol).zeros == 1
+    assert len(integrations) == 2
