@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .model import ModelParams
 from .odecore import SERIES_ORDER, _shrink_until_valid, limit_launch
@@ -156,6 +155,7 @@ def _refine_damped(t, y_raw, A0, delta0, omega0, decay0):
     The time origin is shifted into the window so the amplitude parameter
     stays O(max|y_raw|) regardless of how far the window sits from t = 0.
     """
+    from scipy.optimize import least_squares   # only the fits need scipy
     t0 = float(t[0])
     ts = t - t0
     A_loc = A0 * math.exp(-decay0 * t0)
@@ -179,6 +179,7 @@ def _refine_ringdown(t, y_raw, A0, delta0, omega0, decay0):
     estimate by a few parts in 1e3 over practical windows.  Residuals are
     divided by the envelope so early (dirtier) samples do not dominate.
     """
+    from scipy.optimize import least_squares   # only the fits need scipy
     t0 = float(t[0])
     ts = t - t0
     A_loc = A0 * math.exp(-decay0 * t0)

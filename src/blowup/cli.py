@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -57,6 +58,8 @@ class RunConfig:
         rho_mid = getattr(args, "rho_mid", 0.5)
         if not 0.0 < rho_mid < 1.0:
             raise ValueError(f"--rho-mid must lie in (0, 1), got {rho_mid:g}")
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"--out directory {os.path.dirname(args.out)} does not exist")
         return RunConfig(params=params, tol=tol, rho_mid=rho_mid,
                          out=args.out, format=args.format)
 
@@ -89,9 +92,12 @@ def _csv(header: list[str], rows: list[list]) -> str:
 def _emit(text: str, out: str) -> None:
     if out == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:       # a usage error (exit 2), not a traceback
+        raise ValueError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _emit_json(obj: dict, out: str) -> None:
@@ -197,6 +203,8 @@ def cmd_profile(cfg: RunConfig, args) -> int:
 
 def cmd_curves(cfg: RunConfig, args) -> int:
     P = cfg.params
+    if args.n_c < 2 or args.n_b < 2:
+        raise ValueError("--n-c and --n-b must be at least 2")
     if not (0 < args.c_lo < args.c_hi and 0 < args.b_lo < args.b_hi
             and math.isfinite(args.c_hi) and math.isfinite(args.b_hi)):
         raise ValueError("curve ranges must be finite, positive and increasing")

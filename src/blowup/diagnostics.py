@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import ModelParams
 from .integrate import (
@@ -229,6 +228,46 @@ def phase_trajectory(traj, params: ModelParams) -> list[PhasePoint]:
     return pts
 
 
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """Brent's (1973) zero of f in the bracket [xa, xb] to xtol + rtol |x|, ported line
+    for line from scipy's brentq.c: the roots are scipy.optimize.brentq's to the bit."""
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:        # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                   # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry     # good short step
+            else:
+                spre = scur = sbis          # bisect
+        else:
+            spre = scur = sbis              # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def w_zero_locations(traj, params: ModelParams) -> np.ndarray:
     """Zeros of w = u/u_singular - 1 in rho, refined through dense output."""
     zeros = []
@@ -240,8 +279,8 @@ def w_zero_locations(traj, params: ModelParams) -> np.ndarray:
             if wi == 0.0:
                 zeros.append(float(t[i]) * k)
             elif (wi < 0.0 < wj) or (wj < 0.0 < wi):
-                tz = brentq(lambda tq: float(piece.w_of_t(tq)[0]), t[i], t[i + 1],
-                            xtol=1e-15, rtol=8.9e-16)
+                tz = _brentq(lambda tq: float(piece.w_of_t(tq)[0]), t[i], t[i + 1],
+                             xtol=1e-15, rtol=8.9e-16)
                 zeros.append(float(tz) * k)
         if len(t) and w[-1] == 0.0:
             zeros.append(float(t[-1]) * k)

@@ -2,10 +2,10 @@
 
 The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as
 scipy 1.17.1 steps it, run on Python floats for the two-component systems
-(u, u') every caller integrates.  Step budget, minimum step size and
-termination reasons are explicit.  Dense output, built on first use from the
-stages kept while stepping, interpolates at the order of the stepper, so
-trajectories can be sampled anywhere without re-integration.
+(u, u') every caller integrates; its tableau is module data, so numpy is the
+only import.  Step budget, minimum step size and termination reasons are
+explicit.  Dense output, built on first use from the stages kept while
+stepping, sums scipy's DOP853 interpolant bit for bit, without re-integration.
 
 Every trajectory lives in one chart family: (U, U') in x = rho c^{(p-1)/2}
 with u = c U.  The plain equation in rho is the member c = 1; large center
@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
-from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from .model import ModelParams, ProfileState
 from .odecore import center_launch, center_launch_rescaled, chart_rhs, lightcone_launch
@@ -70,6 +69,72 @@ class Tolerances:
             raise ValueError(f"atol must be in (0, 1e-6], got {self.atol}")
 
 
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as scipy 1.17.1's doubles in shortest
+# decimals, pinned bit for bit by a test: nodes C, rows 1-15 of A (a step's stages, B as row 12,
+# the 3 interpolant stages), E5, what E3 takes off B, and the rows of D; zeros are written 0.
+_C_ALL = (
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274, 0.2816496580927726,
+    0.3333333333333333, 0.25, 0.3076923076923077, 0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
+    1.0, 0.1, 0.2, 0.7777777777777778,
+)
+_A_ROWS = (
+    (0.05260015195876773,),
+    (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0, 0.08876275643042054),
+    (0.2413651341592667, 0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0, 0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0, 0, 0.17025221101954405, 0.06021653898045596, -0.017578125),
+    (0.03709200011850479, 0, 0, 0.17038392571223998, 0.10726203044637328, -0.015319437748624402,
+     0.008273789163814023),
+    (0.6241109587160757, 0, 0, -3.3608926294469414, -0.868219346841726, 27.59209969944671,
+     20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0, 0, -2.4881146199716677, -0.590290826836843, 21.230051448181193,
+     15.279233632882423, -33.28821096898486, -0.020331201708508627),
+    (-0.9371424300859873, 0, 0, 5.186372428844064, 1.0914373489967295, -8.149787010746927,
+     -18.52006565999696, 22.739487099350505, 2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0, 0, -10.53449546673725, -2.0008720582248625, -17.9589318631188,
+     27.94888452941996, -2.8589982771350235, -8.87285693353063, 12.360567175794303,
+     0.6433927460157636),
+    (0.054293734116568765, 0, 0, 0, 0, 4.450312892752409, 1.8915178993145003, -5.801203960010585,
+     0.3111643669578199, -0.1521609496625161, 0.20136540080403034, 0.04471061572777259),
+    (0.056167502283047954, 0, 0, 0, 0, 0, 0.25350021021662483, -0.2462390374708025,
+     -0.12419142326381637, 0.15329179827876568, 0.00820105229563469, 0.007567897660545699,
+     -0.008298),
+    (0.03183464816350214, 0, 0, 0, 0, 0.028300909672366776, 0.053541988307438566,
+     -0.05492374857139099, 0, 0, -0.00010834732869724932, 0.0003825710908356584,
+     -0.00034046500868740456, 0.1413124436746325),
+    (-0.42889630158379194, 0, 0, 0, 0, -4.697621415361164, 7.683421196062599, 4.06898981839711,
+     0.3567271874552811, 0, 0, 0, -0.0013990241651590145, 2.9475147891527724, -9.15095847217987),
+)
+_E5_ROW = (
+    0.01312004499419488, 0, 0, 0, 0, -1.2251564463762044, -0.4957589496572502, 1.6643771824549864,
+    -0.35032884874997366, 0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0,
+)
+_D_ROWS = (
+    (-8.428938276109013, 0, 0, 0, 0, 0.5667149535193777, -3.0689499459498917, 2.38466765651207,
+     2.117034582445028, -0.871391583777973, 2.2404374302607883, 0.6315787787694688,
+     -0.08899033645133331, 18.148505520854727, -9.194632392478356, -4.436036387594894),
+    (10.427508642579134, 0, 0, 0, 0, 242.28349177525817, 165.20045171727028, -374.5467547226902,
+     -22.113666853125306, 7.733432668472264, -30.674084731089398, -9.332130526430229,
+     15.697238121770845, -31.139403219565178, -9.35292435884448, 35.81684148639408),
+    (19.985053242002433, 0, 0, 0, 0, -387.0373087493518, -189.17813819516758, 527.8081592054236,
+     -11.57390253995963, 6.8812326946963, -1.0006050966910838, 0.7777137798053443,
+     -2.778205752353508, -60.19669523126412, 84.32040550667716, 11.99229113618279),
+    (-25.69393346270375, 0, 0, 0, 0, -154.18974869023643, -231.5293791760455, 357.6391179106141,
+     93.40532418362432, -37.45832313645163, 104.0996495089623, 29.8402934266605,
+     -43.53345659001114, 96.32455395918828, -39.17726167561544, -149.72683625798564),
+)
+_E3_LESS_B = (0.2440944881889764, 0, 0, 0, 0, 0, 0, 0, 0.7338466882816118, 0, 0,
+              0.022058823529411766, 0)
+_A_ALL = np.zeros((16, 16))
+_A_ALL[np.tril_indices(16, -1)] = [a for row in _A_ROWS for a in row]
+_DOP853 = SimpleNamespace(     # as arrays under the names of scipy's DOP853 attributes
+    n_stages=12, A=_A_ALL[:12, :12], B=_A_ALL[12, :12], C=np.array(_C_ALL[:12]),
+    A_EXTRA=_A_ALL[13:], C_EXTRA=np.array(_C_ALL[13:]), D=np.array(_D_ROWS, dtype=float),
+    E3=np.append(_A_ALL[12, :12], 0.0) - np.array(_E3_LESS_B, dtype=float),
+    E5=np.array(_E5_ROW, dtype=float))
+
+
 def _sparse(row) -> tuple:
     """(a, stage) pairs of a tableau row, zeros dropped."""
     return tuple((float(a), j) for j, a in enumerate(row) if a)
@@ -77,12 +142,10 @@ def _sparse(row) -> tuple:
 
 # DOP853's tableau as (c, sparse row): the 11 stages after the first, then
 # the 3 extra stages of the interpolant
-_STAGES = DOP853.n_stages
-_MAIN = [(float(c), _sparse(row[:s])) for s, (c, row) in
-         enumerate(zip(DOP853.C, DOP853.A)) if s]
-_EXTRA = [(float(c), _sparse(row[:s])) for s, (c, row) in
-          enumerate(zip(DOP853.C_EXTRA, DOP853.A_EXTRA), start=_STAGES + 1)]
-_B, _E5, _E3 = _sparse(DOP853.B), _sparse(DOP853.E5), _sparse(DOP853.E3)
+_STAGES = _DOP853.n_stages
+_MAIN = [(c, _sparse(row)) for c, row in zip(_C_ALL[1:_STAGES], _A_ROWS)]
+_EXTRA = [(c, _sparse(row)) for c, row in zip(_C_ALL[_STAGES + 1:], _A_ROWS[_STAGES:])]
+_B, _E5, _E3 = _sparse(_DOP853.B), _sparse(_DOP853.E5), _sparse(_DOP853.E3)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
 
@@ -166,37 +229,46 @@ def _step(rhs, t, u, du, f, h_abs, t_end, direction, rtol, atol):
     return None
 
 
-def _dense_output(rhs, t: np.ndarray, y: np.ndarray, stages: np.ndarray) -> OdeSolution:
-    """DOP853's interpolant on every step: the 3 extra stages of each step,
-    taken on Python floats from its 13 kept ones as the stepper would, then
-    the interpolant coefficients; row i of y is the state at t[i]."""
-    ts, ys, full = t.tolist(), y.tolist(), []
-    for i, (K0, K1) in enumerate(stages.tolist()):
-        _add_stages(_EXTRA, rhs, ts[i], *ys[i], ts[i + 1] - ts[i], K0, K1)
-        full.append((K0, K1))
-    K = np.array(full)                            # (step, component, stage)
-    h = np.diff(t)[:, None]
-    dy = np.diff(y, axis=0)
-    f_old, f_new = K[:, :, 0], K[:, :, _STAGES]
-    F = np.concatenate(
-        (np.stack((dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)), axis=1),
-         h[:, :, None] * np.swapaxes(K @ DOP853.D.T, 1, 2)), axis=1)
-    return OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[i], F[i])
-                           for i in range(len(h))])
-
-
 class _DenseOutput:
-    """Dense output of one drive_ode run, built by its first call from the
-    13 stages kept per accepted step; the 3 interpolant stages of each step
-    are RHS calls made then, after drive_ode returned."""
+    """DOP853's interpolant on every step of one drive_ode run.  Its first
+    call adds each step's 3 interpolant stages to the 13 kept ones (RHS calls
+    made after drive_ode returned) and builds the (step, 7, 2) coefficients.
+    Each point's step is chosen as in scipy's OdeSolution and summed in the
+    order of its Dop853DenseOutput, so values are scipy's to the bit: shape
+    (2,) for a scalar t, (2, m) for m points."""
 
     def __init__(self, rhs, t: np.ndarray, y: np.ndarray, stages: np.ndarray):
-        self._pending, self._solution = (rhs, t, y, stages), None
+        self._pending, self._t, self._y, self._F = (rhs, stages), t, y, None
 
     def __call__(self, tq):
-        if self._solution is None:
-            self._solution, self._pending = _dense_output(*self._pending), None
-        return self._solution(tq)
+        if self._F is None:
+            (rhs, stages), t, y = self._pending, self._t, self._y
+            ts, ys, full = t.tolist(), y.tolist(), []
+            for i, (K0, K1) in enumerate(stages.tolist()):
+                _add_stages(_EXTRA, rhs, ts[i], *ys[i], ts[i + 1] - ts[i], K0, K1)
+                full.append((K0, K1))
+            K = np.array(full)                            # (step, component, stage)
+            h = np.diff(t)[:, None]
+            dy = np.diff(y, axis=0)
+            f_old, f_new = K[:, :, 0], K[:, :, _STAGES]
+            self._pending, self._h, self._F = None, h[:, 0], np.concatenate(
+                (np.stack((dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)), axis=1),
+                 h[:, :, None] * np.swapaxes(K @ _DOP853.D.T, 1, 2)), axis=1)
+        t, tq = self._t, np.asarray(tq)
+        q = tq.ravel()
+        # OdeSolution's step, clip(searchsorted(t, q) - 1, 0, steps - 1), read off
+        # the interior nodes: an interior node goes to the step that ends there
+        if t[-1] >= t[0]:
+            seg = t[1:-1].searchsorted(q, side="left")
+        else:
+            seg = len(t) - 2 - t[-2:0:-1].searchsorted(q, side="right")
+        x = ((q - t[seg]) / self._h[seg])[:, None]
+        y = np.zeros((len(q), 2))
+        for i, f in enumerate(self._F[seg].transpose(1, 0, 2)[::-1]):
+            y += f
+            y *= x if i % 2 == 0 else 1 - x
+        y += self._y[seg]
+        return y[0] if tq.ndim == 0 else y.T
 
 
 def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
@@ -205,10 +277,10 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
 
     y0 holds the two components (u, u'); rhs(t, (u, du)) gets a tuple of
     floats and returns the pair (u', u'').  t is the accepted-step grid
-    (monotone), y has shape (2, len(t)), dense is a _DenseOutput holding the
-    13 stages of every step in one float64 array, or None without
-    store_dense or a step.  Stops early on |y[0]| > blow_cap, a step below
-    H_MIN, or MAX_STEPS accepted steps.
+    (monotone), y has shape (2, len(t)), dense is a _DenseOutput (callable
+    on t, scipy-free) holding the 13 stages of every step in one float64
+    array, or None without store_dense or a step.  Stops early on |y[0]| >
+    blow_cap, a step below H_MIN, or MAX_STEPS accepted steps.
     """
     if t_end == t0:
         raise ValueError("empty integration span")

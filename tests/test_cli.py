@@ -36,7 +36,7 @@ def test_constants_csv_and_values():
     assert float(vals["b0"]) == pytest.approx(0.8735804647, abs=1e-9)
 
 
-def test_invalid_exponent_is_usage_error():
+def test_invalid_exponent_is_usage_error(tmp_path):
     run_cli("constants", "--p", "4", expect=2)
     run_cli("solve", "--n", "1", "--rho-mid", "1.5", expect=2)
     run_cli("spectrum", "--n-max", "0", expect=2)
@@ -55,6 +55,22 @@ def test_invalid_exponent_is_usage_error():
                               capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stderr == f"blowup: {message}\n"
+    # an unwritable --out is a one-line usage error: a missing directory is
+    # rejected before any computation, a failed write when it happens; so is
+    # a shooting curve of fewer than 2 samples
+    for args, message in (
+            (("spectrum", "--n-max", "1", "--out", str(tmp_path / "nodir" / "x.csv")),
+             f"--out directory {tmp_path / 'nodir'} does not exist"),
+            (("constants", "--out", str(tmp_path)),
+             f"cannot write {tmp_path}: Is a directory"),
+            (("curves", "--n-c", "0", "--n-b", "0"), "--n-c and --n-b must be at least 2"),
+            (("curves", "--n-c", "-1"), "--n-c and --n-b must be at least 2"),
+            (("curves", "--n-b", "1"), "--n-c and --n-b must be at least 2")):
+        proc = subprocess.run([sys.executable, "-m", "blowup", *args],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stderr == f"blowup: {message}\n"
+        assert proc.stdout == ""
 
 
 def test_loose_tolerance_spectrum_succeeds():
@@ -180,6 +196,33 @@ def test_json_output_validates_against_schema(args):
     payload = json.loads(run_cli(*args, "--format", "json"))
     jsonschema.validate(payload, SCHEMA)
     assert payload["kind"] == args[0]
+
+
+SCIPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+from blowup import cli
+runs = [["constants"], ["solve", "--n", "2"], ["spectrum", "--n-max", "2"],
+        ["profile", "--n", "1", "--samples", "16"], ["curves", "--n-c", "5", "--n-b", "5"],
+        ["extend", "--n", "1"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in runs]
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes += [cli.main(["check"]), cli.main(["limit"])]
+print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+
+def test_commands_but_check_and_limit_run_without_scipy():
+    # scipy is needed only by the check and limit fits; a top-level scipy
+    # import anywhere in the package would show up here.  Run in a fresh
+    # interpreter because this one has scipy loaded.
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["scipy"] == []
+    assert result["codes"] == [0] * 8
 
 
 def test_output_file_writing(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from blowup.model import ProfileState, _derive_unchecked, du_singular, u_singular
 from blowup.integrate import TERM_REACHED_END, Tolerances, center_trajectory, lightcone_trajectory
@@ -205,3 +206,47 @@ def test_singular_mode_amplitude_separates_roots(u1, p7, tol):
     assert abs(amp_root) < 1e-2
     assert abs(amp_generic) > 3e-2
     assert abs(amp_generic) > 10.0 * abs(amp_root)
+
+
+def test_brentq_is_scipys_bit_for_bit(oracle_shots):
+    # every bracketed zero of w - level on the step grid, at the tolerances
+    # of w_zero_locations; levels at deciles of w add brackets to the zeros
+    # of w itself
+    for name, traj in oracle_shots.items():
+        t, w, _ = traj.w_samples()
+        roots = 0
+        for level in (0.0, *np.quantile(w, np.linspace(0.05, 0.95, 10))):
+            def f(tq):
+                return float(traj.w_of_t(tq)[0]) - level
+
+            for i in np.flatnonzero(np.sign(w[:-1] - level) * np.sign(w[1:] - level) < 0):
+                ours = diag._brentq(f, t[i], t[i + 1], xtol=1e-15, rtol=8.9e-16)
+                assert ours == brentq(f, t[i], t[i + 1], xtol=1e-15, rtol=8.9e-16), name
+                roots += 1
+        assert roots >= 8, name
+
+
+def test_brentq_edges_and_smooth_functions():
+    def line(x):
+        return x - 1.0
+
+    assert diag._brentq(line, 1.0, 2.0, xtol=1e-15, rtol=8.9e-16) == 1.0
+    assert diag._brentq(line, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16) == 1.0
+    with pytest.raises(ValueError):
+        diag._brentq(line, 2.0, 3.0, xtol=1e-15, rtol=8.9e-16)
+    # interpolation, extrapolation and bisection branches at loose and tight
+    # tolerances, against scipy
+    cases = [(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+             (lambda x: math.cos(x) - x, 0.0, 1.0),
+             (lambda x: math.exp(x) - 10.0, -5.0, 5.0),
+             (lambda x: math.atan(1e3 * (x - 0.3)), -1.0, 1.0),
+             (lambda x: (x - 0.7) ** 5, 0.0, 1.0)]
+    for f, a, b in cases:
+        for xtol, rtol in ((1e-15, 8.9e-16), (1e-6, 1e-6), (2e-12, 8.9e-16)):
+            try:
+                ref = brentq(f, a, b, xtol=xtol, rtol=rtol)
+            except RuntimeError:        # (x - 0.7)^5 at the tight tolerances
+                with pytest.raises(RuntimeError):
+                    diag._brentq(f, a, b, xtol=xtol, rtol=rtol)
+                continue
+            assert diag._brentq(f, a, b, xtol=xtol, rtol=rtol) == ref

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate._ivp.rk import Dop853DenseOutput
 
 from blowup import asymptotics, integrate as integrate_module
 from blowup.model import ProfileState, derive_constants, du_singular, u_singular
@@ -299,3 +300,42 @@ def test_step_below_h_min_stops_after_one_step(p7, tol, monkeypatch):
 def test_drive_ode_needs_two_components(y0, tol):
     with pytest.raises(ValueError):
         drive_ode(lambda t, y: y, 0.5, y0, 0.6, tol)
+
+
+def test_tableau_is_scipys_bit_for_bit():
+    tableau = integrate_module._DOP853
+    assert tableau.n_stages == DOP853.n_stages
+    for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
+        ours, ref = getattr(tableau, name), getattr(DOP853, name)
+        assert ours.shape == ref.shape and np.array_equal(ours, ref), name
+
+
+def test_dense_output_is_scipys_bit_for_bit(oracle_shots):
+    rng = np.random.default_rng(8)
+    for name, traj in oracle_shots.items():
+        t, y, dense = traj.t, traj.y, traj.dense
+        assert (name == "cone b=0.7 inward") == (t[-1] < t[0]), name
+        dense(t[0])                     # builds the coefficient array
+        F = dense._F
+        assert F.shape == (len(t) - 1, 7, 2)
+        ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], F[i])
+                              for i in range(len(t) - 1)])
+        nodes, mids = t, 0.5 * (t[:-1] + t[1:])
+        rand = rng.uniform(min(t[0], t[-1]), max(t[0], t[-1]), 300)
+        for q in (nodes, mids, rand, np.concatenate((rand, nodes[::-1], mids))):
+            ours = dense(q)
+            assert ours.shape == (2, len(q)) and np.array_equal(ours, ref(q)), name
+        for q in (*nodes, *mids, *rand[:50], float(rand[0])):
+            ours = dense(q)
+            assert ours.shape == (2,) and np.array_equal(ours, ref(q)), name
+    # a node where the two steps meeting there disagree in the last bit (y[0]
+    # + (y[1] - y[0]) != y[1]) shows which step OdeSolution's tie rule picks
+    y = np.array([[1.0, 1e-17, 0.3], [2.0, -3e-17, 0.7]])
+    for t in (np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.5, 0.0])):
+        dense = integrate_module._DenseOutput(lambda t, y: (0.0, 0.0), t, y.T,
+                                              np.zeros((2, 2, 13)))
+        dense(t[0])
+        ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], dense._F[i])
+                              for i in range(2)])
+        for q in (t, t[::-1], *t):
+            assert np.array_equal(dense(q), ref(q))
