@@ -60,6 +60,8 @@ CROSSING_RHO_END = 0.999   # first_crossing_report integrates the center shot to
 DRIFT_TOL = 1e-9           # largest scaled rise monotonicity_report lets pass
 DISCRIMINANT_GRID = 2001   # samples of the discriminant scan on [v*, 1]
 CONE_FIT_POINTS = 8        # samples nearest the cone in singular_mode_amplitude
+W_ZERO_XTOL = 1e-15        # _brentq stops within W_ZERO_XTOL + W_ZERO_RTOL |t| of a zero of w
+W_ZERO_RTOL = 8.9e-16
 
 
 class DegenerateTrajectoryError(ValueError):
@@ -228,9 +230,10 @@ def phase_trajectory(traj, params: ModelParams) -> list[PhasePoint]:
     return pts
 
 
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
-    """Brent's (1973) zero of f in the bracket [xa, xb] to xtol + rtol |x|, ported line
-    for line from scipy's brentq.c: the roots are scipy.optimize.brentq's to the bit."""
+def _brentq(f, xa: float, xb: float) -> float:
+    """Brent's (1973) zero of f in the bracket [xa, xb] to W_ZERO_XTOL + W_ZERO_RTOL |x|,
+    ported line for line from scipy's brentq.c: the roots are scipy.optimize.brentq's to the
+    bit (at most 100 iterations, scipy's default)."""
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
     fpre, fcur = f(xpre), f(xcur)
@@ -238,14 +241,14 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 10
         return xpre if fpre == 0 else xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(100):
         if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (W_ZERO_XTOL + W_ZERO_RTOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -265,7 +268,7 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 10
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = f(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError("Failed to converge after 100 iterations.")
 
 
 def w_zero_locations(traj, params: ModelParams) -> np.ndarray:
@@ -279,8 +282,7 @@ def w_zero_locations(traj, params: ModelParams) -> np.ndarray:
             if wi == 0.0:
                 zeros.append(float(t[i]) * k)
             elif (wi < 0.0 < wj) or (wj < 0.0 < wi):
-                tz = _brentq(lambda tq: float(piece.w_of_t(tq)[0]), t[i], t[i + 1],
-                             xtol=1e-15, rtol=8.9e-16)
+                tz = _brentq(lambda tq: float(piece.w_of_t(tq)[0]), t[i], t[i + 1])
                 zeros.append(float(tz) * k)
         if len(t) and w[-1] == 0.0:
             zeros.append(float(t[-1]) * k)

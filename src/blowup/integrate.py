@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -126,13 +125,6 @@ _D_ROWS = (
 )
 _E3_LESS_B = (0.2440944881889764, 0, 0, 0, 0, 0, 0, 0, 0.7338466882816118, 0, 0,
               0.022058823529411766, 0)
-_A_ALL = np.zeros((16, 16))
-_A_ALL[np.tril_indices(16, -1)] = [a for row in _A_ROWS for a in row]
-_DOP853 = SimpleNamespace(     # as arrays under the names of scipy's DOP853 attributes
-    n_stages=12, A=_A_ALL[:12, :12], B=_A_ALL[12, :12], C=np.array(_C_ALL[:12]),
-    A_EXTRA=_A_ALL[13:], C_EXTRA=np.array(_C_ALL[13:]), D=np.array(_D_ROWS, dtype=float),
-    E3=np.append(_A_ALL[12, :12], 0.0) - np.array(_E3_LESS_B, dtype=float),
-    E5=np.array(_E5_ROW, dtype=float))
 
 
 def _sparse(row) -> tuple:
@@ -142,10 +134,12 @@ def _sparse(row) -> tuple:
 
 # DOP853's tableau as (c, sparse row): the 11 stages after the first, then
 # the 3 extra stages of the interpolant
-_STAGES = _DOP853.n_stages
+_STAGES = 12
 _MAIN = [(c, _sparse(row)) for c, row in zip(_C_ALL[1:_STAGES], _A_ROWS)]
 _EXTRA = [(c, _sparse(row)) for c, row in zip(_C_ALL[_STAGES + 1:], _A_ROWS[_STAGES:])]
-_B, _E5, _E3 = _sparse(_DOP853.B), _sparse(_DOP853.E5), _sparse(_DOP853.E3)
+_B, _E5 = _sparse(_A_ROWS[_STAGES - 1]), _sparse(_E5_ROW)
+_E3 = _sparse([b - d for b, d in zip((*_A_ROWS[_STAGES - 1], 0.0), _E3_LESS_B)])
+_D = np.array(_D_ROWS, dtype=float)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
 
@@ -253,7 +247,7 @@ class _DenseOutput:
             f_old, f_new = K[:, :, 0], K[:, :, _STAGES]
             self._pending, self._h, self._F = None, h[:, 0], np.concatenate(
                 (np.stack((dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)), axis=1),
-                 h[:, :, None] * np.swapaxes(K @ _DOP853.D.T, 1, 2)), axis=1)
+                 h[:, :, None] * np.swapaxes(K @ _D.T, 1, 2)), axis=1)
         t, tq = self._t, np.asarray(tq)
         q = tq.ravel()
         # OdeSolution's step, clip(searchsorted(t, q) - 1, 0, steps - 1), read off

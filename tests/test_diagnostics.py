@@ -220,20 +220,21 @@ def test_brentq_is_scipys_bit_for_bit(oracle_shots):
                 return float(traj.w_of_t(tq)[0]) - level
 
             for i in np.flatnonzero(np.sign(w[:-1] - level) * np.sign(w[1:] - level) < 0):
-                ours = diag._brentq(f, t[i], t[i + 1], xtol=1e-15, rtol=8.9e-16)
-                assert ours == brentq(f, t[i], t[i + 1], xtol=1e-15, rtol=8.9e-16), name
+                ours = diag._brentq(f, t[i], t[i + 1])
+                ref = brentq(f, t[i], t[i + 1], xtol=diag.W_ZERO_XTOL, rtol=diag.W_ZERO_RTOL)
+                assert ours == ref, name
                 roots += 1
         assert roots >= 8, name
 
 
-def test_brentq_edges_and_smooth_functions():
+def test_brentq_edges_and_smooth_functions(monkeypatch):
     def line(x):
         return x - 1.0
 
-    assert diag._brentq(line, 1.0, 2.0, xtol=1e-15, rtol=8.9e-16) == 1.0
-    assert diag._brentq(line, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16) == 1.0
+    assert diag._brentq(line, 1.0, 2.0) == 1.0
+    assert diag._brentq(line, 0.0, 1.0) == 1.0
     with pytest.raises(ValueError):
-        diag._brentq(line, 2.0, 3.0, xtol=1e-15, rtol=8.9e-16)
+        diag._brentq(line, 2.0, 3.0)
     # interpolation, extrapolation and bisection branches at loose and tight
     # tolerances, against scipy
     cases = [(lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
@@ -243,10 +244,12 @@ def test_brentq_edges_and_smooth_functions():
              (lambda x: (x - 0.7) ** 5, 0.0, 1.0)]
     for f, a, b in cases:
         for xtol, rtol in ((1e-15, 8.9e-16), (1e-6, 1e-6), (2e-12, 8.9e-16)):
+            monkeypatch.setattr(diag, "W_ZERO_XTOL", xtol)
+            monkeypatch.setattr(diag, "W_ZERO_RTOL", rtol)
             try:
                 ref = brentq(f, a, b, xtol=xtol, rtol=rtol)
             except RuntimeError:        # (x - 0.7)^5 at the tight tolerances
                 with pytest.raises(RuntimeError):
-                    diag._brentq(f, a, b, xtol=xtol, rtol=rtol)
+                    diag._brentq(f, a, b)
                 continue
-            assert diag._brentq(f, a, b, xtol=xtol, rtol=rtol) == ref
+            assert diag._brentq(f, a, b) == ref

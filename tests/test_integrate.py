@@ -303,11 +303,27 @@ def test_drive_ode_needs_two_components(y0, tol):
 
 
 def test_tableau_is_scipys_bit_for_bit():
-    tableau = integrate_module._DOP853
-    assert tableau.n_stages == DOP853.n_stages
-    for name in ("A", "B", "C", "E3", "E5", "D", "A_EXTRA", "C_EXTRA"):
-        ours, ref = getattr(tableau, name), getattr(DOP853, name)
-        assert ours.shape == ref.shape and np.array_equal(ours, ref), name
+    # scipy's 8 arrays assembled from the module data, then the sparse rows
+    # and D the stepper and dense output actually read
+    m = integrate_module
+    A = np.zeros((16, 16))
+    A[np.tril_indices(16, -1)] = [a for row in m._A_ROWS for a in row]
+    B = A[12, :12]
+    ours = {"A": A[:12, :12], "B": B, "C": np.array(m._C_ALL[:12]), "A_EXTRA": A[13:],
+            "C_EXTRA": np.array(m._C_ALL[13:]), "E5": np.array(m._E5_ROW, dtype=float),
+            "E3": np.append(B, 0.0) - np.array(m._E3_LESS_B, dtype=float),
+            "D": np.array(m._D_ROWS, dtype=float)}
+    assert m._STAGES == DOP853.n_stages
+    for name, arr in ours.items():
+        ref = getattr(DOP853, name)
+        assert arr.shape == ref.shape and np.array_equal(arr, ref), name
+    assert m._B == m._sparse(DOP853.B)
+    assert m._E5 == m._sparse(DOP853.E5) and m._E3 == m._sparse(DOP853.E3)
+    assert m._D.shape == DOP853.D.shape and np.array_equal(m._D, DOP853.D)
+    main = [(c, m._sparse(row[:i + 1]))
+            for i, (c, row) in enumerate(zip(DOP853.C[1:], DOP853.A[1:]))]
+    extra = [(c, m._sparse(row)) for c, row in zip(DOP853.C_EXTRA, DOP853.A_EXTRA)]
+    assert m._MAIN == main and m._EXTRA == extra
 
 
 def test_dense_output_is_scipys_bit_for_bit(oracle_shots):
