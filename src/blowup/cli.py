@@ -125,6 +125,8 @@ def cmd_constants(cfg: RunConfig, args) -> int:
 
 
 def _solve_chain(n: int, cfg: RunConfig) -> shoot.ShootingResult:
+    if n < 0:
+        raise ValueError("--n must be at least 0")
     if n == 0:
         return shoot.constant_solution_result(cfg.params, cfg.tol, cfg.rho_mid)
     return shoot.find_solution(n, cfg.params, cfg.tol, cfg.rho_mid)

@@ -1,11 +1,11 @@
 """Adaptive integration of the profile equation with dense output.
 
 The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as
-scipy 1.17.1 steps it, run on Python floats for the two-component systems
-(u, u') every caller integrates; its tableau is module data, so numpy is the
-only import.  Step budget, minimum step size and termination reasons are
-explicit.  Dense output, built on first use from the stages kept while
-stepping, sums scipy's DOP853 interpolant bit for bit, without re-integration.
+scipy 1.17.1 steps it, on Python floats for the two-component systems (u, u')
+every caller integrates, in straight-line stage code that import generates
+from the module's tableau; numpy is the only import.  Step budget, minimum
+step size and termination reasons are explicit.  Dense output, built on first
+use from the kept stages, sums scipy's DOP853 interpolant bit for bit.
 
 Every trajectory lives in one chart family: (U, U') in x = rho c^{(p-1)/2}
 with u = c U.  The plain equation in rho is the member c = 1; large center
@@ -143,22 +143,36 @@ _D = np.array(_D_ROWS, dtype=float)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
 
-def _combine(row, K0, K1) -> tuple[float, float]:
-    """The sparse row's combination of the stages of each component."""
-    d0 = d1 = 0.0
-    for a, j in row:
-        d0 += a * K0[j]
-        d1 += a * K1[j]
-    return d0, d1
+def _sum(row, k: str) -> str:
+    """Source of a sparse row's sum over the stages k + str(j), left to right."""
+    return " + ".join(f"{a!r} * {k}{j}" for a, j in row)
 
 
-def _add_stages(rows, rhs, t, u, du, h, K0, K1) -> None:
-    """Append the stages of `rows` for the step h from (t, u, du)."""
-    for c, row in rows:
-        d0, d1 = _combine(row, K0, K1)
-        k0, k1 = rhs(t + c * h, (u + d0 * h, du + d1 * h))
-        K0.append(k0)
-        K1.append(k1)
+def _stage_lines(rows, first: int) -> list[str]:
+    return [f"    k0_{i}, k1_{i} = rhs(t + {c!r} * h, (u + ({_sum(row, 'k0_')}) * h, "
+            f"du + ({_sum(row, 'k1_')}) * h))" for i, (c, row) in enumerate(rows, first)]
+
+
+def _kernel():
+    """DOP853's stages as straight-line code, generated from the tableau at
+    import (as namedtuple builds its class), so a step runs no per-term loop:
+    each sum adds its row's nonzero terms left to right, in repr literals."""
+    k0, k1 = (", ".join(f"k{m}_{j}" for j in range(_STAGES + 1)) for m in (0, 1))
+    src = "\n".join([
+        "def _step_stages(rhs, t, u, du, h, t_new, k0_0, k1_0):", *_stage_lines(_MAIN, 1),
+        f"    u_new, du_new = u + h * ({_sum(_B, 'k0_')}), du + h * ({_sum(_B, 'k1_')})",
+        f"    k0_{_STAGES}, k1_{_STAGES} = rhs(t_new, (u_new, du_new))",
+        f"    return u_new, du_new, ({k0}), ({k1}), "
+        + ", ".join(_sum(row, f"k{m}_") for row in (_E5, _E3) for m in (0, 1)),
+        "def _extra_stages(rhs, t, u, du, h, K0, K1):",
+        f"    ({k0}), ({k1}) = K0, K1", *_stage_lines(_EXTRA, _STAGES + 1),
+        "    return [*K0, k0_13, k0_14, k0_15], [*K1, k1_13, k1_14, k1_15]"])
+    ns = {}
+    exec(compile(src, "<DOP853 kernel>", "exec"), ns)
+    return ns["_step_stages"], ns["_extra_stages"]
+
+
+_step_stages, _extra_stages = _kernel()
 
 
 def _initial_step(rhs, t, u, du, f, t_end, direction, rtol, atol) -> float:
@@ -181,9 +195,9 @@ def _initial_step(rhs, t, u, du, f, t_end, direction, rtol, atol) -> float:
 
 
 def _step(rhs, t, u, du, f, h_abs, t_end, direction, rtol, atol):
-    """One accepted step from (t, u, du), where rhs is f, retrying rejected
-    sizes.  Returns (t, u, du, f, next h_abs, K0, K1) with the 13 stages
-    of each component, or None once the size falls under 10 ulp of t."""
+    """One accepted step from (t, u, du), where rhs is f: sizes are tried with
+    the generated _step_stages until one passes.  Returns (t, u, du, f, next
+    h_abs, K0, K1) with the 13 stages of each component, or None below 10 ulp."""
     min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
     h_abs = max(h_abs, min_step)
     rejected = False
@@ -193,31 +207,24 @@ def _step(rhs, t, u, du, f, h_abs, t_end, direction, rtol, atol):
             t_new = t_end
         h = t_new - t
         h_abs = abs(h)
-        K0, K1 = [f[0]], [f[1]]
         try:
-            _add_stages(_MAIN, rhs, t, u, du, h, K0, K1)
-            b0, b1 = _combine(_B, K0, K1)
-            u_new, du_new = u + h * b0, du + h * b1
-            f_new = rhs(t_new, (u_new, du_new))
+            u_new, du_new, K0, K1, e5_0, e5_1, e3_0, e3_1 = _step_stages(
+                rhs, t, u, du, h, t_new, *f)
         except OverflowError:
             # u**p left the float range; there scipy's arrays hold inf and
             # its error norm rejects the step by the smallest factor
             h_abs *= _MIN_FACTOR
             rejected = True
             continue
-        K0.append(f_new[0])
-        K1.append(f_new[1])
         s0 = atol + max(abs(u), abs(u_new)) * rtol
         s1 = atol + max(abs(du), abs(du_new)) * rtol
-        e0, e1 = _combine(_E5, K0, K1)
-        err5 = (e0 / s0) ** 2 + (e1 / s1) ** 2
-        e0, e1 = _combine(_E3, K0, K1)
-        err3 = (e0 / s0) ** 2 + (e1 / s1) ** 2
+        err5 = (e5_0 / s0) ** 2 + (e5_1 / s1) ** 2
+        err3 = (e3_0 / s0) ** 2 + (e3_1 / s1) ** 2
         err = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0) if err5 or err3 else 0.0
         if err < 1.0:
             factor = min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT) if err else _MAX_FACTOR
             h_next = h_abs * (min(1.0, factor) if rejected else factor)
-            return t_new, u_new, du_new, f_new, h_next, K0, K1
+            return t_new, u_new, du_new, (K0[-1], K1[-1]), h_next, K0, K1
         h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
         rejected = True
     return None
@@ -225,8 +232,9 @@ def _step(rhs, t, u, du, f, h_abs, t_end, direction, rtol, atol):
 
 class _DenseOutput:
     """DOP853's interpolant on every step of one drive_ode run.  Its first
-    call adds each step's 3 interpolant stages to the 13 kept ones (RHS calls
-    made after drive_ode returned) and builds the (step, 7, 2) coefficients.
+    call adds each step's 3 interpolant stages, from the generated
+    _extra_stages, to the 13 kept ones (RHS calls made after drive_ode
+    returned) and builds the (step, 7, 2) coefficients.
     Each point's step is chosen as in scipy's OdeSolution and summed in the
     order of its Dop853DenseOutput, so values are scipy's to the bit: shape
     (2,) for a scalar t, (2, m) for m points."""
@@ -237,11 +245,9 @@ class _DenseOutput:
     def __call__(self, tq):
         if self._F is None:
             (rhs, stages), t, y = self._pending, self._t, self._y
-            ts, ys, full = t.tolist(), y.tolist(), []
-            for i, (K0, K1) in enumerate(stages.tolist()):
-                _add_stages(_EXTRA, rhs, ts[i], *ys[i], ts[i + 1] - ts[i], K0, K1)
-                full.append((K0, K1))
-            K = np.array(full)                            # (step, component, stage)
+            ts, ys = t.tolist(), y.tolist()            # K: (step, component, stage)
+            K = np.array([_extra_stages(rhs, ts[i], *ys[i], ts[i + 1] - ts[i], K0, K1)
+                          for i, (K0, K1) in enumerate(stages.tolist())])
             h = np.diff(t)[:, None]
             dy = np.diff(y, axis=0)
             f_old, f_new = K[:, :, 0], K[:, :, _STAGES]
@@ -435,6 +441,14 @@ def integrate_limit(x_start: float, U: float, dU: float, x_end: float,
     return _trajectory(params, 0.0, 1.0, x_start, (U, dU), x_end, tol, 1.0e3)
 
 
+def _past_center_launch(rho_end: float, stretch: float, x0: float) -> float:
+    """rho_end in the chart of `stretch`, checked to lie past the launch at x0."""
+    if not rho_end * stretch > x0:
+        raise ValueError(f"rho_end {rho_end:g} must exceed the center launch radius "
+                         f"{x0 / stretch:g}")
+    return rho_end * stretch
+
+
 def center_trajectory(c: float, rho_end: float, params: ModelParams,
                       tol: Tolerances = Tolerances()) -> Trajectory:
     """Series launch at the center followed by integration out to rho_end.
@@ -449,9 +463,10 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
     stretch = float(c) ** ((params.p - 1) / 2.0)
     if stretch > RESCALE_THRESHOLD:
         x0, U, dU, _ = center_launch_rescaled(c, params, tol.rtol, tol.atol)
-        return integrate_rescaled(c, x0, U, dU, rho_end * stretch, params, tol)
-    ls = center_launch(c, params, tol.rtol, tol.atol)
-    return integrate(ls.state, rho_end, params, tol)
+        x_end = _past_center_launch(rho_end, stretch, x0)
+        return integrate_rescaled(c, x0, U, dU, x_end, params, tol)
+    st = center_launch(c, params, tol.rtol, tol.atol).state
+    return integrate(st, _past_center_launch(rho_end, 1.0, st.rho), params, tol)
 
 
 def lightcone_trajectory(b: float, rho_end: float, params: ModelParams,
@@ -463,4 +478,6 @@ def lightcone_trajectory(b: float, rho_end: float, params: ModelParams,
         raise ValueError("rho_end must be positive and off the cone")
     side = -1 if rho_end < 1.0 else +1
     ls = lightcone_launch(b, params, tol.rtol, tol.atol, side=side)
+    if rho_end == ls.rho0:
+        raise ValueError(f"rho_end {rho_end:g} is the cone launch radius")
     return integrate(ls.state, rho_end, params, tol)

@@ -65,12 +65,30 @@ def test_invalid_exponent_is_usage_error(tmp_path):
              f"cannot write {tmp_path}: Is a directory"),
             (("curves", "--n-c", "0", "--n-b", "0"), "--n-c and --n-b must be at least 2"),
             (("curves", "--n-c", "-1"), "--n-c and --n-b must be at least 2"),
-            (("curves", "--n-b", "1"), "--n-c and --n-b must be at least 2")):
+            (("curves", "--n-b", "1"), "--n-c and --n-b must be at least 2"),
+            (("solve", "--n", "-1"), "--n must be at least 0"),
+            (("profile", "--n", "-2"), "--n must be at least 0"),
+            (("extend", "--n", "-1"), "--n must be at least 0"),
+            # a matching radius on or inside a launch radius: not an empty
+            # span, nor a center shot integrated back onto the wrong member
+            (("solve", "--rho-mid", "0.001"),
+             "rho_end 0.001 must exceed the center launch radius 0.001"),
+            (("solve", "--rho-mid", "0.0005"),
+             "rho_end 0.0005 must exceed the center launch radius 0.001"),
+            (("solve", "--rho-mid", "0.999"), "rho_end 0.999 is the cone launch radius")):
         proc = subprocess.run([sys.executable, "-m", "blowup", *args],
                               capture_output=True, text=True)
         assert proc.returncode == 2
         assert proc.stderr == f"blowup: {message}\n"
         assert proc.stdout == ""
+
+
+def test_matching_radius_just_past_a_launch_radius_solves():
+    # the center shot launches at rho = 1e-3 and the inward cone shot at 0.999
+    for rho_mid in ("0.0011", "0.998", "0.9995"):
+        header, rows = rows_of(run_cli("solve", "--rho-mid", rho_mid))
+        assert rows[0][0] == "1" and rows[0][4] == "2"
+        assert float(rows[0][1]) == pytest.approx(2.054390385, rel=1e-6)
 
 
 def test_loose_tolerance_spectrum_succeeds():

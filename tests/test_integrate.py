@@ -196,6 +196,22 @@ def test_center_chart_routes_on_the_stretch_for_large_p(tol):
         assert traj.c_scale == c
 
 
+def test_shots_end_past_their_launch_radius(p7, tol):
+    # rho_end inside the center launch radius, given in rho for both charts,
+    # and rho_end on the cone launch radius are rejected by name
+    for c in (2.0, 1e4):
+        rho0 = center_trajectory(c, 0.5, p7, tol).rho_span()[0]
+        for rho_end in (rho0 * (1.0 - 1e-12), 0.5 * rho0):
+            with pytest.raises(ValueError, match=f"center launch radius {rho0:g}$"):
+                center_trajectory(c, rho_end, p7, tol)
+        assert center_trajectory(c, 1.1 * rho0, p7, tol).termination == TERM_REACHED_END
+    rho0 = lightcone_launch(0.7, p7, tol.rtol, tol.atol, side=-1).rho0
+    with pytest.raises(ValueError, match="cone launch radius"):
+        lightcone_trajectory(0.7, rho0, p7, tol)
+    for rho_end in (rho0 - 1e-3, 0.5 * (rho0 + 1.0)):
+        assert lightcone_trajectory(0.7, rho_end, p7, tol).termination == TERM_REACHED_END
+
+
 def _counted(rhs):
     calls = []
 
@@ -277,6 +293,104 @@ def test_stepper_agrees_with_scipy_dop853(name, p7, tol):
     assert dense_plain is None
     assert np.array_equal(t_plain, t) and np.array_equal(y_plain, y)
     assert len(plain_calls) == ref_calls - 3 * steps
+
+
+# The loop stepper the generated kernel replaced, kept as its reference: each
+# stage sum adds its row's nonzero terms left to right from 0.0.
+
+def _combine(row, K0, K1):
+    d0 = d1 = 0.0
+    for a, j in row:
+        d0 += a * K0[j]
+        d1 += a * K1[j]
+    return d0, d1
+
+
+def _add_stages(rows, rhs, t, u, du, h, K0, K1):
+    for c, row in rows:
+        d0, d1 = _combine(row, K0, K1)
+        k0, k1 = rhs(t + c * h, (u + d0 * h, du + d1 * h))
+        K0.append(k0)
+        K1.append(k1)
+
+
+def _loop_step_stages(rhs, t, u, du, h, t_new, f0, f1):
+    m = integrate_module
+    K0, K1 = [f0], [f1]
+    _add_stages(m._MAIN, rhs, t, u, du, h, K0, K1)
+    b0, b1 = _combine(m._B, K0, K1)
+    u_new, du_new = u + h * b0, du + h * b1
+    f_new = rhs(t_new, (u_new, du_new))
+    K0.append(f_new[0])
+    K1.append(f_new[1])
+    return (u_new, du_new, K0, K1, *_combine(m._E5, K0, K1), *_combine(m._E3, K0, K1))
+
+
+def _loop_extra_stages(rhs, t, u, du, h, K0, K1):
+    _add_stages(integrate_module._EXTRA, rhs, t, u, du, h, K0, K1)
+    return K0, K1
+
+
+def _with_loop_stepper(monkeypatch, run):
+    """run() with the loop stepper in place of the generated kernel."""
+    with monkeypatch.context() as mp:
+        mp.setattr(integrate_module, "_step_stages", _loop_step_stages)
+        mp.setattr(integrate_module, "_extra_stages", _loop_extra_stages)
+        return run()
+
+
+@pytest.mark.parametrize("name", ["center c=2", "x-chart c=1e4", "cone b=0.7",
+                                  "limit", "cone linearization"])
+def test_generated_kernel_is_the_loop_stepper_bit_for_bit(name, p7, tol, monkeypatch):
+    rhs, t0, y0, t_end = _oracle_case(name, p7, tol)
+    for store_dense in (True, False):
+        def run():
+            return drive_ode(rhs, t0, y0, t_end, tol, store_dense=store_dense)
+        t_ref, y_ref, dense_ref, term_ref = _with_loop_stepper(monkeypatch, run)
+        t, y, dense, term = run()
+        assert term == term_ref == TERM_REACHED_END
+        assert np.array_equal(t, t_ref) and np.array_equal(y, y_ref)
+        if not store_dense:
+            assert dense is None and dense_ref is None
+            continue
+        # the kept stages, then the interpolant, whose 3 extra stages each
+        # side builds on first use with its own stepper
+        assert np.array_equal(dense._pending[1], dense_ref._pending[1])
+        tq = np.concatenate((t, np.linspace(min(t0, t_end), max(t0, t_end), 202)[1:-1]))
+        ref = _with_loop_stepper(monkeypatch, lambda: dense_ref(tq))
+        assert (dense(tq) == ref).all()
+
+
+def test_generated_kernel_takes_the_overflow_retry_as_the_loop_did(p7, monkeypatch):
+    # at u0 = 1e6, u**p overflows in a trial stage of the first step, which
+    # _step rejects by the smallest factor, to below the minimum step size
+    tol = Tolerances(rtol=1e-10, atol=1e-12)
+    calls = []
+
+    def logged_chart_rhs(params, mu):
+        inner = chart_rhs(params, mu)
+
+        def rhs(t, y):
+            calls.append((t, *y))
+            try:
+                return inner(t, y)
+            except OverflowError:
+                calls.append("overflow")
+                raise
+        return rhs
+
+    monkeypatch.setattr(integrate_module, "chart_rhs", logged_chart_rhs)
+
+    def run():
+        return integrate(ProfileState(0.5, 1e6, 0.0), 0.9, p7, tol)
+    ref = _with_loop_stepper(monkeypatch, run)
+    ref_calls = calls[:]
+    calls.clear()
+    traj = run()
+    # past the start slope and the initial-step probe: inside a step trial
+    assert ref_calls.index("overflow") > 2 and calls == ref_calls
+    assert traj.termination == ref.termination == TERM_STEP_UNDERFLOW
+    assert np.array_equal(traj.t, ref.t) and np.array_equal(traj.y, ref.y)
 
 
 def test_step_budget_stops_with_step_limit(p7, tol, monkeypatch):
