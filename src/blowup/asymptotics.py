@@ -218,11 +218,13 @@ def fit_limit_asymptotics(states: list[LimitState], params: ModelParams) -> Osci
         cut = tau[keep][env < tol_floor]
         if len(cut):
             hi = float(cut[0])
+    hi = max(hi, lo)    # a span that ends before the window leaves it empty
     n_periods = (hi - lo) / period
     if n_periods < 4.0:
         raise InsufficientSpanError(
             f"window [{lo:.2f}, {hi:.2f}] in tau covers {n_periods:.2f} "
-            "oscillation periods; at least 4 are needed")
+            "oscillation periods; at least 4 are needed, which takes "
+            f"x_max >= {math.exp(lo + 4.0 * period):.3g}")
     sel = (tau >= lo) & (tau <= hi)
     ts, ws = tau[sel], w[sel]
     y = ws * np.exp(lam * ts)

@@ -145,6 +145,8 @@ def cmd_solve(cfg: RunConfig, args) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> int:
+    if args.n_max < 1:
+        raise ValueError("--n-max must be at least 1")
     P = cfg.params
     spec = shoot.SpectrumResult(rows=[], params=P, rho_mid=cfg.rho_mid)
     failed = False

@@ -20,11 +20,11 @@ midpoint mismatch
 
 with a forward-difference Jacobian in (ln c, b).  Every entry point builds
 the family by one rule: starting at the exact constant solution
-(n, c, b) = (0, b0, b0), row n+1 is seeded from row n by the closed-form
-ratios, which land inside the right spiral window, and that seed gets
-exactly one Newton solve.  Center launches with large c integrate in the
-exact rescaled chart, which keeps the curve data well conditioned for
-arbitrarily large c.
+(n, c, b) = (0, b0, b0), row n+1 is seeded by extrapolating the chain's
+own quotients c_{k+1}/c_k and (b_{k+1}-b_inf)/(b_inf-b_k) towards their
+limits ratio_c and ratio_b, and that seed gets exactly one Newton solve.
+Center launches with large c integrate in the exact rescaled chart, which
+keeps the curve data well conditioned for arbitrarily large c.
 
 Solutions are classified by their nodal index: the number of zeros of
 w = u/u_singular - 1, counted by sign changes on the dense trajectory and
@@ -323,48 +323,57 @@ def constant_solution_result(params: ModelParams, tol: Tolerances = Tolerances()
     return _assemble(0, b0, b0, float(np.hypot(*shots.F(b0, b0))), shots)
 
 
-def _next_row(n: int, c: float, b: float, params, tol, rho_mid) -> ShootingResult:
-    """Row n+1 from row n = (n, c, b): one Newton solve from the closed-form
-    geometric seed."""
-    c_seed = c * params.ratio_c
-    b_seed = params.b_inf - params.ratio_b * (b - params.b_inf)
-    shots = _ImageCache(params, rho_mid, tol)
-    c, b, norm = _newton_refine(c_seed, b_seed, shots)
-    return _assemble(n + 1, c, b, norm, shots)
+def _next_row(history, params, tol, rho_mid) -> ShootingResult:
+    """Row n+1 from the chain's rows 0..n, history = [(c_0, b_0), ..., (c_n, b_n)]:
+    one Newton solve from the seed its own quotients extrapolate.
 
-
-def find_solution(n: int, params: ModelParams, tol: Tolerances = Tolerances(),
-                  rho_mid: float = 0.5,
-                  prev: ShootingResult | None = None) -> ShootingResult:
-    """Profile n >= 1 (n + 1 zeros), chained row by row from the exact
-    constant solution (n, c, b) = (0, b0, b0), which costs no integration.
-
-    Passing `prev` (row n-1 at the same rho_mid) skips the chain below it.
+    The deviations e_k = (c_{k+1}/c_k, (b_{k+1}-b_inf)/(b_inf-b_k)) - (ratio_c,
+    ratio_b) shrink by q = -ratio_b and q^2 per row, so e_n is predicted as
+    0 at n = 0, q e_0 at n = 1, and q(1+q) e_{n-1} - q^3 e_{n-2} above, which
+    is exact for both modes.
     """
-    if n < 1:
-        raise ValueError("find_solution labels start at n = 1; n = 0 is the "
-                         "constant solution (constant_solution_result)")
-    chained = prev is not None and prev.n == n - 1 and prev.rho_mid == rho_mid
-    k, c, b = (prev.n, prev.c, prev.b) if chained else (0, params.b0, params.b0)
-    while k < n:
-        row = _next_row(k, c, b, params, tol, rho_mid)
-        k, c, b = row.n, row.c, row.b
-    return row
+    q, bi = -params.ratio_b, params.b_inf
+    tail = history[-3:]
+    e = [np.array([c1 / c0 - params.ratio_c, (b1 - bi) / (bi - b0) - params.ratio_b])
+         for (c0, b0), (c1, b1) in zip(tail, tail[1:])]
+    if len(e) == 2:
+        e_c, e_b = q * (1 + q) * e[1] - q ** 3 * e[0]
+    else:
+        e_c, e_b = q * e[0] if e else (0.0, 0.0)
+    c, b = history[-1]
+    shots = _ImageCache(params, rho_mid, tol)
+    c, b, norm = _newton_refine(c * (params.ratio_c + e_c),
+                                bi - (params.ratio_b + e_b) * (b - bi), shots)
+    return _assemble(len(history), c, b, norm, shots)
 
 
 def iter_rows(n_max: int, params: ModelParams, tol: Tolerances = Tolerances(),
               rho_mid: float = 0.5):
-    """Rows n = 1..n_max, one find_solution call each, chained from the last.
+    """Rows n = 1..n_max: the one chain loop, from the exact constant solution
+    (n, c, b) = (0, b0, b0), which costs no integration; each row is seeded
+    from the (c, b) of the rows below it (see _next_row).
 
     A generator, so a caller keeps the rows already yielded when a deeper
     one raises.  n_max < 1 raises ValueError at the first row request.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    row = None
-    for n in range(1, n_max + 1):
-        row = find_solution(n, params, tol, rho_mid, prev=row)
+    history = [(params.b0, params.b0)]
+    for _ in range(n_max):
+        row = _next_row(history, params, tol, rho_mid)
+        history.append((row.c, row.b))
         yield row
+
+
+def find_solution(n: int, params: ModelParams, tol: Tolerances = Tolerances(),
+                  rho_mid: float = 0.5) -> ShootingResult:
+    """Profile n >= 1 (n + 1 zeros): the last row of iter_rows(n)."""
+    if n < 1:
+        raise ValueError("find_solution labels start at n = 1; n = 0 is the "
+                         "constant solution (constant_solution_result)")
+    for row in iter_rows(n, params, tol, rho_mid):
+        pass
+    return row
 
 
 def spectrum(n_max: int, params: ModelParams, tol: Tolerances = Tolerances(),

@@ -66,6 +66,7 @@ def test_invalid_exponent_is_usage_error(tmp_path):
             (("curves", "--n-c", "0", "--n-b", "0"), "--n-c and --n-b must be at least 2"),
             (("curves", "--n-c", "-1"), "--n-c and --n-b must be at least 2"),
             (("curves", "--n-b", "1"), "--n-c and --n-b must be at least 2"),
+            (("spectrum", "--n-max", "0"), "--n-max must be at least 1"),
             (("solve", "--n", "-1"), "--n must be at least 0"),
             (("profile", "--n", "-2"), "--n must be at least 0"),
             (("extend", "--n", "-1"), "--n must be at least 0"),
@@ -182,6 +183,18 @@ def test_limit_fit_fields_and_span_failure():
                                                  abs=5e-3)
     assert float(vals["n_periods"]) > 4.0
     run_cli("limit", "--x-max", "1e12", expect=1)
+
+
+def test_limit_below_the_fit_window_names_the_x_max_it_needs():
+    # the sampled span ends before the fit window starts at tau = 2 periods:
+    # the window is reported empty, not reversed, with the x_max that the
+    # 4 periods need, exp(lo + 4 period)
+    proc = subprocess.run([sys.executable, "-m", "blowup", "limit", "--x-max", "1.5"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "blowup: window [11.00, 11.00] in tau covers 0.00 oscillation periods; "
+        "at least 4 are needed, which takes x_max >= 2.13e+14\n")
 
 
 def test_extend_passes_for_first_member():

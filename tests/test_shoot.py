@@ -132,9 +132,10 @@ def test_find_solution_rejects_index_zero(p7, tol):
 
 
 def test_chained_solution_matches_direct(p7, tol, family):
+    # one chain loop serves both, so they agree to the bit
     direct = find_solution(3, p7, tol)
-    assert direct.c == pytest.approx(family.rows[2].c, rel=1e-9)
-    assert direct.b == pytest.approx(family.rows[2].b, rel=1e-9)
+    assert direct.c == family.rows[2].c
+    assert direct.b == family.rows[2].b
 
 
 def test_spectrum_chains_every_row_after_the_first_for_p17(tol):
@@ -169,26 +170,79 @@ def test_loose_tolerance_refines_to_the_acceptance_bound(n_max, p, rtol):
     assert all(r.mismatch <= MISMATCH_ACCEPT for r in spec.rows)
 
 
-def test_rejected_chain_seed_reports_its_reason(p7, tol, u1, monkeypatch):
-    calls = []
+def _quotient_seed(rows, params):
+    """The seed of the row above `rows` = [(c_0, b_0), ..., (c_n, b_n)],
+    written out from the rule: the quotient deviations e_k from (ratio_c,
+    ratio_b) are extrapolated with q = -ratio_b as 0, q e_0, then
+    q (1 + q) e_{n-1} - q^3 e_{n-2}."""
+    q, bi = -params.ratio_b, params.b_inf
+    e = [(c1 / c0 - params.ratio_c, (b1 - bi) / (bi - b0) - params.ratio_b)
+         for (c0, b0), (c1, b1) in zip(rows, rows[1:])]
+    if not e:
+        e_c = e_b = 0.0
+    elif len(e) == 1:
+        e_c, e_b = q * e[0][0], q * e[0][1]
+    else:
+        (ec_2, eb_2), (ec_1, eb_1) = e[-2:]
+        e_c = q * (1 + q) * ec_1 - q ** 3 * ec_2
+        e_b = q * (1 + q) * eb_1 - q ** 3 * eb_2
+    c, b = rows[-1]
+    return c * (params.ratio_c + e_c), bi - (params.ratio_b + e_b) * (b - bi)
+
+
+def test_rejected_chain_seed_reports_its_reason(p7, tol, family, monkeypatch):
+    # rows 1, 2 and 3 are each seeded by the quotient rule applied to the
+    # real rows below, from the constant solution (c, b) = (b0, b0) up; a
+    # stalled solve raises its SearchError and Newton trace unchanged
     trace = [(1.0, 0.5), (2.0, 0.25)]
+    refine = shoot._newton_refine
+    chain = [(p7.b0, p7.b0)] + [(r.c, r.b) for r in family.rows[:2]]
+    for n in (1, 2, 3):
+        calls = []
 
-    def stall(c0, b0, *args, **kwargs):
-        calls.append((c0, b0))
-        raise shoot.SearchError("forced stall", trace)
+        def stall_at_row_n(c0, b0, shots):
+            calls.append((c0, b0))
+            if len(calls) == n:
+                raise shoot.SearchError("forced stall", trace)
+            return refine(c0, b0, shots)
 
-    monkeypatch.setattr(shoot, "_newton_refine", stall)
-    # row 1 is chained from the constant solution (c, b) = (b0, b0) like
-    # every later row from the one below it
-    for n, prev, c, b in ((1, None, p7.b0, p7.b0), (2, u1, u1.c, u1.b)):
-        calls.clear()
+        monkeypatch.setattr(shoot, "_newton_refine", stall_at_row_n)
         with pytest.raises(shoot.SearchError) as info:
-            find_solution(n, p7, tol, prev=prev)
-        c_seed = c * p7.ratio_c
-        b_seed = p7.b_inf - p7.ratio_b * (b - p7.b_inf)
-        assert calls == [(c_seed, b_seed)]
+            find_solution(n, p7, tol)
+        assert len(calls) == n
+        for k, (c_seed, b_seed) in enumerate(calls):
+            want_c, want_b = _quotient_seed(chain[:k + 1], p7)
+            assert c_seed == pytest.approx(want_c, rel=1e-13)
+            assert b_seed == pytest.approx(want_b, rel=1e-13)
         assert str(info.value) == "forced stall"
-        assert info.value.trace == trace
+        assert info.value.trace is trace
+
+
+def test_quotient_seed_needs_few_centre_shots(p7, tol, monkeypatch):
+    # from n = 7 the seed lies within 1e-4 of the root in c, close enough
+    # that one Newton step (3 centre shots: value, ln c difference, trial)
+    # lands every row from n = 8
+    seeds, centre = [], []
+    refine, shot = shoot._newton_refine, shoot._shot
+
+    def recorded(c0, b0, shots):
+        seeds.append(c0)
+        centre.append(0)
+        return refine(c0, b0, shots)
+
+    def counted(side, *args):
+        centre[-1] += side == "center"
+        return shot(side, *args)
+
+    monkeypatch.setattr(shoot, "_newton_refine", recorded)
+    monkeypatch.setattr(shoot, "_shot", counted)
+    rows = shoot.spectrum(12, p7, tol).rows
+    assert [r.n for r in rows] == list(range(1, 13))
+    for row, c_seed, k in zip(rows, seeds, centre):
+        if row.n >= 7:
+            assert abs(c_seed / row.c - 1.0) <= 1e-4, f"c seed at n={row.n}"
+        if row.n >= 8:
+            assert k <= 3, f"centre shots at n={row.n}"
 
 
 def test_root_with_wrong_zero_count_is_rejected(p7, tol, monkeypatch):
