@@ -14,8 +14,9 @@ produces the geometric laws for the solution family,
 plus an amplitude relation A0 c^{(5-p)/4} = +-A1 (b - b_inf)/b_inf tying
 the limit-equation ringdown amplitude A0 to the cone-linearization
 amplitude A1.  This module integrates both linear descriptions, extracts
-(amplitude, phase, frequency, decay) by least squares, and checks the
-amplitude relation and the phase spacing against the computed family.
+(amplitude, phase) by linear least squares and (frequency, decay) by
+variable projection, and checks the amplitude relation and the phase
+spacing against the computed family.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ DEFAULT_X_MAX = 1e16   # ~6.7 ringdown periods for p = 7
 SAMPLES_PER_PERIOD = 256   # fit grid density, uniform in the log radius
 CONE_TRANSIENT_RHO = 0.2   # the cone fit window stops here, short of the transient at the cone
 TRANSIENT_PERIODS = 2.0    # ringdown periods past x = 1 skipped before the limit fit window
+VARPRO_MAX_ITER = 20       # Gauss-Newton steps allowed to a free (omega, decay) fit
 
 
 class InsufficientSpanError(ValueError):
@@ -148,54 +150,30 @@ def _project_sinusoid(t, y, omega):
     return A, delta, float(np.sqrt(np.mean(resid**2)))
 
 
-# not folded into _refine_ringdown: that moves the cone frequency error 2.3e-5 -> 8.3e-5
-def _refine_damped(t, y_raw, A0, delta0, omega0, decay0):
-    """Free fit of y_raw = A e^{-decay t} sin(omega t + delta).
+def _varpro(basis, omega0, decay0):
+    """Free fit of (omega, decay) by variable projection (Golub & Pereyra,
+    SIAM J. Numer. Anal. 10, 1973).
 
-    The time origin is shifted into the window so the amplitude parameter
-    stays O(max|y_raw|) regardless of how far the window sits from t = 0.
+    basis(omega, decay) returns (M, y) for a model linear in the columns of
+    M.  Gauss-Newton runs on the projected residual y - M lstsq(M, y) with a
+    central-difference Jacobian, until a step is <= 1e-13 relative.
     """
-    from scipy.optimize import least_squares   # only the fits need scipy
-    t0 = float(t[0])
-    ts = t - t0
-    A_loc = A0 * math.exp(-decay0 * t0)
-    de_loc = (delta0 + omega0 * t0 + math.pi) % (2.0 * math.pi) - math.pi
-
     def resid(q):
-        A, dec, om, de = q
-        return A * np.exp(-dec * ts) * np.sin(om * ts + de) - y_raw
+        M, y = basis(*q)
+        coef, *_ = np.linalg.lstsq(M, y, rcond=None)
+        return y - M @ coef
 
-    sol = least_squares(resid, x0=[A_loc, decay0, omega0, de_loc],
-                        method="lm", xtol=1e-14, ftol=1e-14)
-    _, dec, om, _ = sol.x
-    return float(om), float(dec), bool(sol.success)
-
-
-def _refine_ringdown(t, y_raw, A0, delta0, omega0, decay0):
-    """Free fit of the ringdown with its leading nonlinear correction.
-
-    The quadratic term of the oscillator feeds a second harmonic and a DC
-    offset at twice the decay rate; leaving them out biases the frequency
-    estimate by a few parts in 1e3 over practical windows.  Residuals are
-    divided by the envelope so early (dirtier) samples do not dominate.
-    """
-    from scipy.optimize import least_squares   # only the fits need scipy
-    t0 = float(t[0])
-    ts = t - t0
-    A_loc = A0 * math.exp(-decay0 * t0)
-    de_loc = (delta0 + omega0 * t0 + math.pi) % (2.0 * math.pi) - math.pi
-
-    def resid(q):
-        A, dec, om, de, B, phB, C = q
-        env = np.exp(-dec * ts)
-        model = A * env * np.sin(om * ts + de) \
-            + env * env * (B * np.sin(2.0 * om * ts + phB) + C)
-        return (model - y_raw) / env
-
-    sol = least_squares(resid, x0=[A_loc, decay0, omega0, de_loc, 0.0, 0.0, 0.0],
-                        method="lm", xtol=1e-15, ftol=1e-15)
-    _, dec, om, _, _, _, _ = sol.x
-    return float(om), float(dec), bool(sol.success)
+    q = np.array([omega0, decay0], dtype=float)
+    for _ in range(VARPRO_MAX_ITER):
+        h = 1e-6 * np.abs(q)
+        J = np.column_stack([(resid(q + d) - resid(q - d)) / (2.0 * hj)
+                             for d, hj in zip(np.diag(h), h)])
+        step, *_ = np.linalg.lstsq(J, -resid(q), rcond=None)
+        q += step
+        if np.all(np.abs(step) <= 1e-13 * np.abs(q)):
+            return float(q[0]), float(q[1])
+    raise RuntimeError(f"the {basis.__name__} fit did not converge "
+                       f"(Gauss-Newton iteration cap {VARPRO_MAX_ITER})")
 
 
 def fit_limit_asymptotics(states: list[LimitState], params: ModelParams) -> OscillationFit:
@@ -230,7 +208,8 @@ def fit_limit_asymptotics(states: list[LimitState], params: ModelParams) -> Osci
     y = ws * np.exp(lam * ts)
     # project on the fundamental plus the decaying second-order terms; the
     # extra columns soak up the nonlinear correction so (A, delta) are clean
-    env = np.exp(-lam * (ts - ts[0]))
+    t = ts - ts[0]    # time origin at the window start
+    env = np.exp(-lam * t)
     M = np.column_stack([np.sin(om * ts), np.cos(om * ts),
                          env * np.sin(2.0 * om * ts),
                          env * np.cos(2.0 * om * ts), env])
@@ -238,9 +217,18 @@ def fit_limit_asymptotics(states: list[LimitState], params: ModelParams) -> Osci
     A = float(np.hypot(coef[0], coef[1]))
     delta = float(math.atan2(coef[1], coef[0]))
     rms = float(np.sqrt(np.mean((y - M @ coef) ** 2)))
-    om_fit, dec_fit, ok = _refine_ringdown(ts, ws, A, delta, om, lam)
-    if not ok:
-        raise RuntimeError("nonlinear refinement of the ringdown fit failed")
+
+    def ringdown(omega, decay):
+        # the fundamental plus the second harmonic and DC offset that the
+        # oscillator's quadratic term feeds at twice the decay rate (left out,
+        # they bias omega by parts in 1e3); divided by the envelope, so early
+        # (dirtier) samples do not dominate
+        e = np.exp(-decay * t)
+        return np.column_stack([np.sin(omega * t), np.cos(omega * t),
+                                e * np.sin(2.0 * omega * t),
+                                e * np.cos(2.0 * omega * t), e]), ws / e
+
+    om_fit, dec_fit = _varpro(ringdown, om, lam)
     return OscillationFit(amplitude=A, phase=delta, frequency=om_fit,
                           decay=dec_fit, residual=rms,
                           n_periods=n_periods, window=(lo, hi))
@@ -309,9 +297,15 @@ def solve_linearized_lightcone(rho_min: float, params: ModelParams,
     wl = dense(rr)[0]
     y1 = wl * rr**lam
     A, delta, rms = _project_sinusoid(sigma, y1, om)
-    om_fit, dec_fit, ok = _refine_damped(sigma, wl, A, delta, om, lam)
-    if not ok:
-        raise RuntimeError("nonlinear refinement of the cone fit failed")
+    s = sigma - lo     # time origin at the window start
+
+    # not folded into the ringdown model: that moves the cone frequency error
+    # 2.3e-5 -> 8.3e-5
+    def cone(omega, decay):
+        e = np.exp(-decay * s)
+        return np.column_stack([e * np.sin(omega * s), e * np.cos(omega * s)]), wl
+
+    om_fit, dec_fit = _varpro(cone, om, lam)
     return OscillationFit(amplitude=A, phase=delta, frequency=om_fit,
                           decay=dec_fit, residual=rms,
                           n_periods=n_periods, window=(lo, hi))

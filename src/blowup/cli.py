@@ -244,6 +244,9 @@ def cmd_limit(cfg: RunConfig, args) -> int:
 
 
 def cmd_extend(cfg: RunConfig, args) -> int:
+    if args.n < 1:
+        raise ValueError("--n must be at least 1 for extend "
+                         "(u_0 = b0 has no decaying continuation)")
     if not (1.0 < args.rho_max and math.isfinite(args.rho_max)):
         raise ValueError("--rho-max must be finite and exceed 1")
     res = _solve_chain(args.n, cfg)

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from blowup.integrate import Tolerances, drive_ode, lightcone_trajectory
-from blowup import asymptotics as asym
+from blowup.model import derive_constants
+from blowup import asymptotics as asym, cli
 
 
 @pytest.fixture(scope="module")
@@ -160,6 +162,95 @@ def test_family_quotients_converge_to_predictions(family, p7):
     for i in range(3, len(ec) - 1):
         assert ec[i + 1] < ec[i]
         assert eb[i + 1] < eb[i]
+
+
+def _lm_ringdown(t, y_raw, A0, delta0, omega0, decay0):
+    """The ringdown fit as scipy's LM on all seven parameters of
+    A e sin(omega t + delta) + e^2 (B sin(2 omega t + phB) + C), e = e^{-decay t},
+    residuals divided by e; the time origin is the window start."""
+    t0 = float(t[0])
+    ts = t - t0
+    de0 = (delta0 + omega0 * t0 + math.pi) % (2.0 * math.pi) - math.pi
+
+    def resid(q):
+        A, dec, om, de, B, phB, C = q
+        env = np.exp(-dec * ts)
+        model = A * env * np.sin(om * ts + de) \
+            + env * env * (B * np.sin(2.0 * om * ts + phB) + C)
+        return (model - y_raw) / env
+
+    sol = least_squares(resid, x0=[A0 * math.exp(-decay0 * t0), decay0, omega0, de0,
+                                   0.0, 0.0, 0.0],
+                        method="lm", xtol=1e-15, ftol=1e-15)
+    assert sol.success
+    return sol.x[2], sol.x[1]
+
+
+def _lm_damped(t, y_raw, A0, delta0, omega0, decay0):
+    """The cone fit as scipy's LM on all four parameters of
+    A e^{-decay t} sin(omega t + delta); the time origin is the window start."""
+    t0 = float(t[0])
+    ts = t - t0
+    de0 = (delta0 + omega0 * t0 + math.pi) % (2.0 * math.pi) - math.pi
+
+    def resid(q):
+        A, dec, om, de = q
+        return A * np.exp(-dec * ts) * np.sin(om * ts + de) - y_raw
+
+    sol = least_squares(resid, x0=[A0 * math.exp(-decay0 * t0), decay0, omega0, de0],
+                        method="lm", xtol=1e-14, ftol=1e-14)
+    assert sol.success
+    return sol.x[2], sol.x[1]
+
+
+@pytest.mark.parametrize("p", [7, 31])
+def test_varpro_fits_match_scipy_least_squares(p, monkeypatch):
+    # both free fits are variable projections; the reference is scipy's LM on
+    # the full parameter vector, started from the linear projection's
+    # amplitude and phase and the predicted (omega, decay)
+    P = derive_constants(p)
+    lam = (p - 5.0) / (2.0 * (p - 1.0))
+    bases = {}
+    varpro = asym._varpro
+
+    def spy(basis, omega0, decay0):
+        bases[basis.__name__] = basis
+        return varpro(basis, omega0, decay0)
+
+    monkeypatch.setattr(asym, "_varpro", spy)
+    states = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, P)
+    ring = asym.fit_limit_asymptotics(states, P)
+    cone = asym.solve_linearized_lightcone(1e-6, P)
+
+    # the ringdown window, selected from the states as the fit selects it
+    tau = np.array([s.tau for s in states])
+    sel = (tau >= ring.window[0]) & (tau <= ring.window[1])
+    w = np.array([s.Ubar for s in states])[sel] / P.b_inf - 1.0
+    ref = _lm_ringdown(tau[sel], w, ring.amplitude, ring.phase, P.omega, lam)
+    # the cone grid, and the samples of w_L on it that the fit received
+    lo, hi = cone.window
+    sigma = np.linspace(lo, hi, max(64, int(cone.n_periods * asym.SAMPLES_PER_PERIOD)))
+    _, wl = bases["cone"](P.omega, lam)
+    assert len(wl) == len(sigma)
+    ref += _lm_damped(sigma, wl, cone.amplitude, cone.phase, P.omega, lam)
+
+    got = (ring.frequency, ring.decay, cone.frequency, cone.decay)
+    for g, r in zip(got, ref):
+        assert g == pytest.approx(r, rel=1e-10, abs=0.0)
+
+
+def test_fit_that_does_not_converge_is_a_compute_error(p7, monkeypatch, capsys):
+    states = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7)
+    monkeypatch.setattr(asym, "VARPRO_MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match="ringdown fit"):
+        asym.fit_limit_asymptotics(states, p7)
+    with pytest.raises(RuntimeError, match="cone fit"):
+        asym.solve_linearized_lightcone(1e-4, p7)
+    assert cli.main(["limit"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("blowup: the ringdown fit did not converge "
+                   "(Gauss-Newton iteration cap 1)\n")
 
 
 def test_window_guards(p7):

@@ -36,6 +36,10 @@ def test_constants_csv_and_values():
     assert float(vals["b0"]) == pytest.approx(0.8735804647, abs=1e-9)
 
 
+EXTEND_N_MESSAGE = ("--n must be at least 1 for extend "
+                    "(u_0 = b0 has no decaying continuation)")
+
+
 def test_invalid_exponent_is_usage_error(tmp_path):
     run_cli("constants", "--p", "4", expect=2)
     run_cli("solve", "--n", "1", "--rho-mid", "1.5", expect=2)
@@ -69,7 +73,9 @@ def test_invalid_exponent_is_usage_error(tmp_path):
             (("spectrum", "--n-max", "0"), "--n-max must be at least 1"),
             (("solve", "--n", "-1"), "--n must be at least 0"),
             (("profile", "--n", "-2"), "--n must be at least 0"),
-            (("extend", "--n", "-1"), "--n must be at least 0"),
+            (("extend", "--n", "-1"), EXTEND_N_MESSAGE),
+            # u_0 = b0 is a solution, but not one that decays past the cone
+            (("extend", "--n", "0"), EXTEND_N_MESSAGE),
             # a matching radius on or inside a launch radius: not an empty
             # span, nor a center shot integrated back onto the wrong member
             (("solve", "--rho-mid", "0.001"),
@@ -234,20 +240,18 @@ import contextlib, io, json, sys
 from blowup import cli
 runs = [["constants"], ["solve", "--n", "2"], ["spectrum", "--n-max", "2"],
         ["profile", "--n", "1", "--samples", "16"], ["curves", "--n-c", "5", "--n-b", "5"],
-        ["extend", "--n", "1"]]
+        ["extend", "--n", "1"], ["check"], ["limit"]]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in runs]
 scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-with contextlib.redirect_stdout(io.StringIO()):
-    codes += [cli.main(["check"]), cli.main(["limit"])]
 print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
-def test_commands_but_check_and_limit_run_without_scipy():
-    # scipy is needed only by the check and limit fits; a top-level scipy
-    # import anywhere in the package would show up here.  Run in a fresh
-    # interpreter because this one has scipy loaded.
+def test_every_command_runs_without_scipy():
+    # numpy is the only runtime dependency: a scipy import anywhere in the
+    # package, lazy or not, that one of the 8 commands reaches shows up here.
+    # Run in a fresh interpreter because this one has scipy loaded.
     proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_SCRIPT],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
