@@ -212,10 +212,8 @@ def cmd_curves(cfg: RunConfig, args) -> int:
     if not (0 < args.c_lo < args.c_hi and 0 < args.b_lo < args.b_hi
             and math.isfinite(args.c_hi) and math.isfinite(args.b_hi)):
         raise ValueError("curve ranges must be finite, positive and increasing")
-    c_imgs, b_imgs = shoot.sample_curves(
-        P, cfg.tol, cfg.rho_mid, args.c_lo, args.c_hi, args.n_c,
-        args.b_lo, args.b_hi, args.n_b)
-    rows = [[im.side, im.param, im.u, im.du] for im in (*c_imgs, *b_imgs)]
+    rows = shoot.sample_curves(P, cfg.tol, cfg.rho_mid, args.c_lo, args.c_hi, args.n_c,
+                               args.b_lo, args.b_hi, args.n_b)
     if cfg.format == "json":
         _emit_json({"kind": "curves", "p": P.p, "rho_mid": cfg.rho_mid,
                     "points": [{"side": r[0], "param": r[1], "u_mid": r[2],

@@ -460,6 +460,9 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
         raise ValueError("center launches need c > 0")
     if not 0.0 < rho_end < 1.0:
         raise ValueError("rho_end must lie strictly inside the cone")
+    if c > 1.0 and float(c) ** (-(params.p - 1)) == 0.0:  # the x-chart's mu underflows
+        raise ValueError(f"center amplitude c={c:g} is beyond the float range of the "
+                         "rescaled chart")
     stretch = float(c) ** ((params.p - 1) / 2.0)
     if stretch > RESCALE_THRESHOLD:
         x0, U, dU, _ = center_launch_rescaled(c, params, tol.rtol, tol.atol)

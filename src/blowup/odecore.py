@@ -245,10 +245,18 @@ def lightcone_launch(b: float, params: ModelParams, rtol: float = 1e-12, atol: f
     """Validated launch at rho = 1 + side*s0; side=-1 interior, +1 exterior."""
     if side not in (-1, 1):
         raise ValueError("side must be -1 (inside the cone) or +1 (outside)")
-    coeffs = _lightcone_coeffs(b, params, SERIES_ORDER + 2)
-    s0, u, du, est = _shrink_until_valid(coeffs, side * 1.0e-3, SERIES_ORDER, rtol, atol,
-                                         abs(b), max(abs(b), 1.0))
-    rho0 = 1.0 + s0
+    # the series radius shrinks like b^{-(p-1)}; a b past float range, or
+    # whose valid offset is below one ulp of rho = 1, has no launch
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _lightcone_coeffs(b, params, SERIES_ORDER + 2)
+    rho0 = 1.0
+    if np.isfinite(coeffs).all():
+        s0, u, du, est = _shrink_until_valid(coeffs, side * 1.0e-3, SERIES_ORDER, rtol,
+                                             atol, abs(b), max(abs(b), 1.0))
+        rho0 = 1.0 + s0
+    if rho0 == 1.0:
+        raise SeriesRangeError(f"cone amplitude b={b:g} has no validated series launch "
+                               "offset off rho = 1")
     return SeriesStart(rho0=rho0, state=ProfileState(rho0, u, du), trunc_error_est=est)
 
 

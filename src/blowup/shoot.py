@@ -51,19 +51,14 @@ from . import diagnostics as _diag
 from .diagnostics import w_zero_locations
 
 __all__ = [
-    "MidpointImage",
     "MergedTrajectory",
     "ShootingResult",
     "SpectrumResult",
     "ShootingError",
     "SearchError",
-    "center_image",
-    "lightcone_image",
-    "mismatch",
     "find_solution",
     "iter_rows",
     "nodal_index",
-    "w_zero_locations",
     "spectrum",
     "constant_solution_result",
     "sample_curves",
@@ -87,17 +82,6 @@ class SearchError(ShootingError):
     def __init__(self, message: str, trace=None):
         super().__init__(message)
         self.trace = trace or []
-
-
-@dataclass(frozen=True)
-class MidpointImage:
-    """(u, du) of one shot at the matching radius."""
-
-    side: str          # "center" or "lightcone"
-    param: float       # c or b
-    rho_mid: float
-    u: float
-    du: float
 
 
 @dataclass(eq=False)
@@ -187,9 +171,8 @@ def _shot(side: str, param: float, rho_mid: float, params: ModelParams,
 class _ImageCache:
     """Memoized center shots u(0) = c and cone shots u(1) = b to rho_mid.
 
-    The one place a shot is integrated.  An instance lives for one Newton
-    solve, so _assemble reads the accepted pair back from it, dense output
-    and all, instead of integrating it again.
+    An instance lives for one Newton solve, so _assemble reads the accepted
+    pair back from it, dense output and all, instead of integrating it again.
     """
 
     def __init__(self, params: ModelParams, rho_mid: float, tol: Tolerances):
@@ -205,33 +188,11 @@ class _ImageCache:
             self._memo[key] = _shot(side, param, self.rho_mid, self.params, self.tol)
         return self._memo[key]
 
-    def __call__(self, side: str, param: float) -> MidpointImage:
-        st = self.shot(side, param).endpoint()
-        return MidpointImage(side, param, self.rho_mid, st.u, st.du)
-
     def F(self, c: float, b: float) -> np.ndarray:
         """Scaled two-component gap between the center and cone images."""
-        ic = self("center", c)
-        il = self("lightcone", b)
+        ic = self.shot("center", c).endpoint()
+        il = self.shot("lightcone", b).endpoint()
         return np.array([ic.u - il.u, (ic.du - il.du) / self.dscale])
-
-
-def center_image(c: float, rho_mid: float, params: ModelParams,
-                 tol: Tolerances = Tolerances()) -> MidpointImage:
-    """Image of the center launch u(0)=c at the matching radius."""
-    return _ImageCache(params, rho_mid, tol)("center", c)
-
-
-def lightcone_image(b: float, rho_mid: float, params: ModelParams,
-                    tol: Tolerances = Tolerances()) -> MidpointImage:
-    """Image of the light-cone launch u(1)=b at the matching radius."""
-    return _ImageCache(params, rho_mid, tol)("lightcone", b)
-
-
-def mismatch(c: float, b: float, rho_mid: float, params: ModelParams,
-             tol: Tolerances = Tolerances()) -> np.ndarray:
-    """Scaled two-component gap between the center and light-cone images."""
-    return _ImageCache(params, rho_mid, tol).F(c, b)
 
 
 # -- Newton refinement -------------------------------------------------------
@@ -386,10 +347,14 @@ def spectrum(n_max: int, params: ModelParams, tol: Tolerances = Tolerances(),
 def sample_curves(params: ModelParams, tol: Tolerances, rho_mid: float,
                   c_lo: float, c_hi: float, n_c: int,
                   b_lo: float, b_hi: float, n_b: int):
-    """(C0 images, C1 images) for plotting and curve export; b grid always
-    includes b_inf, whose image is the spiral limit point."""
+    """Rows (side, param, u_mid, du_mid) of C0 over a log c grid, then of C1
+    over a b grid that always includes b_inf, whose image is the spiral limit
+    point.  No curve keeps its trajectories."""
     cs = np.exp(np.linspace(math.log(c_lo), math.log(c_hi), n_c))
     bs = np.unique(np.append(np.linspace(b_lo, b_hi, n_b), params.b_inf))
-    # one cache per shot, so no curve keeps its trajectories
-    return ([center_image(c, rho_mid, params, tol) for c in cs],
-            [lightcone_image(b, rho_mid, params, tol) for b in bs])
+    rows = []
+    for side, grid in (("center", cs), ("lightcone", bs)):
+        for param in grid:
+            st = _shot(side, param, rho_mid, params, tol).endpoint()
+            rows.append((side, param, st.u, st.du))
+    return rows

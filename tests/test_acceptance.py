@@ -66,11 +66,11 @@ def test_criterion_03_deep_members_and_quotients(family, p7):
 
 def test_criterion_04_nodal_structure(family, p7, tol):
     for row in family.rows[:12]:
-        zs = shoot.w_zero_locations(row.trajectory, p7)
+        zs = diag.w_zero_locations(row.trajectory, p7)
         assert len(zs) == row.n + 1
         assert diag.phase_zero_count(row.trajectory, p7) == row.n + 1
     res0 = shoot.constant_solution_result(p7, tol)
-    zs0 = shoot.w_zero_locations(res0.trajectory, p7)
+    zs0 = diag.w_zero_locations(res0.trajectory, p7)
     assert len(zs0) == 1
     assert abs(zs0[0] - 1.0 / math.sqrt(2.0)) < 1e-9
     print(f"[criterion 04] PASS: zeros n+1 for n=1..12 (both counters), "

@@ -82,7 +82,17 @@ def test_invalid_exponent_is_usage_error(tmp_path):
              "rho_end 0.001 must exceed the center launch radius 0.001"),
             (("solve", "--rho-mid", "0.0005"),
              "rho_end 0.0005 must exceed the center launch radius 0.001"),
-            (("solve", "--rho-mid", "0.999"), "rho_end 0.999 is the cone launch radius")):
+            (("solve", "--rho-mid", "0.999"), "rho_end 0.999 is the cone launch radius"),
+            # amplitudes whose series launch leaves float range are named,
+            # not a traceback, a misread span or a numpy warning
+            (("curves", "--c-hi", "1e300", "--n-c", "2", "--n-b", "2"),
+             "center amplitude c=1e+300 is beyond the float range of the rescaled chart"),
+            (("curves", "--c-lo", "1e100", "--c-hi", "1e200", "--n-c", "2", "--n-b", "2"),
+             "center amplitude c=1e+100 is beyond the float range of the rescaled chart"),
+            (("curves", "--b-lo", "1", "--b-hi", "1e3", "--n-c", "2", "--n-b", "2"),
+             "cone amplitude b=1000 has no validated series launch offset off rho = 1"),
+            (("curves", "--b-lo", "1", "--b-hi", "1e10", "--n-c", "2", "--n-b", "2"),
+             "cone amplitude b=1e+10 has no validated series launch offset off rho = 1")):
         proc = subprocess.run([sys.executable, "-m", "blowup", *args],
                               capture_output=True, text=True)
         assert proc.returncode == 2

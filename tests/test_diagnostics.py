@@ -97,7 +97,7 @@ def test_critical_exponent_conserves_virial():
 
 def test_phase_count_agrees_with_sign_count(family, p7):
     for row in family.rows:
-        zs = shoot.w_zero_locations(row.trajectory, p7)
+        zs = diag.w_zero_locations(row.trajectory, p7)
         assert len(zs) == diag.phase_zero_count(row.trajectory, p7) == row.n + 1
 
 

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from blowup import integrate as integrate_module
-from blowup.integrate import Tolerances
-from blowup.model import derive_constants
+from blowup.diagnostics import w_zero_locations
+from blowup.integrate import Tolerances, center_trajectory, lightcone_trajectory
+from blowup.model import derive_constants, du_singular
 from blowup import shoot
 from blowup.shoot import (
     MISMATCH_ACCEPT,
-    center_image,
     constant_solution_result,
     find_solution,
-    lightcone_image,
-    mismatch,
     sample_curves,
-    w_zero_locations,
 )
 from reference_values import FAMILY_TABLE, ORACLES
 
@@ -23,8 +20,14 @@ from reference_values import FAMILY_TABLE, ORACLES
 def test_mismatch_at_tabulated_first_root(p7, tol):
     # the truncated reference values already sit on the matching curve
     c1, b1, _, _ = FAMILY_TABLE[1]
-    F = mismatch(c1, b1, 0.5, p7, tol)
+    ic = center_trajectory(c1, 0.5, p7, tol).endpoint()
+    il = lightcone_trajectory(b1, 0.5, p7, tol).endpoint()
+    F = (ic.u - il.u, (ic.du - il.du) / abs(du_singular(p7, 0.5)))
     assert np.hypot(*F) < 1e-5
+    # the production gap Newton drives to zero carries the same scaling
+    F_newton = shoot._ImageCache(p7, 0.5, tol).F(c1, b1)
+    assert np.hypot(*F_newton) < 1e-5
+    assert F_newton == pytest.approx(F, rel=1e-12, abs=1e-15)
 
 
 def test_constant_solution_through_pipeline(p7, tol):
@@ -91,7 +94,7 @@ def test_center_curve_spirals_into_limit_point(p7, tol):
     step = p7.ratio_c ** 2
     dists = []
     for c in (1e2, 1e2 * step, 1e2 * step**2):
-        img = center_image(c, 0.1, p7, tol)
+        img = center_trajectory(c, 0.1, p7, tol).endpoint()
         dists.append(np.hypot(img.u - target[0], (img.du - target[1]) / abs(target[1])))
     assert dists[0] > dists[1] > dists[2]
     for a, b in zip(dists[:-1], dists[1:]):
@@ -100,17 +103,20 @@ def test_center_curve_spirals_into_limit_point(p7, tol):
 
 
 def test_cone_curve_passes_through_limit_point(p7, tol):
-    img = lightcone_image(p7.b_inf, 0.1, p7, tol)
+    img = lightcone_trajectory(p7.b_inf, 0.1, p7, tol).endpoint()
     assert img.u == pytest.approx(ORACLES["u_inf_01"], rel=1e-9)
     assert img.du == pytest.approx(ORACLES["du_inf_01"], rel=1e-9)
 
 
 def test_sample_curves_includes_limit_amplitude(p7):
     tol = Tolerances(rtol=1e-10, atol=1e-12)
-    c_imgs, b_imgs = sample_curves(p7, tol, 0.1, 1.0, 10.0, 5, 0.1, 0.85, 6)
-    assert [im.side for im in c_imgs] == ["center"] * 5
-    assert any(im.param == p7.b_inf for im in b_imgs)
-    assert len(b_imgs) == 7   # the limit amplitude is spliced into the grid
+    rows = sample_curves(p7, tol, 0.1, 1.0, 10.0, 5, 0.1, 0.85, 6)
+    c_rows = [r for r in rows if r[0] == "center"]
+    b_rows = [r for r in rows if r[0] == "lightcone"]
+    assert rows == c_rows + b_rows   # C0 first, then C1
+    assert len(c_rows) == 5
+    assert any(param == p7.b_inf for _, param, _, _ in b_rows)
+    assert len(b_rows) == 7   # the limit amplitude is spliced into the grid
 
 
 def test_merged_trajectory_is_continuous(u1, p7):
@@ -263,14 +269,15 @@ def test_each_shot_is_integrated_once(p7, tol, monkeypatch):
         return drive(*args, **kwargs)
 
     shots = set()
-    read = shoot._ImageCache.__call__
+    read = shoot._ImageCache.F
 
-    def recorded(cache, side, param):
-        shots.add((cache, side, param))
-        return read(cache, side, param)
+    def recorded(cache, c, b):
+        shots.add((cache, "center", c))
+        shots.add((cache, "lightcone", b))
+        return read(cache, c, b)
 
     monkeypatch.setattr(integrate_module, "drive_ode", counted)
-    monkeypatch.setattr(shoot._ImageCache, "__call__", recorded)
+    monkeypatch.setattr(shoot._ImageCache, "F", recorded)
     assert find_solution(3, p7, tol).zeros == 4
     assert len(integrations) == len(shots) > 0
     integrations.clear()
