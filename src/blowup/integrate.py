@@ -12,17 +12,22 @@ with u = c U.  The plain equation in rho is the member c = 1; large center
 amplitudes use their own c, where the plain chart is ill-conditioned; the
 limit equation is stored with c = 1 as well.  Conversions are exact, and
 scaling by 1 leaves every digit of the plain chart unchanged.
+
+Large center shots share their inner part: in the chart of c a shot is the
+limit solution U0 up to terms of order mu x^2 = rho^2, so U0 is integrated
+once per (params, tol) and each shot integrates only from rho_s = sqrt(rtol).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams, ProfileState
-from .odecore import center_launch, center_launch_rescaled, chart_rhs, lightcone_launch
+from .odecore import center_launch, chart_rhs, lightcone_launch, limit_launch
 
 __all__ = [
     "Tolerances",
@@ -46,7 +51,7 @@ TERM_STEP_LIMIT = "step_limit"
 
 MAX_STEPS = 200_000       # accepted steps before an integration stops (step_limit)
 H_MIN = 1e-15             # step size below which it stops (step_underflow)
-RESCALE_THRESHOLD = 1e3   # stretch c^{(p-1)/2} above which center launches use the x-chart
+LIMIT_REACH = 1e16        # least end of the memoized limit solution U0 (limit's default)
 _RTOL_MIN = 100.0 * np.finfo(float).eps
 
 
@@ -220,7 +225,9 @@ def _step(rhs, t, u, du, f, h_abs, t_end, direction, rtol, atol):
         s1 = atol + max(abs(du), abs(du_new)) * rtol
         err5 = (e5_0 / s0) ** 2 + (e5_1 / s1) ** 2
         err3 = (e3_0 / s0) ** 2 + (e3_1 / s1) ** 2
-        err = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * 2.0) if err5 or err3 else 0.0
+        norm = math.sqrt((err5 + 0.01 * err3) * 2.0)
+        # scipy's 0/0 is nan, which rejects the step by the smallest factor
+        err = h_abs * err5 / norm if norm else math.nan if err3 else 0.0
         if err < 1.0:
             factor = min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT) if err else _MAX_FACTOR
             h_next = h_abs * (min(1.0, factor) if rejected else factor)
@@ -234,41 +241,80 @@ class _DenseOutput:
     """DOP853's interpolant on every step of one drive_ode run.  Its first
     call adds each step's 3 interpolant stages, from the generated
     _extra_stages, to the 13 kept ones (RHS calls made after drive_ode
-    returned) and builds the (step, 7, 2) coefficients.
+    returned) and builds the (step, 7, 2) coefficients and step sizes.
     Each point's step is chosen as in scipy's OdeSolution and summed in the
     order of its Dop853DenseOutput, so values are scipy's to the bit: shape
-    (2,) for a scalar t, (2, m) for m points."""
+    (2,) for a scalar t, (2, m) for m points.  A float t is summed on Python
+    floats, which round as numpy does, in a tenth of the time."""
 
     def __init__(self, rhs, t: np.ndarray, y: np.ndarray, stages: np.ndarray):
         self._pending, self._t, self._y, self._F = (rhs, stages), t, y, None
 
-    def __call__(self, tq):
-        if self._F is None:
-            (rhs, stages), t, y = self._pending, self._t, self._y
-            ts, ys = t.tolist(), y.tolist()            # K: (step, component, stage)
-            K = np.array([_extra_stages(rhs, ts[i], *ys[i], ts[i + 1] - ts[i], K0, K1)
-                          for i, (K0, K1) in enumerate(stages.tolist())])
-            h = np.diff(t)[:, None]
-            dy = np.diff(y, axis=0)
-            f_old, f_new = K[:, :, 0], K[:, :, _STAGES]
-            self._pending, self._h, self._F = None, h[:, 0], np.concatenate(
+    def _build(self) -> tuple[np.ndarray, np.ndarray]:
+        (rhs, stages), t, y = self._pending, self._t, self._y
+        ts, ys = t.tolist(), y.tolist()            # K: (step, component, stage)
+
+        def extra(i, K0, K1):
+            try:
+                return _extra_stages(rhs, ts[i], *ys[i], ts[i + 1] - ts[i], K0, K1)
+            except OverflowError:   # u**p left the float range: no finite interpolant
+                return K0 + [math.inf] * 3, K1 + [math.inf] * 3
+        K = np.array([extra(i, K0, K1) for i, (K0, K1) in enumerate(stages.tolist())])
+        h = np.diff(t)[:, None]
+        dy = np.diff(y, axis=0)
+        f_old, f_new = K[:, :, 0], K[:, :, _STAGES]
+        with np.errstate(invalid="ignore", over="ignore"):   # such steps read nan, as scipy's
+            return np.concatenate(
                 (np.stack((dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)), axis=1),
-                 h[:, :, None] * np.swapaxes(K @ _D.T, 1, 2)), axis=1)
-        t, tq = self._t, np.asarray(tq)
-        q = tq.ravel()
+                 h[:, :, None] * np.swapaxes(K @ _D.T, 1, 2)), axis=1), h[:, 0]
+
+    def coefficients(self) -> np.ndarray:
+        if self._F is None:
+            t = self._t
+            (self._F, self._h), self._pending = self._build(), None
+            # the nodes in the direction of integration (negation is exact)
+            self._sign = 1.0 if t[-1] >= t[0] else -1.0
+            self._keys = self._sign * t
+            self._lists = self._keys.tolist(), t.tolist(), self._h.tolist()
+        return self._F
+
+    def __call__(self, tq):
+        F = self.coefficients()
         # OdeSolution's step, clip(searchsorted(t, q) - 1, 0, steps - 1), read off
         # the interior nodes: an interior node goes to the step that ends there
-        if t[-1] >= t[0]:
-            seg = t[1:-1].searchsorted(q, side="left")
-        else:
-            seg = len(t) - 2 - t[-2:0:-1].searchsorted(q, side="right")
+        if isinstance(tq, float):
+            keys, ts, hs = self._lists
+            i = bisect.bisect_left(keys, self._sign * tq, 1, len(keys) - 1) - 1
+            x = (tq - ts[i]) / hs[i]
+            y0 = y1 = 0.0
+            for (f0, f1), m in zip(reversed(F[i].tolist()), (x, 1 - x) * 4):
+                y0, y1 = (y0 + f0) * m, (y1 + f1) * m
+            return np.array((y0, y1)) + self._y[i]
+        t, tq = self._t, np.asarray(tq)
+        q = tq.ravel()
+        seg = self._keys[1:-1].searchsorted(self._sign * q, side="left")
         x = ((q - t[seg]) / self._h[seg])[:, None]
         y = np.zeros((len(q), 2))
-        for i, f in enumerate(self._F[seg].transpose(1, 0, 2)[::-1]):
+        for i, f in enumerate(F[seg].transpose(1, 0, 2)[::-1]):
             y += f
             y *= x if i % 2 == 0 else 1 - x
         y += self._y[seg]
         return y[0] if tq.ndim == 0 else y.T
+
+
+class _Joined(_DenseOutput):
+    """A run's first k steps, the last cut where a second run starts, then
+    all of the second run's; each run builds its coefficients once."""
+
+    def __init__(self, head: _DenseOutput, k: int, tail: _DenseOutput):
+        self._parts, self._F = (head, k, tail), None
+        self._t = np.concatenate((head._t[:k], tail._t))
+        self._y = np.concatenate((head._y[:k], tail._y))
+
+    def _build(self) -> tuple[np.ndarray, np.ndarray]:
+        head, k, tail = self._parts
+        (F0, h0), (F1, h1) = (head.coefficients(), head._h), (tail.coefficients(), tail._h)
+        return np.concatenate((F0[:k], F1)), np.concatenate((h0[:k], h1))
 
 
 def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
@@ -449,13 +495,28 @@ def _past_center_launch(rho_end: float, stretch: float, x0: float) -> float:
     return rho_end * stretch
 
 
+_LIMIT_RUNS: dict = {}   # (params, tol) -> the limit solution U0
+
+
+def _limit_run(x: float, params: ModelParams, tol: Tolerances) -> Trajectory:
+    """U0 from limit_launch, integrated on the first center shot.  A run whose
+    last full step ends before x is replaced by one to max(x^2, LIMIT_REACH);
+    only a run's last step is cut to its end, so the steps a shot reads do
+    not depend on the order of the calls."""
+    run = _LIMIT_RUNS.get((params, tol))
+    if run is None or (run.t[-2] < x and run.termination == TERM_REACHED_END):
+        x0, U, dU, _ = limit_launch(params, tol.rtol, tol.atol)
+        run = _LIMIT_RUNS[params, tol] = integrate_limit(x0, U, dU, max(x * x, LIMIT_REACH),
+                                                         params, tol)
+    return run
+
+
 def center_trajectory(c: float, rho_end: float, params: ModelParams,
                       tol: Tolerances = Tolerances()) -> Trajectory:
-    """Series launch at the center followed by integration out to rho_end.
-
-    Launches whose stretch c^{(p-1)/2} exceeds RESCALE_THRESHOLD (c > 10
-    for p = 7) run in the x-chart, where the offset stays O(1), not 1/stretch.
-    """
+    """The center shot u(0) = c out to rho_end: a series launch in rho or, once
+    x_s = sqrt(rtol) c^{(p-1)/2} lies past the launch of the limit solution U0
+    (c > 10 for p = 7 at the default rtol), U0 up to x_s, its grid and dense
+    output read in the chart of c, then the exact rescaled equation."""
     if c <= 0.0:
         raise ValueError("center launches need c > 0")
     if not 0.0 < rho_end < 1.0:
@@ -464,12 +525,24 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
         raise ValueError(f"center amplitude c={c:g} is beyond the float range of the "
                          "rescaled chart")
     stretch = float(c) ** ((params.p - 1) / 2.0)
-    if stretch > RESCALE_THRESHOLD:
-        x0, U, dU, _ = center_launch_rescaled(c, params, tol.rtol, tol.atol)
-        x_end = _past_center_launch(rho_end, stretch, x0)
-        return integrate_rescaled(c, x0, U, dU, x_end, params, tol)
-    st = center_launch(c, params, tol.rtol, tol.atol).state
-    return integrate(st, _past_center_launch(rho_end, 1.0, st.rho), params, tol)
+    x_s = math.sqrt(tol.rtol) * stretch
+    u0 = _limit_run(x_s, params, tol)
+    if x_s <= u0.t[0]:
+        st = center_launch(c, params, tol.rtol, tol.atol).state
+        return integrate(st, _past_center_launch(rho_end, 1.0, st.rho), params, tol)
+    x_end = _past_center_launch(rho_end, stretch, u0.t[0])
+    # a rho_end inside rho_s ends the shot past U0's last node below it
+    x_join = x_s if x_s < x_end else u0.t[u0.t.searchsorted(x_end) - 1]
+    if x_join > u0.t[-2]:
+        raise ValueError(f"center amplitude c={c:g} needs the limit solution at x = "
+                         f"{x_join:.3g}, past its last full step at {u0.t[-2]:.3g} "
+                         f"({u0.termination})")
+    k = int(u0.t.searchsorted(x_join))         # U0's steps up to x_join
+    outer = integrate_rescaled(c, x_join, *u0.dense(x_join), x_end, params, tol)
+    if outer.dense is None:    # not one step from there: labeled by its termination
+        return outer
+    dense = _Joined(u0.dense, k, outer.dense)
+    return Trajectory(params, float(c), dense._t, dense._y.T, dense, outer.termination)
 
 
 def lightcone_trajectory(b: float, rho_end: float, params: ModelParams,

@@ -12,9 +12,11 @@ recurrence (multiply the equation by rho and collect powers)
                               + alpha(alpha+1) ] a_{m-1} - N_{m-1},
 
 where N_k are the coefficients of u^p and mu selects the chart: mu = 1 is
-the plain equation, mu = c^{-(p-1)} is the exact large-amplitude rescaling
-x = rho c^{(p-1)/2}, U = u/c (whose mu -> 0 member is the limit equation
-U'' + (2/x) U' + U^p = 0).
+the plain equation, mu = c^{-(p-1)} the exact large-amplitude rescaling
+x = rho c^{(p-1)/2}, U = u/c, and mu = 0 its limit equation
+U'' + (2/x) U' + U^p = 0.  Center shots launch from the series at mu = 1
+(center_launch) or, for large c, from the limit solution U0 that
+limit_launch starts (see integrate.center_trajectory).
 
 Light-cone chart.  With s = rho - 1 the analytic branch at the cone is
 u = b + b1 s + ..., indicial exponents 0 and (p-3)/(p-1), and the
@@ -48,7 +50,6 @@ __all__ = [
     "series_at_lightcone",
     "center_launch",
     "lightcone_launch",
-    "center_launch_rescaled",
     "limit_launch",
 ]
 
@@ -262,11 +263,8 @@ def lightcone_launch(b: float, params: ModelParams, rtol: float = 1e-12, atol: f
 
 def center_launch_rescaled(c: float, params: ModelParams, rtol: float = 1e-12,
                            atol: float = 1e-14) -> tuple[float, float, float, float]:
-    """Launch data (x0, U, dU, trunc_est) in the rescaled chart U(0) = 1.
-
-    Used for large c, where the plain chart's convergence radius collapses;
-    here the radius is O(1) uniformly because mu = c^{-(p-1)} <= 1.
-    """
+    """Launch data (x0, U, dU, trunc_est) in the rescaled chart U(0) = 1; no
+    shot starts here (large c start from U0), perfbench/tracing.py spans it."""
     return _center_launch(1.0, float(c) ** (-(params.p - 1)), 1.0e-3, params, rtol, atol)
 
 

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import DOP853, OdeSolution
 from scipy.integrate._ivp.rk import Dop853DenseOutput
 
-from blowup import asymptotics, integrate as integrate_module
+from blowup import asymptotics, cli, odecore, integrate as integrate_module
 from blowup.model import ProfileState, derive_constants, du_singular, u_singular
 from blowup.integrate import (
     TERM_BLEW_UP,
@@ -81,24 +81,84 @@ def test_cone_crossing_rejected(p7, tol):
         integrate(ProfileState(1.2, 0.5, 0.0), 0.8, p7, tol)
 
 
-def test_center_trajectory_charts_agree(p7, tol, monkeypatch):
-    # the same profile through the plain and rescaled paths; the stretch
-    # threshold c^3 > 1e3 routes c=9.9 plainly and c=10.1 through the x-chart
-    for c in (9.9, 10.1):
-        tr = center_trajectory(c, 0.6, p7, tol)
-        assert tr.termination == TERM_REACHED_END
+def test_center_trajectory_charts_agree(p7, tol):
+    # the same profile through the plain launch and the limit-solution start;
+    # the start x_s = sqrt(rtol) c^3 passes U0's launch radius 1e-3 at c = 10,
+    # so c = 9.9 launches plainly and c = 10.1 starts from U0
+    x0 = limit_launch(p7, tol.rtol, tol.atol)[0]
+    assert x0 == 1e-3 and math.sqrt(tol.rtol) * 10.0 ** 3 == pytest.approx(x0)
     lo = center_trajectory(9.9, 0.6, p7, tol)
     hi = center_trajectory(10.1, 0.6, p7, tol)
+    assert lo.termination == hi.termination == TERM_REACHED_END
     assert lo.c_scale == 1.0 and hi.c_scale == 10.1
-    # cross-check one amplitude through both charts explicitly
-    monkeypatch.setattr(integrate_module, "RESCALE_THRESHOLD", 1e9)
-    plain = center_trajectory(10.1, 0.6, p7, tol)
-    assert plain.c_scale == 1.0
-    rho = np.linspace(0.05, 0.6, 23)
+    # U0's grid up to x_s, then the rescaled run from x_s
+    x_s = math.sqrt(tol.rtol) * 10.1 ** 3
+    assert hi.t[0] == x0 and x_s in hi.t
+    # cross-check c = 10.1 against the plain launch, from just past its
+    # launch radius (1e-5 here, ten times rho_s) out
+    st = center_launch(10.1, p7, tol.rtol, tol.atol).state
+    plain = integrate(st, 0.6, p7, tol)
+    rho = np.append(np.linspace(0.05, 0.6, 23), np.geomspace(2e-5, 0.04, 9))
     u_a, du_a = hi.eval(rho)
     u_b, du_b = plain.eval(rho)
     assert np.max(np.abs(u_a - u_b) / np.abs(u_a)) < 1e-9
     assert np.max(np.abs(du_a - du_b) / (1.0 + np.abs(du_a))) < 1e-8
+
+
+def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsys):
+    # U0 is integrated on first use and regrown to x_s^2 when a shot's start
+    # x_s lies past its last full step; a shot reads only steps that do not
+    # depend on U0's end.  c = 2.12e7 starts at x_s = 9.5e15, inside the last
+    # step of the first run (to 1e16), which is cut to that end, so it regrows
+    # U0 first; c = 1e13 regrows it past where U0 stops (x = 3e62)
+    monkeypatch.setattr(integrate_module, "_LIMIT_RUNS", {})
+    runs = []
+
+    def shots():
+        grids = []
+        for c in (1e3, 2.12e7):
+            traj = center_trajectory(c, 0.5, p7, tol)
+            grids += [traj.t, traj.y]
+            runs.append(integrate_module._LIMIT_RUNS[p7, tol])
+        return grids
+
+    first = shots()
+    assert runs[0].t[-1] == integrate_module.LIMIT_REACH
+    assert runs[1].t[-1] == pytest.approx((1e-6 * 2.12e7 ** 3) ** 2)
+    center_trajectory(1e13, 0.5, p7, tol)
+    assert integrate_module._LIMIT_RUNS[p7, tol].termination == TERM_STEP_UNDERFLOW
+    again = shots()
+    assert cli.main(["limit"]) == 0
+    capsys.readouterr()
+    for a, b, c in zip(first, again, shots()):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("p, c", [(7, 6.3e22), (9, 1.9e19), (31, 54106772040.816696)])
+def test_shot_from_a_degenerate_limit_solution_stops_with_a_label(p, c, tol):
+    # near where U0 itself stops (step_underflow) its steps have lost their
+    # accuracy: an interpolant stage overflows (p = 9, 31), the error norm
+    # is 0/0 (p = 31) or the outer run takes no step (p = 7); the shot still
+    # comes back with a termination label, as the series launch did
+    traj = center_trajectory(c, 0.5, derive_constants(p), tol)
+    assert traj.termination in (TERM_REACHED_END, TERM_STEP_UNDERFLOW)
+
+
+@pytest.mark.parametrize("c", [13.87, 35.91, 1394.4, 54434.2])
+def test_large_c_image_matches_the_series_launch(c, p7, tol):
+    # the reference: the even series of the rescaled chart at U(0) = 1 and
+    # mu = c^{-(p-1)}, launched at its validated offset and integrated in x;
+    # the image at rho_mid = 0.5 agrees, scaled like Newton's F
+    mu = c ** -(p7.p - 1)
+    coeffs = odecore._center_coeffs(1.0, p7, SERIES_ORDER + 2, mu=mu)
+    x0, U, dU, _ = _shrink_until_valid(coeffs, 1e-3, SERIES_ORDER, tol.rtol, tol.atol,
+                                       1.0, 1.0)
+    stretch = c ** ((p7.p - 1) / 2.0)
+    ref = integrate_rescaled(c, x0, U, dU, 0.5 * stretch, p7, tol).endpoint()
+    new = center_trajectory(c, 0.5, p7, tol).endpoint()
+    assert new.rho == ref.rho
+    assert abs(new.u - ref.u) <= 1e-12
+    assert abs(new.du - ref.du) / abs(du_singular(p7, 0.5)) <= 1e-12
 
 
 def test_center_launch_bounds(p7, tol):
@@ -188,7 +248,8 @@ def test_tolerances_validation():
 
 def test_center_chart_routes_on_the_stretch_for_large_p(tol):
     # for p = 27 the plain-chart launch offset 0.02 c^{-13} at c = 10 falls
-    # under the minimum step; routing on c^{(p-1)/2} sends it to the x-chart
+    # under the minimum step; routing on c^{(p-1)/2} starts it from the limit
+    # solution in the chart of c
     p27 = derive_constants(27)
     for c in (5.0, 10.0):
         traj = center_trajectory(c, 0.999, p27, tol)
@@ -440,10 +501,18 @@ def test_tableau_is_scipys_bit_for_bit():
     assert m._MAIN == main and m._EXTRA == extra
 
 
+def _runs(dense):
+    """The dense outputs of single drive_ode runs behind a trajectory's."""
+    if isinstance(dense, integrate_module._Joined):
+        return [dense._parts[0], dense._parts[2]]
+    return [dense]
+
+
 def test_dense_output_is_scipys_bit_for_bit(oracle_shots):
     rng = np.random.default_rng(8)
-    for name, traj in oracle_shots.items():
-        t, y, dense = traj.t, traj.y, traj.dense
+    for name, dense in ((name, d) for name, traj in oracle_shots.items()
+                        for d in _runs(traj.dense)):
+        t, y = dense._t, dense._y.T
         assert (name == "cone b=0.7 inward") == (t[-1] < t[0]), name
         dense(t[0])                     # builds the coefficient array
         F = dense._F
@@ -455,9 +524,22 @@ def test_dense_output_is_scipys_bit_for_bit(oracle_shots):
         for q in (nodes, mids, rand, np.concatenate((rand, nodes[::-1], mids))):
             ours = dense(q)
             assert ours.shape == (2, len(q)) and np.array_equal(ours, ref(q)), name
-        for q in (*nodes, *mids, *rand[:50], float(rand[0])):
+        # scalars take the Python-float path, a 0-d array the array path;
+        # both span ends and an interior node as plain floats among them
+        ends = (float(t[0]), float(t[-1]), float(t[len(t) // 2]))
+        for q in (*nodes, *mids, *rand[:50], float(rand[0]), *ends, np.asarray(t[1])):
             ours = dense(q)
             assert ours.shape == (2,) and np.array_equal(ours, ref(q)), name
+    # a large-c centre shot: U0's first k steps, the last cut where the outer
+    # run starts, then the outer run; each point is its own run's value
+    joined = oracle_shots["x-chart c=1e4"].dense
+    head, k, tail = joined._parts
+    join = tail._t[0]
+    assert head._t[k - 1] < join <= head._t[k]
+    q = np.concatenate((np.geomspace(head._t[0], tail._t[-1], 200), [join]))
+    assert np.array_equal(joined(q), np.where(q <= join, head(q), tail(q)))
+    for x in (join, math.nextafter(join, math.inf), float(q[50]), float(q[150])):
+        assert np.array_equal(joined(x), (head if x <= join else tail)(x))
     # a node where the two steps meeting there disagree in the last bit (y[0]
     # + (y[1] - y[0]) != y[1]) shows which step OdeSolution's tie rule picks
     y = np.array([[1.0, 1e-17, 0.3], [2.0, -3e-17, 0.7]])

@@ -251,6 +251,37 @@ def test_quotient_seed_needs_few_centre_shots(p7, tol, monkeypatch):
             assert k <= 3, f"centre shots at n={row.n}"
 
 
+def test_large_c_centre_shots_take_a_flat_step_budget(p7, tol, monkeypatch):
+    # a centre shot that starts from the limit solution integrates only from
+    # x_s = sqrt(rtol) c^3 to rho_mid c^3, so its steps stop growing with ln c
+    # (a series launch at x = 1e-3 takes 423 steps to rho_mid at n = 12)
+    outer = {}
+    rescaled = integrate_module.integrate_rescaled
+
+    def counted(c, *args):
+        traj = rescaled(c, *args)
+        outer[c] = len(traj.t) - 1
+        return traj
+
+    monkeypatch.setattr(integrate_module, "integrate_rescaled", counted)
+    rows = shoot.spectrum(25, p7, tol).rows
+    assert [r.n for r in rows] == list(range(1, 26))
+    assert outer[rows[11].c] <= 160
+    assert max(outer.values()) <= 200
+
+
+@pytest.mark.parametrize("p", range(7, 32, 2))
+def test_loose_tolerance_rows_from_the_limit_solution(p, tol):
+    # at rtol 1e-8 centre shots with c^{(p-1)/2} > 10 start from U0 at
+    # rho_s = 1e-4; rows n <= 6 keep their zero counts and c_n
+    params = derive_constants(p)
+    loose = shoot.spectrum(6, params, Tolerances(rtol=1e-8, atol=1e-10)).rows
+    tight = shoot.spectrum(6, params, tol).rows
+    assert [r.zeros for r in loose] == [n + 2 for n in range(6)]
+    for lo, hi in zip(loose, tight):
+        assert lo.c == pytest.approx(hi.c, rel=5e-7), f"c at n={lo.n}"
+
+
 def test_root_with_wrong_zero_count_is_rejected(p7, tol, monkeypatch):
     # row 1 wants n + 1 = 2 zeros; the stub counts n + 2
     monkeypatch.setattr(shoot, "nodal_index", lambda traj, params: 3)
@@ -260,7 +291,10 @@ def test_root_with_wrong_zero_count_is_rejected(p7, tol, monkeypatch):
 
 def test_each_shot_is_integrated_once(p7, tol, monkeypatch):
     # every row assembles its accepted pair from the shots Newton already
-    # integrated, so the rows integrate exactly the distinct shots read
+    # integrated, so the rows integrate exactly the distinct shots read; the
+    # limit solution large-c shots start from is integrated on first use, so
+    # it is warmed first and the count does not depend on the test order
+    center_trajectory(1e3, 0.5, p7, tol)
     integrations = []
     drive = integrate_module.drive_ode
 
