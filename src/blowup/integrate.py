@@ -1,11 +1,11 @@
 """Adaptive integration of the profile equation with dense output.
 
 The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as
-scipy 1.17.1 steps it, on Python floats for the two-component systems (u, u')
-every caller integrates, in straight-line stage code that import generates
-from the module's tableau; numpy is the only import.  Step budget, minimum
-step size and termination reasons are explicit.  Dense output, built on first
-use from the kept stages, sums scipy's DOP853 interpolant bit for bit.
+scipy 1.17.1 steps it, on Python floats for the systems (u, u') every caller
+integrates (and the limit run below), in straight-line stage code that import
+generates from the module's tableau; numpy is the only import.  Step budget,
+minimum step size and termination reasons are explicit.  Dense output, built
+on first use from the kept stages, sums scipy's DOP853 interpolant bit for bit.
 
 Every trajectory lives in one chart family: (U, U') in x = rho c^{(p-1)/2}
 with u = c U.  The plain equation in rho is the member c = 1; large center
@@ -13,21 +13,24 @@ amplitudes use their own c, where the plain chart is ill-conditioned; the
 limit equation is stored with c = 1 as well.  Conversions are exact, and
 scaling by 1 leaves every digit of the plain chart unchanged.
 
-Large center shots share their inner part: in the chart of c a shot is the
-limit solution U0 up to terms of order mu x^2 = rho^2, so U0 is integrated
-once per (params, tol) and each shot integrates only from rho_s = sqrt(rtol).
+Large center shots share their inner part: in the chart of c a shot is
+U0 + mu U1, the limit solution and its first correction, up to terms of order
+(mu x^2)^2 = rho^4.  Both are integrated once per (params, tol), in one run of
+(U0, U0', U1, U1') with steps controlled on U0, and each shot integrates only
+from rho_s = rtol^{1/4}.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams, ProfileState
-from .odecore import center_launch, chart_rhs, lightcone_launch, limit_launch
+from .odecore import _limit_correction, center_launch, chart_rhs, lightcone_launch, limit_launch
 
 __all__ = [
     "Tolerances",
@@ -153,44 +156,53 @@ def _sum(row, k: str) -> str:
     return " + ".join(f"{a!r} * {k}{j}" for a, j in row)
 
 
-def _stage_lines(rows, first: int) -> list[str]:
-    return [f"    k0_{i}, k1_{i} = rhs(t + {c!r} * h, (u + ({_sum(row, 'k0_')}) * h, "
-            f"du + ({_sum(row, 'k1_')}) * h))" for i, (c, row) in enumerate(rows, first)]
+def _stage_lines(rows, first: int, n: int) -> list[str]:
+    return [f"    {_ks(n, i)} = rhs(t + {c!r} * h, ("
+            + ", ".join(f"y{m} + ({_sum(row, f'k{m}_')}) * h" for m in range(n)) + "))"
+            for i, (c, row) in enumerate(rows, first)]
 
 
-def _kernel():
-    """DOP853's stages as straight-line code, generated from the tableau at
-    import (as namedtuple builds its class), so a step runs no per-term loop:
-    each sum adds its row's nonzero terms left to right, in repr literals."""
-    k0, k1 = (", ".join(f"k{m}_{j}" for j in range(_STAGES + 1)) for m in (0, 1))
+def _ks(n: int, j) -> str:
+    return ", ".join(f"k{m}_{j}" for m in range(n))
+
+
+def _kernel(n: int):
+    """DOP853's stages for n components as straight-line code, generated from
+    the tableau at import (as namedtuple builds its class), so a step runs no
+    per-term loop: each sum adds its row's nonzero terms left to right, in repr
+    literals.  The error estimates are the first two components', (u, u')."""
+    y = ", ".join(f"y{m}" for m in range(n))
+    K = ", ".join(f"({', '.join(f'k{m}_{j}' for j in range(_STAGES + 1))})" for m in range(n))
     src = "\n".join([
-        "def _step_stages(rhs, t, u, du, h, t_new, k0_0, k1_0):", *_stage_lines(_MAIN, 1),
-        f"    u_new, du_new = u + h * ({_sum(_B, 'k0_')}), du + h * ({_sum(_B, 'k1_')})",
-        f"    k0_{_STAGES}, k1_{_STAGES} = rhs(t_new, (u_new, du_new))",
-        f"    return u_new, du_new, ({k0}), ({k1}), "
+        "def _step_stages(rhs, t, y, h, t_new, f):",
+        f"    {y}, = y", f"    {_ks(n, 0)}, = f", *_stage_lines(_MAIN, 1, n),
+        "    y_new = (" + ", ".join(f"y{m} + h * ({_sum(_B, f'k{m}_')})" for m in range(n)) + ",)",
+        f"    {_ks(n, _STAGES)}, = f_new = rhs(t_new, y_new)",
+        f"    return y_new, f_new, ({K}), "
         + ", ".join(_sum(row, f"k{m}_") for row in (_E5, _E3) for m in (0, 1)),
-        "def _extra_stages(rhs, t, u, du, h, K0, K1):",
-        f"    ({k0}), ({k1}) = K0, K1", *_stage_lines(_EXTRA, _STAGES + 1),
-        "    return [*K0, k0_13, k0_14, k0_15], [*K1, k1_13, k1_14, k1_15]"])
+        "def _extra_stages(rhs, t, y, h, K):",
+        f"    {y}, = y", f"    {K}, = K", *_stage_lines(_EXTRA, _STAGES + 1, n),
+        "    return " + ", ".join(f"(k{m}_13, k{m}_14, k{m}_15)" for m in range(n))])
     ns = {}
-    exec(compile(src, "<DOP853 kernel>", "exec"), ns)
+    exec(compile(src, f"<DOP853 kernel, {n} components>", "exec"), ns)
     return ns["_step_stages"], ns["_extra_stages"]
 
 
-_step_stages, _extra_stages = _kernel()
+# by number of components: (u, u'), and (U0, U0', U1, U1') of the limit run
+_KERNELS = {n: _kernel(n) for n in (2, 4)}
 
 
-def _initial_step(rhs, t, u, du, f, t_end, direction, rtol, atol) -> float:
-    """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4)."""
+def _initial_step(rhs, t, y, f, t_end, direction, rtol, atol) -> float:
+    """scipy's select_initial_step (Hairer, Norsett & Wanner, II.4) on (u, u')."""
     span = abs(t_end - t)
-    s0 = atol + abs(u) * rtol
-    s1 = atol + abs(du) * rtol
-    d0 = math.hypot(u / s0, du / s1) / math.sqrt(2.0)
+    s0 = atol + abs(y[0]) * rtol
+    s1 = atol + abs(y[1]) * rtol
+    d0 = math.hypot(y[0] / s0, y[1] / s1) / math.sqrt(2.0)
     d1 = math.hypot(f[0] / s0, f[1] / s1) / math.sqrt(2.0)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     hd = h0 * direction
     try:
-        g = rhs(t + hd, (u + hd * f[0], du + hd * f[1]))
+        g = rhs(t + hd, tuple(a + hd * b for a, b in zip(y, f)))
     except OverflowError:      # scipy's inf slope difference, which gives h = 0
         return 0.0
     d2 = math.hypot((g[0] - f[0]) / s0, (g[1] - f[1]) / s1) / math.sqrt(2.0) / h0
@@ -199,10 +211,10 @@ def _initial_step(rhs, t, u, du, f, t_end, direction, rtol, atol) -> float:
     return min(100.0 * h0, (0.01 / max(d1, d2)) ** (1.0 / 8.0), span)
 
 
-def _step(rhs, t, u, du, f, h_abs, t_end, direction, rtol, atol):
-    """One accepted step from (t, u, du), where rhs is f: sizes are tried with
-    the generated _step_stages until one passes.  Returns (t, u, du, f, next
-    h_abs, K0, K1) with the 13 stages of each component, or None below 10 ulp."""
+def _step(step_stages, rhs, t, y, f, h_abs, t_end, direction, rtol, atol):
+    """One accepted step from (t, y), where rhs is f: sizes are tried with
+    the generated step_stages until one passes.  Returns (t, y, f, next
+    h_abs, K) with the 13 stages of each component, or None below 10 ulp."""
     min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
     h_abs = max(h_abs, min_step)
     rejected = False
@@ -213,16 +225,15 @@ def _step(rhs, t, u, du, f, h_abs, t_end, direction, rtol, atol):
         h = t_new - t
         h_abs = abs(h)
         try:
-            u_new, du_new, K0, K1, e5_0, e5_1, e3_0, e3_1 = _step_stages(
-                rhs, t, u, du, h, t_new, *f)
+            y_new, f_new, K, e5_0, e5_1, e3_0, e3_1 = step_stages(rhs, t, y, h, t_new, f)
         except OverflowError:
             # u**p left the float range; there scipy's arrays hold inf and
             # its error norm rejects the step by the smallest factor
             h_abs *= _MIN_FACTOR
             rejected = True
             continue
-        s0 = atol + max(abs(u), abs(u_new)) * rtol
-        s1 = atol + max(abs(du), abs(du_new)) * rtol
+        s0 = atol + max(abs(y[0]), abs(y_new[0])) * rtol
+        s1 = atol + max(abs(y[1]), abs(y_new[1])) * rtol
         err5 = (e5_0 / s0) ** 2 + (e5_1 / s1) ** 2
         err3 = (e3_0 / s0) ** 2 + (e3_1 / s1) ** 2
         norm = math.sqrt((err5 + 0.01 * err3) * 2.0)
@@ -231,7 +242,7 @@ def _step(rhs, t, u, du, f, h_abs, t_end, direction, rtol, atol):
         if err < 1.0:
             factor = min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT) if err else _MAX_FACTOR
             h_next = h_abs * (min(1.0, factor) if rejected else factor)
-            return t_new, u_new, du_new, (K0[-1], K1[-1]), h_next, K0, K1
+            return t_new, y_new, f_new, h_next, K
         h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
         rejected = True
     return None
@@ -241,11 +252,11 @@ class _DenseOutput:
     """DOP853's interpolant on every step of one drive_ode run.  Its first
     call adds each step's 3 interpolant stages, from the generated
     _extra_stages, to the 13 kept ones (RHS calls made after drive_ode
-    returned) and builds the (step, 7, 2) coefficients and step sizes.
+    returned) and builds the (step, 7, n) coefficients and step sizes.
     Each point's step is chosen as in scipy's OdeSolution and summed in the
     order of its Dop853DenseOutput, so values are scipy's to the bit: shape
-    (2,) for a scalar t, (2, m) for m points.  A float t is summed on Python
-    floats, which round as numpy does, in a tenth of the time."""
+    (n,) for a scalar t, (n, m) for m points.  A float t, for n = 2 only, is
+    summed on Python floats, which round as numpy does, in a tenth of the time."""
 
     def __init__(self, rhs, t: np.ndarray, y: np.ndarray, stages: np.ndarray):
         self._pending, self._t, self._y, self._F = (rhs, stages), t, y, None
@@ -254,12 +265,13 @@ class _DenseOutput:
         (rhs, stages), t, y = self._pending, self._t, self._y
         ts, ys = t.tolist(), y.tolist()            # K: (step, component, stage)
 
-        def extra(i, K0, K1):
+        def extra(i, k):
             try:
-                return _extra_stages(rhs, ts[i], *ys[i], ts[i + 1] - ts[i], K0, K1)
+                return _KERNELS[len(k)][1](rhs, ts[i], ys[i], ts[i + 1] - ts[i], k)
             except OverflowError:   # u**p left the float range: no finite interpolant
-                return K0 + [math.inf] * 3, K1 + [math.inf] * 3
-        K = np.array([extra(i, K0, K1) for i, (K0, K1) in enumerate(stages.tolist())])
+                return [(math.inf,) * 3] * len(k)
+        K = np.concatenate((stages, [extra(i, k) for i, k in enumerate(stages.tolist())]),
+                           axis=2)
         h = np.diff(t)[:, None]
         dy = np.diff(y, axis=0)
         f_old, f_new = K[:, :, 0], K[:, :, _STAGES]
@@ -294,7 +306,7 @@ class _DenseOutput:
         q = tq.ravel()
         seg = self._keys[1:-1].searchsorted(self._sign * q, side="left")
         x = ((q - t[seg]) / self._h[seg])[:, None]
-        y = np.zeros((len(q), 2))
+        y = np.zeros((len(q), F.shape[2]))
         for i, f in enumerate(F[seg].transpose(1, 0, 2)[::-1]):
             y += f
             y *= x if i % 2 == 0 else 1 - x
@@ -303,66 +315,71 @@ class _DenseOutput:
 
 
 class _Joined(_DenseOutput):
-    """A run's first k steps, the last cut where a second run starts, then
-    all of the second run's; each run builds its coefficients once."""
+    """U0 + mu U1 on the first k steps of the limit run (U0, U0', U1, U1'),
+    nodes y0 + mu y1 and coefficients F0 + mu F1, the last step cut where an
+    outer run starts, then all of the outer run's; each run builds its
+    coefficients once."""
 
-    def __init__(self, head: _DenseOutput, k: int, tail: _DenseOutput):
-        self._parts, self._F = (head, k, tail), None
-        self._t = np.concatenate((head._t[:k], tail._t))
-        self._y = np.concatenate((head._y[:k], tail._y))
+    def __init__(self, run: _DenseOutput, mu: float, k: int, tail: _DenseOutput):
+        self._parts, self._F = (run, mu, k, tail), None
+        self._t = np.concatenate((run._t[:k], tail._t))
+        self._y = np.concatenate((run._y[:k, :2] + mu * run._y[:k, 2:], tail._y))
 
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
-        head, k, tail = self._parts
-        (F0, h0), (F1, h1) = (head.coefficients(), head._h), (tail.coefficients(), tail._h)
-        return np.concatenate((F0[:k], F1)), np.concatenate((h0[:k], h1))
+        run, mu, k, tail = self._parts
+        F = run.coefficients()[:k]
+        return (np.concatenate((F[:, :, :2] + mu * F[:, :, 2:], tail.coefficients())),
+                np.concatenate((run._h[:k], tail._h)))
 
 
 def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
               blow_cap: float | None = None, store_dense: bool = True):
     """Step rhs from t0 to t_end; returns (t, y, dense, termination).
 
-    y0 holds the two components (u, u'); rhs(t, (u, du)) gets a tuple of
-    floats and returns the pair (u', u'').  t is the accepted-step grid
-    (monotone), y has shape (2, len(t)), dense is a _DenseOutput (callable
-    on t, scipy-free) holding the 13 stages of every step in one float64
-    array, or None without store_dense or a step.  Stops early on |y[0]| >
-    blow_cap, a step below H_MIN, or MAX_STEPS accepted steps.
+    y0 holds (u, u') or (u, u', v, v'), with the step size controlled on
+    (u, u'); rhs(t, y) gets a tuple of floats and returns their derivatives.
+    t is the accepted-step grid (monotone), y has shape (len(y0), len(t)),
+    dense is a _DenseOutput (callable on t, scipy-free) holding the 13 stages
+    of every step in one float64 array, or None without store_dense or a
+    step.  Stops early on |y[0]| > blow_cap, a step below H_MIN, or MAX_STEPS
+    accepted steps.
     """
     if t_end == t0:
         raise ValueError("empty integration span")
-    if len(y0) != 2:
-        raise ValueError(f"drive_ode integrates 2 components, got {len(y0)}")
-    t, u, du = float(t0), float(y0[0]), float(y0[1])
+    if len(y0) not in _KERNELS:
+        raise ValueError(f"drive_ode integrates 2 or 4 components, got {len(y0)}")
+    step_stages = _KERNELS[len(y0)][0]
+    t, y = float(t0), tuple(float(v) for v in y0)
     direction = 1.0 if t_end > t0 else -1.0
     try:
-        f = rhs(t, (u, du))
+        f = rhs(t, y)
     except OverflowError:      # the start is past the float range: no step
-        return np.array([t]), np.array([[u], [du]]), None, TERM_STEP_UNDERFLOW
-    h_abs = _initial_step(rhs, t, u, du, f, t_end, direction, tol.rtol, tol.atol)
-    ts, ys, stages = [t], [(u, du)], []
+        return np.array([t]), np.array(y)[:, None], None, TERM_STEP_UNDERFLOW
+    h_abs = _initial_step(rhs, t, y, f, t_end, direction, tol.rtol, tol.atol)
+    ts, ys, stages = [t], [y], array("d")
     termination = TERM_REACHED_END
     while direction * (t - t_end) < 0:
         if len(ts) > MAX_STEPS:
             termination = TERM_STEP_LIMIT
             break
-        step = _step(rhs, t, u, du, f, h_abs, t_end, direction, tol.rtol, tol.atol)
+        step = _step(step_stages, rhs, t, y, f, h_abs, t_end, direction, tol.rtol, tol.atol)
         if step is None:
             termination = TERM_STEP_UNDERFLOW
             break
-        t, u, du, f, h_abs, K0, K1 = step
+        t, y, f, h_abs, K = step
         if store_dense:
-            stages += K0
-            stages += K1
+            for k in K:
+                stages.extend(k)
         ts.append(t)
-        ys.append((u, du))
-        if blow_cap is not None and abs(u) > blow_cap:
+        ys.append(y)
+        if blow_cap is not None and abs(y[0]) > blow_cap:
             termination = TERM_BLEW_UP
             break
         if h_abs < H_MIN:
             termination = TERM_STEP_UNDERFLOW
             break
     t, y = np.array(ts), np.array(ys)
-    K = np.array(stages).reshape(-1, 2, _STAGES + 1)   # (step, component, stage)
+    K = np.frombuffer(stages).reshape(-1, len(y0), _STAGES + 1)   # (step, component, stage)
     return t, y.T, _DenseOutput(rhs, t, y, K) if stages else None, termination
 
 
@@ -495,28 +512,44 @@ def _past_center_launch(rho_end: float, stretch: float, x0: float) -> float:
     return rho_end * stretch
 
 
-_LIMIT_RUNS: dict = {}   # (params, tol) -> the limit solution U0
+_LIMIT_RUNS: dict = {}   # (params, tol) -> (U0, U0', U1, U1') of the limit solution
+
+
+def _limit_rhs(params: ModelParams):
+    """The limit equation and the equation of U1 = dU/dmu at mu = 0,
+    U1'' = -2U1'/x - p U0^{p-1} U1 + aa1 U0 + 2 alpha x U0' - x^2 U0^p."""
+    p, aa1, two_al, limit = params.p, params.aa1, 2.0 * params.alpha, chart_rhs(params, 0.0)
+
+    def rhs(t, y):
+        u, du, v, dv = y
+        upm = u ** (p - 1)
+        return (*limit(t, (u, du)), dv,
+                aa1 * u + two_al * t * du - t * t * upm * u - 2.0 * dv / t - p * upm * v)
+    return rhs
 
 
 def _limit_run(x: float, params: ModelParams, tol: Tolerances) -> Trajectory:
-    """U0 from limit_launch, integrated on the first center shot.  A run whose
-    last full step ends before x is replaced by one to max(x^2, LIMIT_REACH);
-    only a run's last step is cut to its end, so the steps a shot reads do
-    not depend on the order of the calls."""
+    """U0 from limit_launch with U1 from its series at the same x0, integrated
+    on the first center shot with steps controlled on U0, so they are
+    integrate_limit's.  A run whose last full step ends before x is replaced
+    by one to max(x^2, LIMIT_REACH); only a run's last step is cut to its
+    end, so the steps a shot reads do not depend on the order of the calls."""
     run = _LIMIT_RUNS.get((params, tol))
     if run is None or (run.t[-2] < x and run.termination == TERM_REACHED_END):
         x0, U, dU, _ = limit_launch(params, tol.rtol, tol.atol)
-        run = _LIMIT_RUNS[params, tol] = integrate_limit(x0, U, dU, max(x * x, LIMIT_REACH),
-                                                         params, tol)
+        t, y, dense, term = drive_ode(_limit_rhs(params), x0,
+                                      (U, dU, *_limit_correction(x0, params)),
+                                      max(x * x, LIMIT_REACH), tol, 1.0e3)
+        run = _LIMIT_RUNS[params, tol] = Trajectory(params, 1.0, t, y, dense, term)
     return run
 
 
 def center_trajectory(c: float, rho_end: float, params: ModelParams,
                       tol: Tolerances = Tolerances()) -> Trajectory:
     """The center shot u(0) = c out to rho_end: a series launch in rho or, once
-    x_s = sqrt(rtol) c^{(p-1)/2} lies past the launch of the limit solution U0
-    (c > 10 for p = 7 at the default rtol), U0 up to x_s, its grid and dense
-    output read in the chart of c, then the exact rescaled equation."""
+    x_s = rtol^{1/4} c^{(p-1)/2} lies past the launch of the limit solution U0
+    (c > 1 for p = 7 at the default rtol), U0 + mu U1 on U0's grid up to x_s,
+    read in the chart of c, then the exact rescaled equation from there."""
     if c <= 0.0:
         raise ValueError("center launches need c > 0")
     if not 0.0 < rho_end < 1.0:
@@ -525,23 +558,26 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
         raise ValueError(f"center amplitude c={c:g} is beyond the float range of the "
                          "rescaled chart")
     stretch = float(c) ** ((params.p - 1) / 2.0)
-    x_s = math.sqrt(tol.rtol) * stretch
-    u0 = _limit_run(x_s, params, tol)
-    if x_s <= u0.t[0]:
+    x_s = math.sqrt(math.sqrt(tol.rtol)) * stretch
+    run = _limit_run(x_s, params, tol)
+    if x_s <= run.t[0]:
         st = center_launch(c, params, tol.rtol, tol.atol).state
         return integrate(st, _past_center_launch(rho_end, 1.0, st.rho), params, tol)
-    x_end = _past_center_launch(rho_end, stretch, u0.t[0])
-    # a rho_end inside rho_s ends the shot past U0's last node below it
-    x_join = x_s if x_s < x_end else u0.t[u0.t.searchsorted(x_end) - 1]
-    if x_join > u0.t[-2]:
+    x_end = _past_center_launch(rho_end, stretch, x_s)
+    # U0's reach: its last full step, or its last node before it turns
+    # nonpositive, which the true U0 never does
+    bad = np.flatnonzero(run.y[0, :-1] <= 0.0)
+    reach = run.t[bad[0] - 1] if bad.size else run.t[-2]
+    if x_s > reach:
+        why = "positive node" if bad.size else f"full step ({run.termination})"
         raise ValueError(f"center amplitude c={c:g} needs the limit solution at x = "
-                         f"{x_join:.3g}, past its last full step at {u0.t[-2]:.3g} "
-                         f"({u0.termination})")
-    k = int(u0.t.searchsorted(x_join))         # U0's steps up to x_join
-    outer = integrate_rescaled(c, x_join, *u0.dense(x_join), x_end, params, tol)
+                         f"{x_s:.3g}, past its last {why} at {reach:.3g}")
+    mu = float(c) ** (-(params.p - 1))
+    U0, dU0, U1, dU1 = run.dense(np.asarray(x_s))
+    outer = integrate_rescaled(c, x_s, U0 + mu * U1, dU0 + mu * dU1, x_end, params, tol)
     if outer.dense is None:    # not one step from there: labeled by its termination
         return outer
-    dense = _Joined(u0.dense, k, outer.dense)
+    dense = _Joined(run.dense, mu, int(run.t.searchsorted(x_s)), outer.dense)
     return Trajectory(params, float(c), dense._t, dense._y.T, dense, outer.termination)
 
 

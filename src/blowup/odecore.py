@@ -15,8 +15,9 @@ where N_k are the coefficients of u^p and mu selects the chart: mu = 1 is
 the plain equation, mu = c^{-(p-1)} the exact large-amplitude rescaling
 x = rho c^{(p-1)/2}, U = u/c, and mu = 0 its limit equation
 U'' + (2/x) U' + U^p = 0.  Center shots launch from the series at mu = 1
-(center_launch) or, for large c, from the limit solution U0 that
-limit_launch starts (see integrate.center_trajectory).
+(center_launch) or, for large c, start from U0 + mu U1: the limit solution
+U0 that limit_launch starts and its first correction U1 = dU/dmu at mu = 0,
+whose series _limit_correction sums (see integrate.center_trajectory).
 
 Light-cone chart.  With s = rho - 1 the analytic branch at the cone is
 u = b + b1 s + ..., indicial exponents 0 and (p-3)/(p-1), and the
@@ -273,3 +274,16 @@ def limit_launch(params: ModelParams, rtol: float = 1e-12,
     """Launch data (x0, U, dU, trunc_est) for the infinite-amplitude limit
     equation U'' + (2/x)U' + U^p = 0, normalized to U(0) = 1."""
     return _center_launch(1.0, 0.0, 1.0e-3, params, rtol, atol)
+
+
+def _limit_correction(x: float, params: ModelParams) -> tuple[float, float]:
+    """(U1, U1') at x for U1 = dU/dmu at mu = 0, the first correction to the
+    limit solution: the mu-derivative of the center recurrence at U(0) = 1,
+    whose nonlinear term is p (U0^{p-1} U1)_k; U1 = (aa1/6) x^2 + O(x^4)."""
+    p, tt = params.p, 2.0 + 2.0 * params.alpha
+    a, b = _center_coeffs(1.0, params, SERIES_ORDER, mu=0.0), np.zeros(SERIES_ORDER + 1)
+    for m in range(1, SERIES_ORDER, 2):
+        n = p * np.convolve(_pow_coeffs(a, p - 1, m - 1), b)[m - 1]
+        b[m + 1] = (((m - 1) * (m - 2) + tt * (m - 1) + params.aa1) * a[m - 1] - n) / (
+            (m + 1) * (m + 2))
+    return _eval_poly(b, x)

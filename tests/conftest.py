@@ -34,10 +34,10 @@ def u1(family):
 
 @pytest.fixture(scope="session")
 def oracle_shots(p7, tol):
-    """An ascending center shot, a large-c center shot (the limit solution's
-    run joined to an x-chart run), a descending cone shot and an outward
-    cone shot: the cases the dense output and the root finder are checked
-    on against scipy."""
+    """Two ascending center shots (the limit solution and its first
+    correction on their run's steps, joined to an x-chart run), a descending
+    cone shot and an outward cone shot: the cases the dense output and the
+    root finder are checked on against scipy."""
     return {"center c=2": center_trajectory(2.0, 0.5, p7, tol),
             "x-chart c=1e4": center_trajectory(1e4, 0.5, p7, tol),
             "cone b=0.7 inward": lightcone_trajectory(0.7, 0.5, p7, tol),

@@ -89,10 +89,15 @@ def test_invalid_exponent_is_usage_error(tmp_path):
              "center amplitude c=1e+300 is beyond the float range of the rescaled chart"),
             (("curves", "--c-lo", "1e100", "--c-hi", "1e200", "--n-c", "2", "--n-b", "2"),
              "center amplitude c=1e+100 is beyond the float range of the rescaled chart"),
-            # past the reach of the limit solution large-c shots start from
+            # past the reach of the limit solution large-c shots start from:
+            # the integrated U0 turns nonpositive at x = 1.42e61, before its
+            # last full step at 3.05e62
             (("curves", "--c-lo", "2", "--c-hi", "1e30", "--n-c", "2", "--n-b", "2"),
-             "center amplitude c=1e+30 needs the limit solution at x = 1e+84, past its "
-             "last full step at 3.05e+62 (step_underflow)"),
+             "center amplitude c=1e+30 needs the limit solution at x = 1e+87, past its "
+             "last positive node at 1.12e+61"),
+            (("curves", "--c-lo", "2", "--c-hi", "5e21", "--n-c", "2", "--n-b", "2"),
+             "center amplitude c=5e+21 needs the limit solution at x = 1.25e+62, past its "
+             "last positive node at 1.12e+61"),
             (("curves", "--b-lo", "1", "--b-hi", "1e3", "--n-c", "2", "--n-b", "2"),
              "cone amplitude b=1000 has no validated series launch offset off rho = 1"),
             (("curves", "--b-lo", "1", "--b-hi", "1e10", "--n-c", "2", "--n-b", "2"),

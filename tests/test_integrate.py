@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,22 +84,22 @@ def test_cone_crossing_rejected(p7, tol):
 
 def test_center_trajectory_charts_agree(p7, tol):
     # the same profile through the plain launch and the limit-solution start;
-    # the start x_s = sqrt(rtol) c^3 passes U0's launch radius 1e-3 at c = 10,
-    # so c = 9.9 launches plainly and c = 10.1 starts from U0
+    # the start x_s = rtol^{1/4} c^3 passes U0's launch radius 1e-3 at c = 1,
+    # so c = 0.99 launches plainly and c = 1.01 starts from U0 + mu U1
     x0 = limit_launch(p7, tol.rtol, tol.atol)[0]
-    assert x0 == 1e-3 and math.sqrt(tol.rtol) * 10.0 ** 3 == pytest.approx(x0)
-    lo = center_trajectory(9.9, 0.6, p7, tol)
-    hi = center_trajectory(10.1, 0.6, p7, tol)
+    assert x0 == 1e-3 and tol.rtol ** 0.25 * 1.0 ** 3 == pytest.approx(x0)
+    lo = center_trajectory(0.99, 0.6, p7, tol)
+    hi = center_trajectory(1.01, 0.6, p7, tol)
     assert lo.termination == hi.termination == TERM_REACHED_END
-    assert lo.c_scale == 1.0 and hi.c_scale == 10.1
-    # U0's grid up to x_s, then the rescaled run from x_s
-    x_s = math.sqrt(tol.rtol) * 10.1 ** 3
+    assert lo.c_scale == 1.0 and hi.c_scale == 1.01
+    # U0 + mu U1 on U0's grid up to x_s, then the rescaled run from x_s
+    x_s = math.sqrt(math.sqrt(tol.rtol)) * 1.01 ** 3
     assert hi.t[0] == x0 and x_s in hi.t
-    # cross-check c = 10.1 against the plain launch, from just past its
-    # launch radius (1e-5 here, ten times rho_s) out
-    st = center_launch(10.1, p7, tol.rtol, tol.atol).state
+    # cross-check c = 1.01 against the plain launch, from just past its
+    # launch radius (1e-3 here, as rho_s) out, and on U0's grid below it
+    st = center_launch(1.01, p7, tol.rtol, tol.atol).state
     plain = integrate(st, 0.6, p7, tol)
-    rho = np.append(np.linspace(0.05, 0.6, 23), np.geomspace(2e-5, 0.04, 9))
+    rho = np.append(np.linspace(0.05, 0.6, 23), np.geomspace(2e-3, 0.04, 9))
     u_a, du_a = hi.eval(rho)
     u_b, du_b = plain.eval(rho)
     assert np.max(np.abs(u_a - u_b) / np.abs(u_a)) < 1e-9
@@ -106,25 +107,29 @@ def test_center_trajectory_charts_agree(p7, tol):
 
 
 def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsys):
-    # U0 is integrated on first use and regrown to x_s^2 when a shot's start
-    # x_s lies past its last full step; a shot reads only steps that do not
-    # depend on U0's end.  c = 2.12e7 starts at x_s = 9.5e15, inside the last
-    # step of the first run (to 1e16), which is cut to that end, so it regrows
-    # U0 first; c = 1e13 regrows it past where U0 stops (x = 3e62)
+    # U0 and U1 are integrated on first use and regrown to x_s^2 when a
+    # shot's start x_s lies past their last full step; a shot reads only steps
+    # that do not depend on the run's end.  c = 2.12e6 starts at x_s =
+    # 9.5e15, inside the last step of the first run (to 1e16), which is cut to
+    # that end, so it regrows the run first; c = 1e13 regrows it past where U0
+    # stops (x = 3e62)
     monkeypatch.setattr(integrate_module, "_LIMIT_RUNS", {})
     runs = []
 
     def shots():
-        grids = []
-        for c in (1e3, 2.12e7):
+        read = []
+        for c in (1e3, 2.12e6):
             traj = center_trajectory(c, 0.5, p7, tol)
-            grids += [traj.t, traj.y]
+            run, _, k, _ = traj.dense._parts
+            # the shot, and the steps of U0 and U1 it reads with their interpolant
+            read += [traj.t, traj.y, run._t[:k + 1], run._y[:k + 1],
+                     run.coefficients()[:k], traj.dense.coefficients()]
             runs.append(integrate_module._LIMIT_RUNS[p7, tol])
-        return grids
+        return read
 
     first = shots()
     assert runs[0].t[-1] == integrate_module.LIMIT_REACH
-    assert runs[1].t[-1] == pytest.approx((1e-6 * 2.12e7 ** 3) ** 2)
+    assert runs[1].t[-1] == pytest.approx((1e-3 * 2.12e6 ** 3) ** 2)
     center_trajectory(1e13, 0.5, p7, tol)
     assert integrate_module._LIMIT_RUNS[p7, tol].termination == TERM_STEP_UNDERFLOW
     again = shots()
@@ -132,33 +137,96 @@ def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsy
     capsys.readouterr()
     for a, b, c in zip(first, again, shots()):
         assert np.array_equal(a, b) and np.array_equal(a, c)
+    # U0's components are integrate_limit's run to the bit: U1 rides along
+    # without moving a step
+    run = integrate_module._LIMIT_RUNS[p7, tol]
+    x0, U, dU, _ = limit_launch(p7, tol.rtol, tol.atol)
+    end = (math.sqrt(math.sqrt(tol.rtol)) * 1e13 ** 3.0) ** 2
+    alone = integrate_module.integrate_limit(x0, U, dU, end, p7, tol)
+    assert np.array_equal(alone.t, run.t) and np.array_equal(alone.y, run.y[:2])
 
 
-@pytest.mark.parametrize("p, c", [(7, 6.3e22), (9, 1.9e19), (31, 54106772040.816696)])
+@pytest.mark.parametrize("p, c", [(9, 1.9e19), (31, 1.43e10), (31, 3.08e10)],
+                         ids=["9-1.9e+19", "31-1.43e+10", "31-3.08e+10"])
 def test_shot_from_a_degenerate_limit_solution_stops_with_a_label(p, c, tol):
-    # near where U0 itself stops (step_underflow) its steps have lost their
-    # accuracy: an interpolant stage overflows (p = 9, 31), the error norm
-    # is 0/0 (p = 31) or the outer run takes no step (p = 7); the shot still
-    # comes back with a termination label, as the series launch did
+    # within U0's reach but near it the shots have lost their accuracy: an
+    # interpolant stage overflows (p = 9), the error norm is 0/0 (p = 31,
+    # c = 1.43e10) or the outer run takes no step (p = 31, c = 3.08e10); the
+    # shot still comes back with a termination label, as the series launch did
     traj = center_trajectory(c, 0.5, derive_constants(p), tol)
     assert traj.termination in (TERM_REACHED_END, TERM_STEP_UNDERFLOW)
+    if traj.dense is not None:
+        traj.dense.coefficients()
+
+
+def test_shots_past_the_reach_of_the_limit_solution_are_named(p7, tol):
+    # the integrated U0 first turns nonpositive near x = 1.4e61 at p = 7
+    # (the true U0 is positive), before it stops at 3e62: its reach ends at
+    # the last node before that
+    run = integrate_module._limit_run(1e70, p7, tol)
+    first = int(np.flatnonzero(run.y[0] <= 0.0)[0])
+    assert first < len(run.t) - 2 and run.t[first] == pytest.approx(1.42e61, rel=0.01)
+    reach = run.t[first - 1]
+    c_max = (reach / tol.rtol ** 0.25) ** (1.0 / 3.0)
+    assert center_trajectory(0.999 * c_max, 0.5, p7, tol).dense is not None
+    with pytest.raises(ValueError, match=re.escape(f"past its last positive node at {reach:.3g}")):
+        center_trajectory(1.001 * c_max, 0.5, p7, tol)
+
+
+def _tight_shot(c, p7, x_end):
+    """The x-chart series launch at U(0) = 1 and mu = c^{-(p-1)}, integrated
+    at rtol 3e-14 and atol 1e-40 to x_end."""
+    tight = Tolerances(rtol=3e-14, atol=1e-40)
+    coeffs = odecore._center_coeffs(1.0, p7, SERIES_ORDER + 2, mu=c ** -(p7.p - 1))
+    x0, U, dU, _ = _shrink_until_valid(coeffs, 1e-3, SERIES_ORDER, tight.rtol, tight.atol,
+                                       1.0, 1.0)
+    return integrate_rescaled(c, x0, U, dU, x_end, p7, tight)
+
+
+@pytest.mark.parametrize("c", [13.87, 35.91, 1394.4])
+def test_large_c_start_is_the_limit_solution_and_its_first_correction(c, p7, tol):
+    # U0 + mu U1 at x_s, where the outer run starts, against the x-chart
+    # series launch integrated there, scaled like Newton's F (u, and u' over
+    # |u_singular'|); U0 alone is off by ~1e-7 here
+    x_s = tol.rtol ** 0.25 * c ** 3
+    traj = center_trajectory(c, 0.5, p7, tol)
+    outer = traj.dense._parts[3]
+    assert outer._t[0] == pytest.approx(x_s, rel=1e-15)
+    U, dU = outer._y[0]
+    ref = _tight_shot(c, p7, x_s)
+    ref_U, ref_dU = ref.y[:, -1]
+    rho_s = x_s / c ** 3
+    assert abs(c * (U - ref_U)) <= 1e-12
+    assert abs(c ** 4 * (dU - ref_dU)) / abs(du_singular(p7, rho_s)) <= 1e-12
+    # below x_s the shot reads U0 + mu U1 on U0's steps: 1e-11 relative
+    # (7.6e-13 in U and 2.7e-12 in U' at worst; U0 alone is off by ~1e-7)
+    xq = x_s * np.geomspace(1e-3, 0.9, 6)
+    assert np.max(np.abs(traj.dense(xq) / ref.dense(xq) - 1.0)) <= 1e-11
 
 
 @pytest.mark.parametrize("c", [13.87, 35.91, 1394.4, 54434.2])
 def test_large_c_image_matches_the_series_launch(c, p7, tol):
     # the reference: the even series of the rescaled chart at U(0) = 1 and
     # mu = c^{-(p-1)}, launched at its validated offset and integrated in x;
-    # the image at rho_mid = 0.5 agrees, scaled like Newton's F
+    # the image at rho_mid = 0.5 agrees, scaled like Newton's F.  At c_12 =
+    # 54434.2 U' falls below atol/rtol on the way, so a same-tolerance
+    # reference shares that error: it is checked against a tight one
     mu = c ** -(p7.p - 1)
-    coeffs = odecore._center_coeffs(1.0, p7, SERIES_ORDER + 2, mu=mu)
-    x0, U, dU, _ = _shrink_until_valid(coeffs, 1e-3, SERIES_ORDER, tol.rtol, tol.atol,
-                                       1.0, 1.0)
     stretch = c ** ((p7.p - 1) / 2.0)
-    ref = integrate_rescaled(c, x0, U, dU, 0.5 * stretch, p7, tol).endpoint()
+    if c > 1e4:
+        ref_U, ref_dU = _tight_shot(c, p7, 0.5 * stretch).y[:, -1]
+        ref = ProfileState(0.5, c * ref_U, stretch * c * ref_dU)
+        bound = 2e-11
+    else:
+        coeffs = odecore._center_coeffs(1.0, p7, SERIES_ORDER + 2, mu=mu)
+        x0, U, dU, _ = _shrink_until_valid(coeffs, 1e-3, SERIES_ORDER, tol.rtol, tol.atol,
+                                           1.0, 1.0)
+        ref = integrate_rescaled(c, x0, U, dU, 0.5 * stretch, p7, tol).endpoint()
+        bound = 1e-12
     new = center_trajectory(c, 0.5, p7, tol).endpoint()
-    assert new.rho == ref.rho
-    assert abs(new.u - ref.u) <= 1e-12
-    assert abs(new.du - ref.du) / abs(du_singular(p7, 0.5)) <= 1e-12
+    assert new.rho == pytest.approx(0.5, rel=1e-15)
+    assert abs(new.u - ref.u) <= bound
+    assert abs(new.du - ref.du) / abs(du_singular(p7, 0.5)) <= bound
 
 
 def test_center_launch_bounds(p7, tol):
@@ -258,10 +326,13 @@ def test_center_chart_routes_on_the_stretch_for_large_p(tol):
 
 
 def test_shots_end_past_their_launch_radius(p7, tol):
-    # rho_end inside the center launch radius, given in rho for both charts,
-    # and rho_end on the cone launch radius are rejected by name
-    for c in (2.0, 1e4):
-        rho0 = center_trajectory(c, 0.5, p7, tol).rho_span()[0]
+    # rho_end inside the center launch radius, given in rho for both charts
+    # (the series launch for c <= 1, rho_s = rtol^{1/4} where U0 + mu U1 hands
+    # over to the rescaled run above), and rho_end on the cone launch radius
+    # are rejected by name
+    rho_s = tol.rtol ** 0.25
+    for c, rho0 in ((0.5, center_launch(0.5, p7, tol.rtol, tol.atol).rho0), (2.0, rho_s),
+                    (1e4, rho_s)):
         for rho_end in (rho0 * (1.0 - 1e-12), 0.5 * rho0):
             with pytest.raises(ValueError, match=f"center launch radius {rho0:g}$"):
                 center_trajectory(c, rho_end, p7, tol)
@@ -312,6 +383,10 @@ def _oracle_case(name, p7, tol):
     if name == "limit":
         x0, U, dU, _ = limit_launch(p7, tol.rtol, tol.atol)
         return chart_rhs(p7, 0.0), x0, (U, dU), 1e6
+    if name == "limit and its first correction":
+        x0, U, dU, _ = limit_launch(p7, tol.rtol, tol.atol)
+        V, dV = odecore._limit_correction(x0, p7)
+        return integrate_module._limit_rhs(p7), x0, (U, dU, V, dV), 1e6
     beta = asymptotics._linearized_cone_coeffs(p7, SERIES_ORDER + 6)
     s0, w0, dw0, _ = _shrink_until_valid(beta, -1e-3, SERIES_ORDER + 4,
                                          tol.rtol, tol.atol, 1.0, 1.0)
@@ -359,49 +434,51 @@ def test_stepper_agrees_with_scipy_dop853(name, p7, tol):
 # The loop stepper the generated kernel replaced, kept as its reference: each
 # stage sum adds its row's nonzero terms left to right from 0.0.
 
-def _combine(row, K0, K1):
-    d0 = d1 = 0.0
-    for a, j in row:
-        d0 += a * K0[j]
-        d1 += a * K1[j]
-    return d0, d1
+def _combine(row, K):
+    sums = []
+    for k in K:
+        d = 0.0
+        for a, j in row:
+            d += a * k[j]
+        sums.append(d)
+    return sums
 
 
-def _add_stages(rows, rhs, t, u, du, h, K0, K1):
+def _add_stages(rows, rhs, t, y, h, K):
     for c, row in rows:
-        d0, d1 = _combine(row, K0, K1)
-        k0, k1 = rhs(t + c * h, (u + d0 * h, du + d1 * h))
-        K0.append(k0)
-        K1.append(k1)
+        f = rhs(t + c * h, tuple(v + d * h for v, d in zip(y, _combine(row, K))))
+        for k, fm in zip(K, f):
+            k.append(fm)
 
 
-def _loop_step_stages(rhs, t, u, du, h, t_new, f0, f1):
+def _loop_step_stages(rhs, t, y, h, t_new, f):
     m = integrate_module
-    K0, K1 = [f0], [f1]
-    _add_stages(m._MAIN, rhs, t, u, du, h, K0, K1)
-    b0, b1 = _combine(m._B, K0, K1)
-    u_new, du_new = u + h * b0, du + h * b1
-    f_new = rhs(t_new, (u_new, du_new))
-    K0.append(f_new[0])
-    K1.append(f_new[1])
-    return (u_new, du_new, K0, K1, *_combine(m._E5, K0, K1), *_combine(m._E3, K0, K1))
+    K = [[fm] for fm in f]
+    _add_stages(m._MAIN, rhs, t, y, h, K)
+    y_new = tuple(v + h * b for v, b in zip(y, _combine(m._B, K)))
+    f_new = rhs(t_new, y_new)
+    for k, fm in zip(K, f_new):
+        k.append(fm)
+    # the step size is controlled on the first two components
+    return (y_new, f_new, K, *_combine(m._E5, K[:2]), *_combine(m._E3, K[:2]))
 
 
-def _loop_extra_stages(rhs, t, u, du, h, K0, K1):
-    _add_stages(integrate_module._EXTRA, rhs, t, u, du, h, K0, K1)
-    return K0, K1
+def _loop_extra_stages(rhs, t, y, h, K):
+    _add_stages(integrate_module._EXTRA, rhs, t, y, h, K)
+    return [k[-3:] for k in K]
 
 
 def _with_loop_stepper(monkeypatch, run):
-    """run() with the loop stepper in place of the generated kernel."""
+    """run() with the loop stepper in place of the generated kernels."""
     with monkeypatch.context() as mp:
-        mp.setattr(integrate_module, "_step_stages", _loop_step_stages)
-        mp.setattr(integrate_module, "_extra_stages", _loop_extra_stages)
+        for n in integrate_module._KERNELS:
+            mp.setitem(integrate_module._KERNELS, n, (_loop_step_stages, _loop_extra_stages))
         return run()
 
 
 @pytest.mark.parametrize("name", ["center c=2", "x-chart c=1e4", "cone b=0.7",
-                                  "limit", "cone linearization"])
+                                  "limit", "cone linearization",
+                                  "limit and its first correction"])
 def test_generated_kernel_is_the_loop_stepper_bit_for_bit(name, p7, tol, monkeypatch):
     rhs, t0, y0, t_end = _oracle_case(name, p7, tol)
     for store_dense in (True, False):
@@ -502,9 +579,10 @@ def test_tableau_is_scipys_bit_for_bit():
 
 
 def _runs(dense):
-    """The dense outputs of single drive_ode runs behind a trajectory's."""
+    """The two-component drive_ode run behind a trajectory's dense output:
+    for a large-c centre shot, its outer run."""
     if isinstance(dense, integrate_module._Joined):
-        return [dense._parts[0], dense._parts[2]]
+        return [dense._parts[3]]
     return [dense]
 
 
@@ -530,16 +608,31 @@ def test_dense_output_is_scipys_bit_for_bit(oracle_shots):
         for q in (*nodes, *mids, *rand[:50], float(rand[0]), *ends, np.asarray(t[1])):
             ours = dense(q)
             assert ours.shape == (2,) and np.array_equal(ours, ref(q)), name
-    # a large-c centre shot: U0's first k steps, the last cut where the outer
-    # run starts, then the outer run; each point is its own run's value
+    # a large-c centre shot: U0 + mu U1 on the limit run's first k steps, the
+    # last cut where the outer run starts, then the outer run; each point is
+    # its own part's value, the head summed as scipy sums those combined steps
     joined = oracle_shots["x-chart c=1e4"].dense
-    head, k, tail = joined._parts
+    run, mu, k, tail = joined._parts
     join = tail._t[0]
-    assert head._t[k - 1] < join <= head._t[k]
-    q = np.concatenate((np.geomspace(head._t[0], tail._t[-1], 200), [join]))
-    assert np.array_equal(joined(q), np.where(q <= join, head(q), tail(q)))
+    assert run._t[k - 1] < join <= run._t[k]
+    joined(join)
+    t, y = run._t[:k + 1], joined._y[:k].T
+    assert np.array_equal(y, (run._y[:k, :2] + mu * run._y[:k, 2:]).T)
+    head = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], joined._F[i])
+                           for i in range(k)])
+    q = np.concatenate((np.geomspace(t[0], tail._t[-1], 200), [join]))
+    lo = q <= join
+    assert np.array_equal(joined(q)[:, lo], head(q[lo]))
+    assert np.array_equal(joined(q)[:, ~lo], tail(q[~lo]))
     for x in (join, math.nextafter(join, math.inf), float(q[50]), float(q[150])):
-        assert np.array_equal(joined(x), (head if x <= join else tail)(x))
+        assert np.array_equal(joined(x), head(x) if x <= join else tail(x))
+    # the limit run (U0, U0', U1, U1') itself, on the array path
+    t, y, F = run._t, run._y.T, run.coefficients()
+    assert F.shape == (len(t) - 1, 7, 4)
+    ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], F[i])
+                          for i in range(len(t) - 1)])
+    q = np.concatenate((t, np.geomspace(t[0], t[-1], 300)))
+    assert np.array_equal(run(q), ref(q))
     # a node where the two steps meeting there disagree in the last bit (y[0]
     # + (y[1] - y[0]) != y[1]) shows which step OdeSolution's tie rule picks
     y = np.array([[1.0, 1e-17, 0.3], [2.0, -3e-17, 0.7]])

@@ -252,9 +252,10 @@ def test_quotient_seed_needs_few_centre_shots(p7, tol, monkeypatch):
 
 
 def test_large_c_centre_shots_take_a_flat_step_budget(p7, tol, monkeypatch):
-    # a centre shot that starts from the limit solution integrates only from
-    # x_s = sqrt(rtol) c^3 to rho_mid c^3, so its steps stop growing with ln c
-    # (a series launch at x = 1e-3 takes 423 steps to rho_mid at n = 12)
+    # a centre shot that starts from the limit solution and its first
+    # correction integrates only from x_s = rtol^{1/4} c^3 to rho_mid c^3, so
+    # its steps stop growing with ln c (a series launch at x = 1e-3 takes 423
+    # steps to rho_mid at n = 12)
     outer = {}
     rescaled = integrate_module.integrate_rescaled
 
@@ -266,14 +267,14 @@ def test_large_c_centre_shots_take_a_flat_step_budget(p7, tol, monkeypatch):
     monkeypatch.setattr(integrate_module, "integrate_rescaled", counted)
     rows = shoot.spectrum(25, p7, tol).rows
     assert [r.n for r in rows] == list(range(1, 26))
-    assert outer[rows[11].c] <= 160
-    assert max(outer.values()) <= 200
+    assert outer[rows[11].c] <= 75
+    assert max(outer.values()) <= 110
 
 
 @pytest.mark.parametrize("p", range(7, 32, 2))
 def test_loose_tolerance_rows_from_the_limit_solution(p, tol):
-    # at rtol 1e-8 centre shots with c^{(p-1)/2} > 10 start from U0 at
-    # rho_s = 1e-4; rows n <= 6 keep their zero counts and c_n
+    # at rtol 1e-8 centre shots with c^{(p-1)/2} > 0.1 start from U0 + mu U1
+    # at rho_s = 1e-2; rows n <= 6 keep their zero counts and c_n
     params = derive_constants(p)
     loose = shoot.spectrum(6, params, Tolerances(rtol=1e-8, atol=1e-10)).rows
     tight = shoot.spectrum(6, params, tol).rows
