@@ -13,10 +13,10 @@ produces the geometric laws for the solution family,
 
 plus an amplitude relation A0 c^{(5-p)/4} = +-A1 (b - b_inf)/b_inf tying
 the limit-equation ringdown amplitude A0 to the cone-linearization
-amplitude A1.  This module integrates both linear descriptions, extracts
-(amplitude, phase) by linear least squares and (frequency, decay) by
-variable projection, and checks the amplitude relation and the phase
-spacing against the computed family.
+amplitude A1.  This module samples U0 off the run large-c center shots start
+from, integrates the cone linearization, extracts (amplitude, phase) by linear
+least squares and (frequency, decay) by variable projection, and checks the
+amplitude relation and the phase spacing against the computed family.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams
-from .odecore import SERIES_ORDER, _shrink_until_valid, limit_launch
-from .integrate import TERM_REACHED_END, Tolerances, Trajectory, drive_ode, integrate_limit
+from .odecore import SERIES_ORDER, _shrink_until_valid
+from .integrate import TERM_REACHED_END, Tolerances, _limit_run, drive_ode
 
 __all__ = [
-    "LimitState",
     "OscillationFit",
     "MatchedAmplitudeReport",
     "InsufficientSpanError",
@@ -56,17 +55,6 @@ class InsufficientSpanError(ValueError):
 
 
 @dataclass(frozen=True)
-class LimitState:
-    """One sample of the limit equation, in both x and log-radius variables."""
-
-    x: float
-    U: float
-    dU: float
-    tau: float     # ln x
-    Ubar: float    # x^alpha U, the autonomous-form variable
-
-
-@dataclass(frozen=True)
 class OscillationFit:
     """Damped-sinusoid parameters extracted from a trajectory tail.
 
@@ -88,26 +76,20 @@ class OscillationFit:
 
 
 def integrate_limit_equation(x_max: float, params: ModelParams,
-                             tol: Tolerances = Tolerances()) -> list[LimitState]:
-    """Solve the limit equation from the regular center to x_max.
-
-    Returns states on a grid uniform in tau = ln x (the natural variable of
-    the ringdown), dense enough for the asymptotic fits.
-    """
+                             tol: Tolerances = Tolerances()):
+    """Arrays (x, U, U') of the limit solution U0 from its center to x_max, on
+    a grid uniform in tau = ln x (the ringdown's variable), dense enough for
+    the fits; read off full steps of integrate._limit_run, so they do not
+    depend on what ran before.  An x_max past U0's reach is a ValueError."""
     if x_max <= 1.0:
         raise ValueError("x_max must exceed 1")
-    x0, U0, dU0, _ = limit_launch(params, tol.rtol, tol.atol)
-    traj = integrate_limit(x0, U0, dU0, x_max, params, tol)
-    if traj.termination != TERM_REACHED_END:
-        raise RuntimeError(f"limit integration stopped early ({traj.termination})")
+    run = _limit_run(x_max, params, tol, f"x_max {x_max:g}")
+    x0 = run.t[0]
     period = 2.0 * math.pi / params.omega
     n = max(64, int((math.log(x_max) - math.log(x0)) / period * SAMPLES_PER_PERIOD))
-    xs = np.exp(np.linspace(math.log(x0), math.log(x_max), n))
-    Us, dUs = traj.eval(xs)
-    al = params.alpha
-    return [LimitState(x=float(x), U=float(u), dU=float(du),
-                       tau=float(math.log(x)), Ubar=float(x**al * u))
-            for x, u, du in zip(xs, Us, dUs)]
+    x = np.exp(np.linspace(math.log(x0), math.log(x_max), n))
+    U, dU = run.dense(x)[:2]
+    return x, U, dU
 
 
 def limit_equation_residual(x, U, dU, ddU, params: ModelParams):
@@ -116,16 +98,16 @@ def limit_equation_residual(x, U, dU, ddU, params: ModelParams):
     return np.asarray(ddU) + 2.0 * np.asarray(dU) / x + np.asarray(U) ** params.p
 
 
-def limit_lyapunov(states: list[LimitState], params: ModelParams):
-    """(tau, h) along the limit trajectory; h is non-increasing for p > 5."""
+def limit_lyapunov(samples, params: ModelParams):
+    """(tau, h) along limit samples (x, U, U'); h is non-increasing for p > 5."""
     p = params.p
     al = params.alpha
-    tau = np.array([s.tau for s in states])
-    ub = np.array([s.Ubar for s in states])
+    x, U, dU = samples
+    ub = x**al * U    # the autonomous-form variable Ubar
     # dUbar/dtau = alpha Ubar + x^{alpha+1} U'
-    dub = al * ub + np.array([s.x ** (al + 1.0) * s.dU for s in states])
+    dub = al * ub + x ** (al + 1.0) * dU
     h = 0.5 * dub**2 + ub**(p + 1) / (p + 1) - (p - 3.0) / (p - 1.0) ** 2 * ub**2
-    return tau, h
+    return np.log(x), h
 
 
 def limit_fixed_point_eigenvalues(params: ModelParams):
@@ -156,10 +138,17 @@ def _varpro(basis, omega0, decay0):
 
     basis(omega, decay) returns (M, y) for a model linear in the columns of
     M.  Gauss-Newton runs on the projected residual y - M lstsq(M, y) with a
-    central-difference Jacobian, until a step is <= 1e-13 relative.
+    central-difference Jacobian, until a step is <= 1e-13 relative, or stops
+    on a non-finite model (an envelope that overflows) before LAPACK sees it.
     """
+    def failed(why):
+        return RuntimeError(f"the {basis.__name__} fit did not converge ({why})")
+
     def resid(q):
-        M, y = basis(*q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            M, y = basis(*q)
+        if not (np.isfinite(M).all() and np.isfinite(y).all()):
+            raise failed(f"non-finite model at omega {q[0]:.6g}, decay {q[1]:.6g}")
         coef, *_ = np.linalg.lstsq(M, y, rcond=None)
         return y - M @ coef
 
@@ -172,19 +161,20 @@ def _varpro(basis, omega0, decay0):
         q += step
         if np.all(np.abs(step) <= 1e-13 * np.abs(q)):
             return float(q[0]), float(q[1])
-    raise RuntimeError(f"the {basis.__name__} fit did not converge "
-                       f"(Gauss-Newton iteration cap {VARPRO_MAX_ITER})")
+    raise failed(f"Gauss-Newton iteration cap {VARPRO_MAX_ITER}")
 
 
-def fit_limit_asymptotics(states: list[LimitState], params: ModelParams) -> OscillationFit:
+def fit_limit_asymptotics(samples, params: ModelParams) -> OscillationFit:
     """A0, delta0 of the ringdown U = b_inf x^{-alpha}(1 + A0 x^{-(p-5)/(2(p-1))}
-    sin(omega ln x + delta0)), plus free-fit frequency and decay."""
+    sin(omega ln x + delta0)) of limit samples (x, U, U'), with the free-fit
+    frequency and decay."""
     p = params.p
     om = params.omega
     period = 2.0 * math.pi / om
     lam = (p - 5.0) / (2.0 * (p - 1.0))
-    tau = np.array([s.tau for s in states])
-    w = np.array([s.Ubar for s in states]) / params.b_inf - 1.0
+    x, U, _ = samples
+    tau = np.log(x)
+    w = x**params.alpha * U / params.b_inf - 1.0
 
     tol_floor = 1e3 * 1e-12
     lo = TRANSIENT_PERIODS * period        # ringdown counted from x = 1

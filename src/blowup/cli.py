@@ -35,10 +35,10 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 
-# computational failures (exit 1), tested before ValueError, which two of them
-# subclass; RuntimeError covers ShootingError
+# computational failures (exit 1), tested before ValueError, which three of
+# them subclass; RuntimeError covers ShootingError
 COMPUTE_ERRORS = (RuntimeError, diag.DegenerateTrajectoryError,
-                  asy.InsufficientSpanError)
+                  asy.InsufficientSpanError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -227,8 +227,7 @@ def cmd_limit(cfg: RunConfig, args) -> int:
     P = cfg.params
     if not (1.0 < args.x_max and math.isfinite(args.x_max)):
         raise ValueError("--x-max must be finite and exceed 1")
-    states = asy.integrate_limit_equation(args.x_max, P, cfg.tol)
-    fit = asy.fit_limit_asymptotics(states, P)
+    fit = asy.fit_limit_asymptotics(asy.integrate_limit_equation(args.x_max, P, cfg.tol), P)
     lam = (P.p - 5.0) / (2.0 * (P.p - 1.0))
     fields = [
         ("x_max", args.x_max),
@@ -286,14 +285,14 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
 
     An invariant that raises a computational failure fails with the error
     as its detail, and the others still run.  Inputs several invariants
-    share (the family rows, the limit-equation states) are computed once;
+    share (the family rows, the limit-equation samples) are computed once;
     their failure fails each invariant that reads them.
     """
     P = cfg.params
     tol = cfg.tol
     lam = (P.p - 5.0) / (2.0 * (P.p - 1.0))
     spec = _attempt(lambda: shoot.spectrum(6, P, tol, cfg.rho_mid))
-    states = _attempt(lambda: asy.integrate_limit_equation(asy.DEFAULT_X_MAX, P, tol))
+    limit = _attempt(lambda: asy.integrate_limit_equation(asy.DEFAULT_X_MAX, P, tol))
 
     def nodal_counts():
         rows = spec().rows
@@ -362,13 +361,13 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         return ok, "value %.6f, all negative %s" % (drep.closed_form, drep.all_negative)
 
     def limit_ringdown_fit():
-        fit = asy.fit_limit_asymptotics(states(), P)
+        fit = asy.fit_limit_asymptotics(limit(), P)
         ok = (abs(fit.frequency - P.omega) <= 1e-3 and abs(fit.decay - lam) <= 5e-3)
         return ok, ("omega %.6f (pred %.6f), decay %.6f (pred %.6f)"
                     % (fit.frequency, P.omega, fit.decay, lam))
 
     def limit_lyapunov_monotone():
-        tau, h = asy.limit_lyapunov(states(), P)
+        tau, h = asy.limit_lyapunov(limit(), P)
         rise = float(np.max(np.diff(h)))
         return rise <= 1e-12, "max rise %.3g" % rise
 

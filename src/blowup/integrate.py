@@ -17,7 +17,7 @@ Large center shots share their inner part: in the chart of c a shot is
 U0 + mu U1, the limit solution and its first correction, up to terms of order
 (mu x^2)^2 = rho^4.  Both are integrated once per (params, tol), in one run of
 (U0, U0', U1, U1') with steps controlled on U0, and each shot integrates only
-from rho_s = rtol^{1/4}.
+from rho_s = rtol^{1/4}.  The asymptotic fits read U0 off the same kept run.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ TERM_STEP_LIMIT = "step_limit"
 
 MAX_STEPS = 200_000       # accepted steps before an integration stops (step_limit)
 H_MIN = 1e-15             # step size below which it stops (step_underflow)
-LIMIT_REACH = 1e16        # least end of the memoized limit solution U0 (limit's default)
+LIMIT_REACH = 1e17        # end of the first U0 run; its last full step passes 1e16
 _RTOL_MIN = 100.0 * np.finfo(float).eps
 
 
@@ -498,7 +498,8 @@ def integrate_limit(x_start: float, U: float, dU: float, x_end: float,
     """Integrate the infinite-amplitude limit equation (the mu = 0 chart).
 
     The trajectory is stored with unit scale, so the deviation helpers
-    compare against the limit equation's own singular solution."""
+    compare against the limit equation's own singular solution.  Unused by the
+    package; a test pins _limit_run's U0 to it, perfbench/tracing.py spans it."""
     if x_start <= 0.0 or x_end <= 0.0:
         raise ValueError("limit chart needs x > 0")
     return _trajectory(params, 0.0, 1.0, x_start, (U, dU), x_end, tol, 1.0e3)
@@ -512,7 +513,7 @@ def _past_center_launch(rho_end: float, stretch: float, x0: float) -> float:
     return rho_end * stretch
 
 
-_LIMIT_RUNS: dict = {}   # (params, tol) -> (U0, U0', U1, U1') of the limit solution
+_LIMIT_RUNS: dict = {}   # (params, tol) -> (run of (U0, U0', U1, U1'), its reach, why)
 
 
 def _limit_rhs(params: ModelParams):
@@ -528,19 +529,30 @@ def _limit_rhs(params: ModelParams):
     return rhs
 
 
-def _limit_run(x: float, params: ModelParams, tol: Tolerances) -> Trajectory:
-    """U0 from limit_launch with U1 from its series at the same x0, integrated
-    on the first center shot with steps controlled on U0, so they are
-    integrate_limit's.  A run whose last full step ends before x is replaced
-    by one to max(x^2, LIMIT_REACH); only a run's last step is cut to its
-    end, so the steps a shot reads do not depend on the order of the calls."""
-    run = _LIMIT_RUNS.get((params, tol))
-    if run is None or (run.t[-2] < x and run.termination == TERM_REACHED_END):
+def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str) -> Trajectory:
+    """The kept run of U0 from limit_launch and U1 from its series at the same
+    x0, with steps controlled on U0 (so they are integrate_limit's), for a
+    center shot or fit that reads it up to x.  The first run ends at
+    LIMIT_REACH; one whose last full step ends before x is replaced by one to
+    max(x^2, LIMIT_REACH).  Only the last step is cut to a run's end, so what
+    is read does not depend on the order of the calls.  Past the run's reach,
+    its last full step or last node before U0 turns nonpositive (the true U0
+    never does), x raises a ValueError naming subject."""
+    run, reach, why = _LIMIT_RUNS.get((params, tol), (None, 0.0, ""))
+    while run is None or (run.t[-2] < x and run.termination == TERM_REACHED_END):
         x0, U, dU, _ = limit_launch(params, tol.rtol, tol.atol)
         t, y, dense, term = drive_ode(_limit_rhs(params), x0,
                                       (U, dU, *_limit_correction(x0, params)),
-                                      max(x * x, LIMIT_REACH), tol, 1.0e3)
-        run = _LIMIT_RUNS[params, tol] = Trajectory(params, 1.0, t, y, dense, term)
+                                      max(x * x, LIMIT_REACH) if run else LIMIT_REACH,
+                                      tol, 1.0e3)
+        run = Trajectory(params, 1.0, t, y, dense, term)
+        bad = np.flatnonzero(y[0, :-1] <= 0.0)
+        reach = float(t[bad[0] - 1] if bad.size else t[-2])
+        why = "positive node" if bad.size else f"full step ({term})"
+        _LIMIT_RUNS[params, tol] = run, reach, why
+    if x > reach:
+        raise ValueError(f"{subject} needs the limit solution at x = {x:.3g}, "
+                         f"past its last {why} at {reach:.3g}")
     return run
 
 
@@ -559,19 +571,11 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
                          "rescaled chart")
     stretch = float(c) ** ((params.p - 1) / 2.0)
     x_s = math.sqrt(math.sqrt(tol.rtol)) * stretch
-    run = _limit_run(x_s, params, tol)
+    run = _limit_run(x_s, params, tol, f"center amplitude c={c:g}")
     if x_s <= run.t[0]:
         st = center_launch(c, params, tol.rtol, tol.atol).state
         return integrate(st, _past_center_launch(rho_end, 1.0, st.rho), params, tol)
     x_end = _past_center_launch(rho_end, stretch, x_s)
-    # U0's reach: its last full step, or its last node before it turns
-    # nonpositive, which the true U0 never does
-    bad = np.flatnonzero(run.y[0, :-1] <= 0.0)
-    reach = run.t[bad[0] - 1] if bad.size else run.t[-2]
-    if x_s > reach:
-        why = "positive node" if bad.size else f"full step ({run.termination})"
-        raise ValueError(f"center amplitude c={c:g} needs the limit solution at x = "
-                         f"{x_s:.3g}, past its last {why} at {reach:.3g}")
     mu = float(c) ** (-(params.p - 1))
     U0, dU0, U1, dU1 = run.dense(np.asarray(x_s))
     outer = integrate_rescaled(c, x_s, U0 + mu * U1, dU0 + mu * dU1, x_end, params, tol)

@@ -132,12 +132,12 @@ def test_criterion_06_closed_form_reproduction(p7, tol):
 
 
 def test_criterion_07_limit_ringdown(p7):
-    states = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7)
-    fit = asym.fit_limit_asymptotics(states, p7)
+    samples = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7)
+    fit = asym.fit_limit_asymptotics(samples, p7)
     om_ref = math.sqrt(188.0) / 12.0
     assert abs(fit.frequency - om_ref) < 1e-3
     assert abs(fit.decay - 1.0 / 6.0) < 5e-3
-    _, h = asym.limit_lyapunov(states, p7)
+    _, h = asym.limit_lyapunov(samples, p7)
     assert np.all(np.diff(h) <= 1e-11)
     print(f"[criterion 07] PASS: ringdown omega={fit.frequency:.6f} "
           f"(target {om_ref:.6f}), decay={fit.decay:.6f} (target 0.166667), "

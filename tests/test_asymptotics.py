@@ -4,19 +4,20 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from blowup.integrate import Tolerances, drive_ode, lightcone_trajectory
+from blowup.integrate import (TERM_STEP_UNDERFLOW, Tolerances, center_trajectory, drive_ode,
+                              lightcone_trajectory)
 from blowup.model import derive_constants
-from blowup import asymptotics as asym, cli
+from blowup import asymptotics as asym, cli, integrate as integrate_module
 
 
 @pytest.fixture(scope="module")
-def limit_states(p7):
+def limit_samples(p7):
     return asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7)
 
 
 @pytest.fixture(scope="module")
-def ringdown(limit_states, p7):
-    return asym.fit_limit_asymptotics(limit_states, p7)
+def ringdown(limit_samples, p7):
+    return asym.fit_limit_asymptotics(limit_samples, p7)
 
 
 @pytest.fixture(scope="module")
@@ -24,17 +25,16 @@ def conefit(p7):
     return asym.solve_linearized_lightcone(1e-6, p7)
 
 
-def test_limit_solution_settles(limit_states, p7):
+def test_limit_solution_settles(limit_samples, p7):
     # amplitude envelope at x = 1e16 is ~ A0 b_inf x^{-1/6} ~ 3e-4
-    assert abs(limit_states[-1].Ubar - p7.b_inf) < 1e-3
-    assert limit_states[0].x < 1e-2
-    assert all(s.U > 0 for s in limit_states)
+    xs, Us, _ = limit_samples
+    assert abs(xs[-1] ** p7.alpha * Us[-1] - p7.b_inf) < 1e-3
+    assert xs[0] < 1e-2
+    assert np.all(Us > 0)
 
 
-def test_limit_equation_residual_by_differencing(limit_states, p7):
-    xs = np.array([s.x for s in limit_states])
-    Us = np.array([s.U for s in limit_states])
-    dUs = np.array([s.dU for s in limit_states])
+def test_limit_equation_residual_by_differencing(limit_samples, p7):
+    xs, Us, dUs = limit_samples
     ddU = np.gradient(dUs, xs)
     res = asym.limit_equation_residual(xs, Us, dUs, ddU, p7)
     mid = slice(len(xs) // 10, -(len(xs) // 10))
@@ -53,16 +53,16 @@ def test_ringdown_fit_recovers_spiral_eigenvalue(ringdown, p7):
     assert ringdown.amplitude == pytest.approx(0.1986, abs=2e-3)
 
 
-def test_ringdown_fit_stable_under_window_choice(limit_states, ringdown, p7,
+def test_ringdown_fit_stable_under_window_choice(limit_samples, ringdown, p7,
                                                 monkeypatch):
     monkeypatch.setattr(asym, "TRANSIENT_PERIODS", 2.5)
-    alt = asym.fit_limit_asymptotics(limit_states, p7)
+    alt = asym.fit_limit_asymptotics(limit_samples, p7)
     assert abs(alt.amplitude - ringdown.amplitude) < 5e-4
     assert abs(alt.phase - ringdown.phase) < 5e-3
 
 
-def test_lyapunov_descends_to_fixed_point_level(limit_states, p7):
-    tau, h = asym.limit_lyapunov(limit_states, p7)
+def test_lyapunov_descends_to_fixed_point_level(limit_samples, p7):
+    tau, h = asym.limit_lyapunov(limit_samples, p7)
     assert np.all(np.diff(h) <= 1e-11)
     b = p7.b_inf
     h_eq = b ** (p7.p + 1) / (p7.p + 1) - (p7.p - 3.0) / (p7.p - 1.0) ** 2 * b * b
@@ -218,14 +218,14 @@ def test_varpro_fits_match_scipy_least_squares(p, monkeypatch):
         return varpro(basis, omega0, decay0)
 
     monkeypatch.setattr(asym, "_varpro", spy)
-    states = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, P)
-    ring = asym.fit_limit_asymptotics(states, P)
+    xs, Us, dUs = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, P)
+    ring = asym.fit_limit_asymptotics((xs, Us, dUs), P)
     cone = asym.solve_linearized_lightcone(1e-6, P)
 
-    # the ringdown window, selected from the states as the fit selects it
-    tau = np.array([s.tau for s in states])
+    # the ringdown window, selected from the samples as the fit selects it
+    tau = np.log(xs)
     sel = (tau >= ring.window[0]) & (tau <= ring.window[1])
-    w = np.array([s.Ubar for s in states])[sel] / P.b_inf - 1.0
+    w = (xs**P.alpha * Us)[sel] / P.b_inf - 1.0
     ref = _lm_ringdown(tau[sel], w, ring.amplitude, ring.phase, P.omega, lam)
     # the cone grid, and the samples of w_L on it that the fit received
     lo, hi = cone.window
@@ -240,10 +240,10 @@ def test_varpro_fits_match_scipy_least_squares(p, monkeypatch):
 
 
 def test_fit_that_does_not_converge_is_a_compute_error(p7, monkeypatch, capsys):
-    states = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7)
+    samples = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7)
     monkeypatch.setattr(asym, "VARPRO_MAX_ITER", 1)
     with pytest.raises(RuntimeError, match="ringdown fit"):
-        asym.fit_limit_asymptotics(states, p7)
+        asym.fit_limit_asymptotics(samples, p7)
     with pytest.raises(RuntimeError, match="cone fit"):
         asym.solve_linearized_lightcone(1e-4, p7)
     assert cli.main(["limit"]) == 1
@@ -251,6 +251,30 @@ def test_fit_that_does_not_converge_is_a_compute_error(p7, monkeypatch, capsys):
     assert out == ""
     assert err == ("blowup: the ringdown fit did not converge "
                    "(Gauss-Newton iteration cap 1)\n")
+
+
+def test_limit_samples_do_not_depend_on_what_ran_before(p7, tol, monkeypatch):
+    # the samples are read off the run the large-c center shots start from,
+    # on its full steps only: whether a limit request or a center shot builds
+    # it (to LIMIT_REACH, whose last full step covers DEFAULT_X_MAX, so
+    # neither regrows it), and after a c = 1e13 shot regrows it to where U0
+    # stops (x = 3e62), they are the same to the bit
+    runs = {}
+    monkeypatch.setattr(integrate_module, "_LIMIT_RUNS", runs)
+    first = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
+    run = runs[p7, tol][0]
+    assert run.t[-1] == integrate_module.LIMIT_REACH and run.t[-2] > asym.DEFAULT_X_MAX
+    runs.clear()
+    center_trajectory(1e3, 0.5, p7, tol)
+    assert runs[p7, tol][0].t[-1] == integrate_module.LIMIT_REACH
+    again = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
+    assert runs[p7, tol][0].t[-1] == integrate_module.LIMIT_REACH
+    center_trajectory(1e13, 0.5, p7, tol)
+    assert runs[p7, tol][0].termination == TERM_STEP_UNDERFLOW
+    regrown = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
+    assert len(first) == 3
+    for a, b, c in zip(first, again, regrown):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
 def test_window_guards(p7):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import blowup
-from blowup import cli, diagnostics, shoot
+from blowup import asymptotics, cli, diagnostics, shoot
 
 SCHEMA = json.loads(
     (Path(blowup.__file__).parent / "schemas" / "cli_output.schema.json").read_text())
@@ -98,6 +98,13 @@ def test_invalid_exponent_is_usage_error(tmp_path):
             (("curves", "--c-lo", "2", "--c-hi", "5e21", "--n-c", "2", "--n-b", "2"),
              "center amplitude c=5e+21 needs the limit solution at x = 1.25e+62, past its "
              "last positive node at 1.12e+61"),
+            # the limit fit reads the same U0 under the same reach
+            (("limit", "--x-max", "1e62"),
+             "x_max 1e+62 needs the limit solution at x = 1e+62, past its last positive "
+             "node at 1.12e+61"),
+            (("limit", "--x-max", "1e70"),
+             "x_max 1e+70 needs the limit solution at x = 1e+70, past its last positive "
+             "node at 1.12e+61"),
             (("curves", "--b-lo", "1", "--b-hi", "1e3", "--n-c", "2", "--n-b", "2"),
              "cone amplitude b=1000 has no validated series launch offset off rho = 1"),
             (("curves", "--b-lo", "1", "--b-hi", "1e10", "--n-c", "2", "--n-b", "2"),
@@ -222,6 +229,18 @@ def test_limit_below_the_fit_window_names_the_x_max_it_needs():
         "at least 4 are needed, which takes x_max >= 2.13e+14\n")
 
 
+def test_limit_fit_whose_envelope_overflows_is_a_compute_error():
+    # far out the ringdown sinks into integration noise and a Gauss-Newton
+    # iterate's envelope exp(-decay t) overflows: the fit stops there, before
+    # LAPACK's "SVD did not converge" and its stderr lines
+    proc = subprocess.run([sys.executable, "-m", "blowup", "limit", "--x-max", "1e40"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("blowup: the ringdown fit did not converge (non-finite model")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 def test_extend_passes_for_first_member():
     header, rows = rows_of(run_cli("extend", "--n", "1", "--rho-max", "50"))
     vals = dict(rows)
@@ -342,6 +361,20 @@ def test_check_runs_every_invariant_past_a_raising_report(monkeypatch, capsys):
     assert [r for r in rows if r[1] != "true"] == [
         ["first_crossing_bound", "false",
          "DegenerateTrajectoryError: forced degenerate phase"]]
+
+
+def test_check_fails_only_the_row_whose_lstsq_does_not_converge(monkeypatch, capsys):
+    # LAPACK's LinAlgError subclasses ValueError, the usage error of exit 2
+    def no_svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+    monkeypatch.setattr(asymptotics, "solve_linearized_lightcone", no_svd)
+    assert cli.main(["check"]) == 1
+    _, rows = rows_of(capsys.readouterr().out)
+    assert len(rows) == 14
+    assert [r for r in rows if r[1] != "true"] == [
+        ["cone_linearization_fit", "false",
+         "LinAlgError: SVD did not converge in Linear Least Squares"]]
 
 
 def test_check_fails_the_invariants_that_read_a_failed_spectrum(monkeypatch, capsys):

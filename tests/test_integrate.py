@@ -109,29 +109,33 @@ def test_center_trajectory_charts_agree(p7, tol):
 def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsys):
     # U0 and U1 are integrated on first use and regrown to x_s^2 when a
     # shot's start x_s lies past their last full step; a shot reads only steps
-    # that do not depend on the run's end.  c = 2.12e6 starts at x_s =
-    # 9.5e15, inside the last step of the first run (to 1e16), which is cut to
-    # that end, so it regrows the run first; c = 1e13 regrows it past where U0
-    # stops (x = 3e62)
+    # that do not depend on the run's end.  c = 4.56e6 starts at x_s =
+    # 9.5e16, inside the last step of the first run (to 1e17, last full step
+    # at 8.7e16), which is cut to that end, so it regrows the run first;
+    # c = 1e13 regrows it past where U0 stops (x = 3e62)
     monkeypatch.setattr(integrate_module, "_LIMIT_RUNS", {})
     runs = []
 
+    def kept_run():
+        return integrate_module._LIMIT_RUNS[p7, tol][0]
+
     def shots():
         read = []
-        for c in (1e3, 2.12e6):
+        for c in (1e3, 4.56e6):
             traj = center_trajectory(c, 0.5, p7, tol)
             run, _, k, _ = traj.dense._parts
             # the shot, and the steps of U0 and U1 it reads with their interpolant
             read += [traj.t, traj.y, run._t[:k + 1], run._y[:k + 1],
                      run.coefficients()[:k], traj.dense.coefficients()]
-            runs.append(integrate_module._LIMIT_RUNS[p7, tol])
+            runs.append(kept_run())
         return read
 
     first = shots()
     assert runs[0].t[-1] == integrate_module.LIMIT_REACH
-    assert runs[1].t[-1] == pytest.approx((1e-3 * 2.12e6 ** 3) ** 2)
+    assert runs[0].t[-2] < 1e-3 * 4.56e6 ** 3 < integrate_module.LIMIT_REACH
+    assert runs[1].t[-1] == pytest.approx((1e-3 * 4.56e6 ** 3) ** 2)
     center_trajectory(1e13, 0.5, p7, tol)
-    assert integrate_module._LIMIT_RUNS[p7, tol].termination == TERM_STEP_UNDERFLOW
+    assert kept_run().termination == TERM_STEP_UNDERFLOW
     again = shots()
     assert cli.main(["limit"]) == 0
     capsys.readouterr()
@@ -139,7 +143,7 @@ def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsy
         assert np.array_equal(a, b) and np.array_equal(a, c)
     # U0's components are integrate_limit's run to the bit: U1 rides along
     # without moving a step
-    run = integrate_module._LIMIT_RUNS[p7, tol]
+    run = kept_run()
     x0, U, dU, _ = limit_launch(p7, tol.rtol, tol.atol)
     end = (math.sqrt(math.sqrt(tol.rtol)) * 1e13 ** 3.0) ** 2
     alone = integrate_module.integrate_limit(x0, U, dU, end, p7, tol)
@@ -162,15 +166,24 @@ def test_shot_from_a_degenerate_limit_solution_stops_with_a_label(p, c, tol):
 def test_shots_past_the_reach_of_the_limit_solution_are_named(p7, tol):
     # the integrated U0 first turns nonpositive near x = 1.4e61 at p = 7
     # (the true U0 is positive), before it stops at 3e62: its reach ends at
-    # the last node before that
-    run = integrate_module._limit_run(1e70, p7, tol)
+    # the last node before that, for the center shots and the limit fits alike
+    run = integrate_module._limit_run(1e36, p7, tol, "")
+    assert run.termination == TERM_STEP_UNDERFLOW
     first = int(np.flatnonzero(run.y[0] <= 0.0)[0])
     assert first < len(run.t) - 2 and run.t[first] == pytest.approx(1.42e61, rel=0.01)
     reach = run.t[first - 1]
     c_max = (reach / tol.rtol ** 0.25) ** (1.0 / 3.0)
     assert center_trajectory(0.999 * c_max, 0.5, p7, tol).dense is not None
-    with pytest.raises(ValueError, match=re.escape(f"past its last positive node at {reach:.3g}")):
+    past = f"past its last positive node at {reach:.3g}"
+    with pytest.raises(ValueError, match=re.escape(f"center amplitude c={1.001 * c_max:g} "
+                                                   "needs the limit solution at x = ")
+                       + ".*" + re.escape(past)):
         center_trajectory(1.001 * c_max, 0.5, p7, tol)
+    assert asymptotics.integrate_limit_equation(reach, p7, tol)[0][-1] == pytest.approx(reach)
+    with pytest.raises(ValueError, match=re.escape(
+            f"x_max {1.001 * reach:g} needs the limit solution at x = {1.001 * reach:.3g}, "
+            + past)):
+        asymptotics.integrate_limit_equation(1.001 * reach, p7, tol)
 
 
 def _tight_shot(c, p7, x_end):

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "blowup"
@@ -61,3 +63,32 @@ def test_package_root_exports_only_the_version():
     bound, exported = _surface(PACKAGE / "__init__.py")
     assert bound == {"__version__"}
     assert exported in (None, ["__version__"])
+
+
+def _tracing():
+    """perfbench/tracing.py, loaded from its file as the benchmark loads it."""
+    path = PACKAGE.parent.parent / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_the_tracer_binds_resolves():
+    # the benchmark's per-layer metrics wrap these functions by name
+    tracing = _tracing()
+    for mod, name in tracing.SPANNED + [tracing.DRIVE]:
+        assert callable(getattr(importlib.import_module("blowup." + mod), name, None)), \
+            f"blowup.{mod}.{name}"
+
+
+def test_traced_request_counts_its_integrations(capsys):
+    from blowup import cli
+
+    tracer = _tracing().Tracer(1e-12)
+    with tracer.installed():
+        assert cli.main(["solve", "--n", "1"]) == 0
+    assert capsys.readouterr().out.startswith("n,c_n,b_n")
+    counts, _, _ = tracer.summary()
+    assert counts["integrate.calls"] > 0
+    assert counts["integrate.steps"] > 0 and counts["integrate.rhs_calls"] > 0
