@@ -14,9 +14,10 @@ produces the geometric laws for the solution family,
 plus an amplitude relation A0 c^{(5-p)/4} = +-A1 (b - b_inf)/b_inf tying
 the limit-equation ringdown amplitude A0 to the cone-linearization
 amplitude A1.  This module samples U0 off the run large-c center shots start
-from, integrates the cone linearization, extracts (amplitude, phase) by linear
-least squares and (frequency, decay) by variable projection, and checks the
-amplitude relation and the phase spacing against the computed family.
+from, integrates the cone linearization, and extracts (amplitude, phase) by
+linear least squares and (frequency, decay) by variable projection; the
+check command compares the fitted frequency and decay with omega and
+(p-5)/(2(p-1)).
 """
 
 from __future__ import annotations
@@ -32,15 +33,11 @@ from .integrate import TERM_REACHED_END, Tolerances, _limit_run, drive_ode
 
 __all__ = [
     "OscillationFit",
-    "MatchedAmplitudeReport",
     "InsufficientSpanError",
     "integrate_limit_equation",
-    "limit_equation_residual",
     "limit_lyapunov",
-    "limit_fixed_point_eigenvalues",
     "fit_limit_asymptotics",
     "solve_linearized_lightcone",
-    "matched_amplitude_check",
 ]
 
 DEFAULT_X_MAX = 1e16   # ~6.7 ringdown periods for p = 7
@@ -92,12 +89,6 @@ def integrate_limit_equation(x_max: float, params: ModelParams,
     return x, U, dU
 
 
-def limit_equation_residual(x, U, dU, ddU, params: ModelParams):
-    """Pointwise residual of U'' + (2/x)U' + U^p."""
-    x = np.asarray(x, dtype=float)
-    return np.asarray(ddU) + 2.0 * np.asarray(dU) / x + np.asarray(U) ** params.p
-
-
 def limit_lyapunov(samples, params: ModelParams):
     """(tau, h) along limit samples (x, U, U'); h is non-increasing for p > 5."""
     p = params.p
@@ -110,26 +101,16 @@ def limit_lyapunov(samples, params: ModelParams):
     return np.log(x), h
 
 
-def limit_fixed_point_eigenvalues(params: ModelParams):
-    """Eigenvalue pair of the autonomous form linearized at Ubar = b_inf,
-    in closed form."""
-    p = params.p
-    re = -(p - 5.0) / (2.0 * (p - 1.0))
-    im = math.sqrt(7.0 * p * p - 22.0 * p - 1.0) / (2.0 * (p - 1.0))
-    return complex(re, im), complex(re, -im)
-
-
 # -- oscillation fits ---------------------------------------------------------
 
 
-def _project_sinusoid(t, y, omega):
-    """Least-squares a sin(wt) + b cos(wt); returns (A, delta, rms)."""
-    M = np.column_stack([np.sin(omega * t), np.cos(omega * t)])
+def _project(M, y):
+    """Least squares of y on the columns of M, whose first two are a sin and
+    cos of one phase; returns (A, delta, rms): the amplitude and phase of that
+    pair and the RMS misfit."""
     coef, *_ = np.linalg.lstsq(M, y, rcond=None)
-    resid = y - M @ coef
-    A = float(np.hypot(*coef))
-    delta = float(math.atan2(coef[1], coef[0]))
-    return A, delta, float(np.sqrt(np.mean(resid**2)))
+    rms = float(np.sqrt(np.mean((y - M @ coef) ** 2)))
+    return float(np.hypot(coef[0], coef[1])), float(math.atan2(coef[1], coef[0])), rms
 
 
 def _varpro(basis, omega0, decay0):
@@ -203,10 +184,7 @@ def fit_limit_asymptotics(samples, params: ModelParams) -> OscillationFit:
     M = np.column_stack([np.sin(om * ts), np.cos(om * ts),
                          env * np.sin(2.0 * om * ts),
                          env * np.cos(2.0 * om * ts), env])
-    coef, *_ = np.linalg.lstsq(M, y, rcond=None)
-    A = float(np.hypot(coef[0], coef[1]))
-    delta = float(math.atan2(coef[1], coef[0]))
-    rms = float(np.sqrt(np.mean((y - M @ coef) ** 2)))
+    A, delta, rms = _project(M, y)
 
     def ringdown(omega, decay):
         # the fundamental plus the second harmonic and DC offset that the
@@ -286,7 +264,7 @@ def solve_linearized_lightcone(rho_min: float, params: ModelParams,
     rr = np.exp(sigma)
     wl = dense(rr)[0]
     y1 = wl * rr**lam
-    A, delta, rms = _project_sinusoid(sigma, y1, om)
+    A, delta, rms = _project(np.column_stack([np.sin(om * sigma), np.cos(om * sigma)]), y1)
     s = sigma - lo     # time origin at the window start
 
     # not folded into the ringdown model: that moves the cone frequency error
@@ -299,40 +277,3 @@ def solve_linearized_lightcone(rho_min: float, params: ModelParams,
     return OscillationFit(amplitude=A, phase=delta, frequency=om_fit,
                           decay=dec_fit, residual=rms,
                           n_periods=n_periods, window=(lo, hi))
-
-
-# -- matching against the computed family ---------------------------------------
-
-
-@dataclass(frozen=True)
-class MatchedAmplitudeReport:
-    rows: list[tuple[int, float]]        # (n, signed amplitude ratio)
-    phase_spacing: list[tuple[int, float]]   # (n, ((p-1)/2) omega ln(c_{n+1}/c_n) / pi)
-
-    @property
-    def moduli(self) -> list[float]:
-        return [abs(r) for _, r in self.rows]
-
-
-def matched_amplitude_check(spectrum, fit_center: OscillationFit,
-                            fit_cone: OscillationFit,
-                            params: ModelParams) -> MatchedAmplitudeReport:
-    """Cross-check the amplitude relation A0 c^{(5-p)/4} = +-A1 (b-b_inf)/b_inf
-    on computed rows; the signed ratio alternates and its modulus tends to 1.
-
-    Also reports the phase spacing ((p-1)/2) omega ln(c_{n+1}/c_n)/pi -> 1.
-    """
-    rows = list(spectrum.rows)
-    if len(rows) < 5:
-        raise ValueError("need at least 5 computed rows")
-    p = params.p
-    out = []
-    for r in rows:
-        lhs = fit_center.amplitude * r.c ** ((5.0 - p) / 4.0)
-        rhs = fit_cone.amplitude * (r.b - params.b_inf) / params.b_inf
-        out.append((r.n, lhs / rhs))
-    spacing = []
-    for a, b in zip(rows[:-1], rows[1:]):
-        val = 0.5 * (p - 1.0) * params.omega * math.log(b.c / a.c) / math.pi
-        spacing.append((a.n, val))
-    return MatchedAmplitudeReport(rows=out, phase_spacing=spacing)

@@ -51,7 +51,6 @@ __all__ = [
     "crossing_discriminant",
     "discriminant_report",
     "extend_beyond_lightcone",
-    "singular_mode_amplitude",
 ]
 
 R_DEGENERATE = 1e-12   # phase radius below which the spiral is meaningless
@@ -59,7 +58,6 @@ PHASE_MAX_STEP = 0.5 * math.pi   # widest phase step kept without subdividing
 CROSSING_RHO_END = 0.999   # first_crossing_report integrates the center shot to here
 DRIFT_TOL = 1e-9           # largest scaled rise monotonicity_report lets pass
 DISCRIMINANT_GRID = 2001   # samples of the discriminant scan on [v*, 1]
-CONE_FIT_POINTS = 8        # samples nearest the cone in singular_mode_amplitude
 W_ZERO_XTOL = 1e-15        # _brentq stops within W_ZERO_XTOL + W_ZERO_RTOL |t| of a zero of w
 W_ZERO_RTOL = 8.9e-16
 
@@ -466,27 +464,3 @@ def extend_beyond_lightcone(b: float, params: ModelParams, rho_max: float = 100.
         monotone=monotone, positive=positive, below_b0=below,
         passed=monotone and positive and below and f_pos,
         trajectory=traj)
-
-
-# -- singular component near the cone ----------------------------------------
-
-
-def singular_mode_amplitude(traj, params: ModelParams) -> float:
-    """Extrapolated size of the singular mode at the cone.
-
-    In the compactified chart sigma = (1-rho)^alpha the derivative variable
-    theta = sigma u' tends to 0 for regular solutions and to a finite value
-    when the singular component is present; a linear fit in sigma over the
-    samples closest to the cone estimates that limit.
-    """
-    rho, u, du = traj.pieces[-1].profile_samples()
-    mask = rho < 1.0
-    rho, du = rho[mask], du[mask]
-    if len(rho) < CONE_FIT_POINTS or rho.max() < 0.98:
-        raise ValueError("trajectory has too few samples near the cone")
-    order = np.argsort(rho)[-CONE_FIT_POINTS:]
-    sig = (1.0 - rho[order]) ** params.alpha
-    th = sig * du[order]
-    coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(sig), sig]),
-                               th, rcond=None)
-    return abs(float(coef[0]))

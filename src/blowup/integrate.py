@@ -573,8 +573,9 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
     x_s = math.sqrt(math.sqrt(tol.rtol)) * stretch
     run = _limit_run(x_s, params, tol, f"center amplitude c={c:g}")
     if x_s <= run.t[0]:
-        st = center_launch(c, params, tol.rtol, tol.atol).state
-        return integrate(st, _past_center_launch(rho_end, 1.0, st.rho), params, tol)
+        rho0, u, du, _ = center_launch(c, params, tol.rtol, tol.atol)
+        return integrate(ProfileState(rho0, u, du), _past_center_launch(rho_end, 1.0, rho0),
+                         params, tol)
     x_end = _past_center_launch(rho_end, stretch, x_s)
     mu = float(c) ** (-(params.p - 1))
     U0, dU0, U1, dU1 = run.dense(np.asarray(x_s))
@@ -593,7 +594,7 @@ def lightcone_trajectory(b: float, rho_end: float, params: ModelParams,
     if rho_end <= 0.0 or rho_end == 1.0:
         raise ValueError("rho_end must be positive and off the cone")
     side = -1 if rho_end < 1.0 else +1
-    ls = lightcone_launch(b, params, tol.rtol, tol.atol, side=side)
-    if rho_end == ls.rho0:
+    rho0, u, du, _ = lightcone_launch(b, params, tol.rtol, tol.atol, side=side)
+    if rho_end == rho0:
         raise ValueError(f"rho_end {rho_end:g} is the cone launch radius")
-    return integrate(ls.state, rho_end, params, tol)
+    return integrate(ProfileState(rho0, u, du), rho_end, params, tol)

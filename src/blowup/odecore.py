@@ -28,54 +28,30 @@ coefficient is the one-parameter boundary condition of the regular family:
 
 One kernel, chart_rhs(params, mu), serves every chart: the first-order
 system of the plain (mu = 1), rescaled (mu = c^{-(p-1)}) and limit (mu = 0)
-equations.
+equations.  Every launch returns (offset, u, du, trunc_est): the offset is
+halved until trunc_est, the first omitted series term there, falls below the
+integration tolerance, and the shots in integrate start from that state.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .model import ModelParams, ProfileState
+from .model import ModelParams
 
 __all__ = [
-    "SingularPointError",
     "SeriesRangeError",
-    "SeriesStart",
     "chart_rhs",
-    "rhs_interior",
-    "equation_residual",
-    "series_at_center",
-    "series_at_lightcone",
     "center_launch",
     "lightcone_launch",
     "limit_launch",
 ]
 
-SERIES_ORDER = 6  # truncation of every launch and default of series_at_*
-
-
-class SingularPointError(ValueError):
-    """Raised when the interior right-hand side is evaluated at rho = 0 or 1."""
+SERIES_ORDER = 6  # truncation of every series launch
 
 
 class SeriesRangeError(ValueError):
     """Raised when a series is evaluated beyond its validated radius."""
-
-
-@dataclass(frozen=True)
-class SeriesStart:
-    """Validated launch state produced by a series expansion.
-
-    trunc_error_est is the magnitude of the first omitted series term at
-    rho0, kept below the integration tolerance by shrinking the offset.
-    """
-
-    rho0: float
-    state: ProfileState
-    trunc_error_est: float
 
 
 def chart_rhs(params: ModelParams, mu: float):
@@ -95,23 +71,6 @@ def chart_rhs(params: ModelParams, mu: float):
                 / (1.0 - mu * t * t))
 
     return rhs
-
-
-def rhs_interior(state: ProfileState, params: ModelParams) -> float:
-    """u'' from the profile equation at an interior point (rho not 0 or 1)."""
-    rho = state.rho
-    if rho == 0.0 or rho == 1.0 or (1.0 - rho * rho) == 0.0:
-        raise SingularPointError(
-            f"rho = {rho} is a singular point; launch with series_at_center or "
-            "series_at_lightcone instead of evaluating the raw equation"
-        )
-    return chart_rhs(params, 1.0)(rho, (state.u, state.du))[1]
-
-
-def equation_residual(rho: float, u: float, du: float, ddu: float, params: ModelParams) -> float:
-    """Left-hand side of the profile equation; zero on exact solutions."""
-    tt = 2.0 + 2.0 * params.alpha
-    return (1.0 - rho * rho) * ddu + (2.0 / rho - tt * rho) * du - params.aa1 * u + u**params.p
 
 
 def _pow_coeffs(a: np.ndarray, p: int, order: int) -> np.ndarray:
@@ -184,24 +143,6 @@ def _series_eval(coeffs: np.ndarray, t: float, order: int) -> tuple[float, float
     return u, du, tail
 
 
-def series_at_center(c: float, rho: float, params: ModelParams, order: int = SERIES_ORDER) -> ProfileState:
-    """Regular-family state near the origin, u(0) = c, from the even series."""
-    if rho < 0.0:
-        raise ValueError(f"center series needs rho >= 0, got {rho}")
-    coeffs = _center_coeffs(c, params, order + 2, mu=1.0)
-    u, du, _ = _series_eval(coeffs, rho, order)
-    return ProfileState(rho=rho, u=u, du=du)
-
-
-def series_at_lightcone(b: float, rho: float, params: ModelParams, order: int = SERIES_ORDER) -> ProfileState:
-    """Analytic-branch state near the cone, u(1) = b; valid on either side."""
-    if rho <= 0.0:
-        raise ValueError(f"light-cone series needs rho > 0, got {rho}")
-    coeffs = _lightcone_coeffs(b, params, order + 2)
-    u, du, _ = _series_eval(coeffs, rho - 1.0, order)
-    return ProfileState(rho=rho, u=u, du=du)
-
-
 def _shrink_until_valid(coeffs, t0, order, rtol, atol, scale_u, scale_du):
     """Halve the offset t0 until the truncation estimates of u and u' drop
     below rtol * max(|value|, scale) + atol; returns (t, u, du, est)."""
@@ -228,23 +169,24 @@ def _center_launch(amp: float, mu: float, t0: float, params: ModelParams, rtol: 
 
 
 def center_launch(c: float, params: ModelParams, rtol: float = 1e-12,
-                  atol: float = 1e-14) -> SeriesStart:
-    """Pick a validated offset rho0 and return the launch state there.
+                  atol: float = 1e-14) -> tuple[float, float, float, float]:
+    """Launch data (rho0, u, du, trunc_est) of the plain-chart center series
+    u(0) = c, at a validated offset rho0.
 
-    The series converges only out to roughly sqrt(6) c^{-(p-1)/2} (where the
+    trunc_est is the first omitted series term at rho0.  The series converges only out to roughly sqrt(6) c^{-(p-1)/2} (where the
     quadratic term overtakes c), so the 1e-3 default offset is capped by
     0.02 c^{-(p-1)/2} for large amplitudes and halved until the truncation
     estimate drops below the integration tolerance.
     """
     scale = max(abs(c), 1.0) ** (-(params.p - 1) / 2.0)
     rho_cap = min(1.0e-3, 0.02 * scale)
-    rho0, u, du, est = _center_launch(c, 1.0, rho_cap, params, rtol, atol)
-    return SeriesStart(rho0=rho0, state=ProfileState(rho0, u, du), trunc_error_est=est)
+    return _center_launch(c, 1.0, rho_cap, params, rtol, atol)
 
 
 def lightcone_launch(b: float, params: ModelParams, rtol: float = 1e-12, atol: float = 1e-14,
-                     side: int = -1) -> SeriesStart:
-    """Validated launch at rho = 1 + side*s0; side=-1 interior, +1 exterior."""
+                     side: int = -1) -> tuple[float, float, float, float]:
+    """Launch data (rho0, u, du, trunc_est) of the cone series u(1) = b at a
+    validated rho0 = 1 + side*s0; side=-1 interior, +1 exterior."""
     if side not in (-1, 1):
         raise ValueError("side must be -1 (inside the cone) or +1 (outside)")
     # the series radius shrinks like b^{-(p-1)}; a b past float range, or
@@ -259,7 +201,7 @@ def lightcone_launch(b: float, params: ModelParams, rtol: float = 1e-12, atol: f
     if rho0 == 1.0:
         raise SeriesRangeError(f"cone amplitude b={b:g} has no validated series launch "
                                "offset off rho = 1")
-    return SeriesStart(rho0=rho0, state=ProfileState(rho0, u, du), trunc_error_est=est)
+    return rho0, u, du, est
 
 
 def center_launch_rescaled(c: float, params: ModelParams, rtol: float = 1e-12,

@@ -195,14 +195,34 @@ def test_extension_rejects_bad_amplitudes(p7, tol):
         diag.extend_beyond_lightcone(0.5, p7, 0.9, tol)
 
 
+def _singular_mode_amplitude(traj, params, points=8):
+    """Extrapolated size of the singular mode at the cone.
+
+    In the compactified chart sigma = (1-rho)^alpha the derivative variable
+    theta = sigma u' tends to 0 for regular solutions and to a finite value
+    when the singular component is present; a linear fit in sigma over the
+    `points` samples closest to the cone estimates that limit.
+    """
+    rho, u, du = traj.pieces[-1].profile_samples()
+    mask = rho < 1.0
+    rho, du = rho[mask], du[mask]
+    assert len(rho) >= points and rho.max() >= 0.98, "too few samples near the cone"
+    order = np.argsort(rho)[-points:]
+    sig = (1.0 - rho[order]) ** params.alpha
+    th = sig * du[order]
+    coef, *_ = np.linalg.lstsq(np.column_stack([np.ones_like(sig), sig]),
+                               th, rcond=None)
+    return abs(float(coef[0]))
+
+
 def test_singular_mode_amplitude_separates_roots(u1, p7, tol):
     # smooth members cross the cone with no singular component; generic
     # center data does not
     # the intercept estimator carries a floor from the regular Taylor tail
     # over the fit window, so the root reads small-but-nonzero
-    amp_root = diag.singular_mode_amplitude(u1.trajectory, p7)
+    amp_root = _singular_mode_amplitude(u1.trajectory, p7)
     traj = center_trajectory(3.0, 0.9995, p7, tol)
-    amp_generic = diag.singular_mode_amplitude(traj, p7)
+    amp_generic = _singular_mode_amplitude(traj, p7)
     assert abs(amp_root) < 1e-2
     assert abs(amp_generic) > 3e-2
     assert abs(amp_generic) > 10.0 * abs(amp_root)

@@ -97,8 +97,8 @@ def test_center_trajectory_charts_agree(p7, tol):
     assert hi.t[0] == x0 and x_s in hi.t
     # cross-check c = 1.01 against the plain launch, from just past its
     # launch radius (1e-3 here, as rho_s) out, and on U0's grid below it
-    st = center_launch(1.01, p7, tol.rtol, tol.atol).state
-    plain = integrate(st, 0.6, p7, tol)
+    rho0, u, du, _ = center_launch(1.01, p7, tol.rtol, tol.atol)
+    plain = integrate(ProfileState(rho0, u, du), 0.6, p7, tol)
     rho = np.append(np.linspace(0.05, 0.6, 23), np.geomspace(2e-3, 0.04, 9))
     u_a, du_a = hi.eval(rho)
     u_b, du_b = plain.eval(rho)
@@ -344,13 +344,13 @@ def test_shots_end_past_their_launch_radius(p7, tol):
     # over to the rescaled run above), and rho_end on the cone launch radius
     # are rejected by name
     rho_s = tol.rtol ** 0.25
-    for c, rho0 in ((0.5, center_launch(0.5, p7, tol.rtol, tol.atol).rho0), (2.0, rho_s),
+    for c, rho0 in ((0.5, center_launch(0.5, p7, tol.rtol, tol.atol)[0]), (2.0, rho_s),
                     (1e4, rho_s)):
         for rho_end in (rho0 * (1.0 - 1e-12), 0.5 * rho0):
             with pytest.raises(ValueError, match=f"center launch radius {rho0:g}$"):
                 center_trajectory(c, rho_end, p7, tol)
         assert center_trajectory(c, 1.1 * rho0, p7, tol).termination == TERM_REACHED_END
-    rho0 = lightcone_launch(0.7, p7, tol.rtol, tol.atol, side=-1).rho0
+    rho0 = lightcone_launch(0.7, p7, tol.rtol, tol.atol, side=-1)[0]
     with pytest.raises(ValueError, match="cone launch radius"):
         lightcone_trajectory(0.7, rho0, p7, tol)
     for rho_end in (rho0 - 1e-3, 0.5 * (rho0 + 1.0)):
@@ -385,14 +385,14 @@ def _scipy_dop853(rhs, t0, y0, t_end, tol):
 def _oracle_case(name, p7, tol):
     """(rhs, t0, y0, t_end) of the integrations the package runs."""
     if name == "center c=2":
-        st = center_launch(2.0, p7, tol.rtol, tol.atol).state
-        return chart_rhs(p7, 1.0), st.rho, (st.u, st.du), 0.5
+        rho0, u, du, _ = center_launch(2.0, p7, tol.rtol, tol.atol)
+        return chart_rhs(p7, 1.0), rho0, (u, du), 0.5
     if name == "x-chart c=1e4":
         x0, U, dU, _ = center_launch_rescaled(1e4, p7, tol.rtol, tol.atol)
         return chart_rhs(p7, 1e4 ** -(p7.p - 1)), x0, (U, dU), 0.5 * 1e4 ** 3
     if name == "cone b=0.7":
-        st = lightcone_launch(0.7, p7, tol.rtol, tol.atol, side=-1).state
-        return chart_rhs(p7, 1.0), st.rho, (st.u, st.du), 0.5
+        rho0, u, du, _ = lightcone_launch(0.7, p7, tol.rtol, tol.atol, side=-1)
+        return chart_rhs(p7, 1.0), rho0, (u, du), 0.5
     if name == "limit":
         x0, U, dU, _ = limit_launch(p7, tol.rtol, tol.atol)
         return chart_rhs(p7, 0.0), x0, (U, dU), 1e6

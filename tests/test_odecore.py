@@ -3,45 +3,43 @@ import math
 import numpy as np
 import pytest
 
-from blowup.model import ProfileState, derive_constants, du_singular, u_singular
+from blowup.model import derive_constants, du_singular, u_singular
 from blowup import odecore
 from blowup.odecore import (
     SeriesRangeError,
-    SingularPointError,
     center_launch,
     center_launch_rescaled,
-    equation_residual,
+    chart_rhs,
     lightcone_launch,
     limit_launch,
-    rhs_interior,
-    series_at_center,
-    series_at_lightcone,
 )
 from reference_values import ORACLES
 
 
+def _center_series(c, rho, params, order):
+    """(u, du) of the plain-chart center series truncated at `order`."""
+    return odecore._series_eval(odecore._center_coeffs(c, params, order + 2, mu=1.0),
+                                rho, order)[:2]
+
+
 def test_rhs_interior_values(p7):
+    rhs = chart_rhs(p7, 1.0)
     # constant solution is an equilibrium of the radial part
-    assert rhs_interior(ProfileState(0.5, p7.b0, 0.0), p7) == pytest.approx(0.0, abs=1e-15)
+    assert rhs(0.5, (p7.b0, 0.0))[1] == pytest.approx(0.0, abs=1e-15)
     # hand-evaluated point: (4/9 - 1)/(3/4) = -20/27
-    assert rhs_interior(ProfileState(0.5, 1.0, 0.0), p7) == pytest.approx(-20.0 / 27.0, rel=1e-14)
-
-
-def test_rhs_interior_rejects_singular_points(p7):
-    with pytest.raises(SingularPointError):
-        rhs_interior(ProfileState(0.0, 1.0, 0.0), p7)
-    with pytest.raises(SingularPointError):
-        rhs_interior(ProfileState(1.0, 1.0, 0.0), p7)
+    assert rhs(0.5, (1.0, 0.0))[1] == pytest.approx(-20.0 / 27.0, rel=1e-14)
 
 
 def test_residual_vanishes_on_exact_solutions(p7):
+    # (1 - rho^2)(u'' - rhs) is the left-hand side of the profile equation
     al = p7.alpha
+    rhs = chart_rhs(p7, 1.0)
     for rho in (0.15, 0.5, 0.85, 1.3):
         u = u_singular(p7, rho)
         du = du_singular(p7, rho)
         ddu = al * (al + 1.0) * p7.b_inf * rho ** (-al - 2.0)
-        assert equation_residual(rho, u, du, ddu, p7) == pytest.approx(0.0, abs=1e-12)
-        assert equation_residual(rho, p7.b0, 0.0, 0.0, p7) == pytest.approx(0.0, abs=1e-15)
+        assert (1.0 - rho * rho) * (ddu - rhs(rho, (u, du))[1]) == pytest.approx(0.0, abs=1e-12)
+        assert (1.0 - rho * rho) * rhs(rho, (p7.b0, 0.0))[1] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_center_series_even_and_coefficient_oracle(p7):
@@ -57,21 +55,20 @@ def test_center_series_solves_equation(p7):
     # the truncated series must satisfy the equation to truncation order
     c = 1.7
     rho = 5e-4
-    st = series_at_center(c, rho, p7, order=8)
+    u, du = _center_series(c, rho, p7, 8)
     h = 1e-5
-    dm = series_at_center(c, rho - h, p7, order=8).du
-    dp = series_at_center(c, rho + h, p7, order=8).du
+    dm = _center_series(c, rho - h, p7, 8)[1]
+    dp = _center_series(c, rho + h, p7, 8)[1]
     ddu_fd = (dp - dm) / (2.0 * h)
-    assert ddu_fd == pytest.approx(rhs_interior(st, p7), rel=1e-6)
+    assert ddu_fd == pytest.approx(chart_rhs(p7, 1.0)(rho, (u, du))[1], rel=1e-6)
 
 
 def test_center_launch_validates_offset(p7):
-    start = center_launch(2.0, p7, rtol=1e-12, atol=1e-14)
-    assert 0 < start.rho0 <= 1e-3
-    assert start.trunc_error_est <= 1e-12 * 2.0 + 1e-14
+    rho0, _, _, est = center_launch(2.0, p7, rtol=1e-12, atol=1e-14)
+    assert 0 < rho0 <= 1e-3
+    assert est <= 1e-12 * 2.0 + 1e-14
     # large amplitude shrinks the cap with the series convergence radius
-    big = center_launch(1e4, p7)
-    assert big.rho0 <= 0.02 * 1e4 ** (-3.0)
+    assert center_launch(1e4, p7)[0] <= 0.02 * 1e4 ** (-3.0)
 
 
 def test_lightcone_slope_closed_form(p7):
@@ -93,17 +90,18 @@ def test_lightcone_second_coefficient_oracle(p7):
 
 def test_lightcone_series_matches_singular_solution(p7):
     # at b = b_inf the analytic branch IS the singular solution
+    coeffs = odecore._lightcone_coeffs(p7.b_inf, p7, 12)
     for rho in (0.97, 0.995, 1.005, 1.03):
-        st = series_at_lightcone(p7.b_inf, rho, p7, order=10)
-        assert st.u == pytest.approx(u_singular(p7, rho), rel=1e-9)
-        assert st.du == pytest.approx(du_singular(p7, rho), rel=1e-7)
+        u, du, _ = odecore._series_eval(coeffs, rho - 1.0, 10)
+        assert u == pytest.approx(u_singular(p7, rho), rel=1e-9)
+        assert du == pytest.approx(du_singular(p7, rho), rel=1e-7)
 
 
 def test_lightcone_launch_both_sides(p7):
-    inner = lightcone_launch(0.7, p7, side=-1)
-    outer = lightcone_launch(0.7, p7, side=+1)
-    assert inner.rho0 < 1.0 < outer.rho0
-    assert inner.trunc_error_est <= 1e-12 * 0.7 + 1e-14
+    inner, _, _, est = lightcone_launch(0.7, p7, side=-1)
+    outer = lightcone_launch(0.7, p7, side=+1)[0]
+    assert inner < 1.0 < outer
+    assert est <= 1e-12 * 0.7 + 1e-14
     with pytest.raises(ValueError):
         lightcone_launch(0.7, p7, side=0)
 
@@ -111,7 +109,7 @@ def test_lightcone_launch_both_sides(p7):
 def test_series_range_guard(p7):
     with pytest.raises(SeriesRangeError):
         # far outside the convergence radius of the large-amplitude series
-        series_at_center(50.0, 0.5, p7)
+        _center_series(50.0, 0.5, p7, odecore.SERIES_ORDER)
 
 
 def test_rescaled_chart_consistency(p7):

@@ -82,6 +82,37 @@ def test_every_name_the_tracer_binds_resolves():
             f"blowup.{mod}.{name}"
 
 
+# exported names no package code reaches, each with the reason it stays
+UNREACHED_BY_DESIGN = {
+    "u_singular": "the closed-form singular solution, the oracle the README names",
+}
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Names one module's code refers to: loads, attributes and imports, not
+    strings, so a docstring or an __all__ entry does not count."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_every_exported_name_is_reached_by_the_package_or_the_tracer():
+    # a public name only tests call is code no command runs
+    reached = set().union(*map(_referenced_names, MODULES))
+    tracing = _tracing()
+    reached |= {name for _, name in tracing.SPANNED + [tracing.DRIVE]}
+    unreached = [f"{path.stem}.{name}" for path in MODULES
+                 for name in _surface(path)[1] or []
+                 if name not in reached and name not in UNREACHED_BY_DESIGN]
+    assert unreached == [], f"exported but reached by no package code: {unreached}"
+
+
 def test_traced_request_counts_its_integrations(capsys):
     from blowup import cli
 
