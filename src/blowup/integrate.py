@@ -2,8 +2,8 @@
 
 The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as
 scipy 1.17.1 steps it, on Python floats for the systems (u, u') every caller
-integrates (and the limit run below), in straight-line stage code that import
-generates from the module's tableau; numpy is the only import.  Step budget,
+integrates (and the limit run below), in straight-line stage code generated
+on first use from the module's tableau; numpy is the only import.  Step budget,
 minimum step size and termination reasons are explicit.  Dense output, built
 on first use from the kept stages, sums scipy's DOP853 interpolant bit for bit.
 
@@ -14,15 +14,17 @@ limit equation is stored with c = 1 as well.  Conversions are exact, and
 scaling by 1 leaves every digit of the plain chart unchanged.
 
 Large center shots share their inner part: in the chart of c a shot is
-U0 + mu U1, the limit solution and its first correction, up to terms of order
-(mu x^2)^2 = rho^4.  Both are integrated once per (params, tol), in one run of
-(U0, U0', U1, U1') with steps controlled on U0, and each shot integrates only
-from rho_s = rtol^{1/4}.  The asymptotic fits read U0 off the same kept run.
+U0 + mu U1 + mu^2 U2, the limit solution and its first two corrections, up to
+terms of order (mu x^2)^3 = rho^6.  All three are integrated once per
+(params, tol), in one run of (U0, U0', U1, U1', U2, U2') with steps controlled
+on U0, and each shot integrates only from rho_s = rtol^{1/6}.  Outer runs
+read atol in units of u.  The asymptotic fits read U0 off the same kept run.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -166,9 +168,10 @@ def _ks(n: int, j) -> str:
     return ", ".join(f"k{m}_{j}" for m in range(n))
 
 
+@functools.cache
 def _kernel(n: int):
     """DOP853's stages for n components as straight-line code, generated from
-    the tableau at import (as namedtuple builds its class), so a step runs no
+    the tableau on first use (as namedtuple builds its class), so a step runs no
     per-term loop: each sum adds its row's nonzero terms left to right, in repr
     literals.  The error estimates are the first two components', (u, u')."""
     y = ", ".join(f"y{m}" for m in range(n))
@@ -186,10 +189,6 @@ def _kernel(n: int):
     ns = {}
     exec(compile(src, f"<DOP853 kernel, {n} components>", "exec"), ns)
     return ns["_step_stages"], ns["_extra_stages"]
-
-
-# by number of components: (u, u'), and (U0, U0', U1, U1') of the limit run
-_KERNELS = {n: _kernel(n) for n in (2, 4)}
 
 
 def _initial_step(rhs, t, y, f, t_end, direction, rtol, atol) -> float:
@@ -211,10 +210,14 @@ def _initial_step(rhs, t, y, f, t_end, direction, rtol, atol) -> float:
     return min(100.0 * h0, (0.01 / max(d1, d2)) ** (1.0 / 8.0), span)
 
 
+class _RangeEnd(OverflowError):
+    """An uncontrolled component left the float range: no step helps."""
+
+
 def _step(step_stages, rhs, t, y, f, h_abs, t_end, direction, rtol, atol):
-    """One accepted step from (t, y), where rhs is f: sizes are tried with
-    the generated step_stages until one passes.  Returns (t, y, f, next
-    h_abs, K) with the 13 stages of each component, or None below 10 ulp."""
+    """One accepted step from (t, y), where rhs is f: sizes are tried with the
+    generated step_stages until one passes.  Returns (t, y, f, next h_abs, K)
+    with the 13 stages of each component, or None below 10 ulp or on _RangeEnd."""
     min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
     h_abs = max(h_abs, min_step)
     rejected = False
@@ -226,6 +229,8 @@ def _step(step_stages, rhs, t, y, f, h_abs, t_end, direction, rtol, atol):
         h_abs = abs(h)
         try:
             y_new, f_new, K, e5_0, e5_1, e3_0, e3_1 = step_stages(rhs, t, y, h, t_new, f)
+        except _RangeEnd:
+            return None
         except OverflowError:
             # u**p left the float range; there scipy's arrays hold inf and
             # its error norm rejects the step by the smallest factor
@@ -237,8 +242,8 @@ def _step(step_stages, rhs, t, y, f, h_abs, t_end, direction, rtol, atol):
         err5 = (e5_0 / s0) ** 2 + (e5_1 / s1) ** 2
         err3 = (e3_0 / s0) ** 2 + (e3_1 / s1) ** 2
         norm = math.sqrt((err5 + 0.01 * err3) * 2.0)
-        # scipy's 0/0 is nan, which rejects the step by the smallest factor
-        err = h_abs * err5 / norm if norm else math.nan if err3 else 0.0
+        # norm is 0 only when both estimates underflow: the step's error is nil
+        err = h_abs * err5 / norm if norm else 0.0
         if err < 1.0:
             factor = min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT) if err else _MAX_FACTOR
             h_next = h_abs * (min(1.0, factor) if rejected else factor)
@@ -263,15 +268,15 @@ class _DenseOutput:
 
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
         (rhs, stages), t, y = self._pending, self._t, self._y
-        ts, ys = t.tolist(), y.tolist()            # K: (step, component, stage)
+        extra_stages, ts = _kernel(stages.shape[1])[1], t.tolist()
 
-        def extra(i, k):
+        def extra(i):   # one step at a time, so no list holds the whole run's K
             try:
-                return _KERNELS[len(k)][1](rhs, ts[i], ys[i], ts[i + 1] - ts[i], k)
+                return extra_stages(rhs, ts[i], y[i].tolist(), ts[i + 1] - ts[i],
+                                    stages[i].tolist())
             except OverflowError:   # u**p left the float range: no finite interpolant
-                return [(math.inf,) * 3] * len(k)
-        K = np.concatenate((stages, [extra(i, k) for i, k in enumerate(stages.tolist())]),
-                           axis=2)
+                return [(math.inf,) * 3] * stages.shape[1]
+        K = np.concatenate((stages, [extra(i) for i in range(len(stages))]), axis=2)
         h = np.diff(t)[:, None]
         dy = np.diff(y, axis=0)
         f_old, f_new = K[:, :, 0], K[:, :, _STAGES]
@@ -314,48 +319,52 @@ class _DenseOutput:
         return y[0] if tq.ndim == 0 else y.T
 
 
+def _in_mu(a: np.ndarray, mu: float) -> np.ndarray:
+    """a0 + mu a1 + mu^2 a2 from the limit run's last axis (U0, U0', U1, U1', U2, U2')."""
+    return a[..., :2] + mu * a[..., 2:4] + mu * mu * a[..., 4:]
+
+
 class _Joined(_DenseOutput):
-    """U0 + mu U1 on the first k steps of the limit run (U0, U0', U1, U1'),
-    nodes y0 + mu y1 and coefficients F0 + mu F1, the last step cut where an
-    outer run starts, then all of the outer run's; each run builds its
-    coefficients once."""
+    """U0 + mu U1 + mu^2 U2 on the first k steps of the limit run, nodes
+    y0 + mu y1 + mu^2 y2 and coefficients F0 + mu F1 + mu^2 F2, the last step
+    cut where an outer run starts, then all of the outer run's; each run builds
+    its coefficients once."""
 
     def __init__(self, run: _DenseOutput, mu: float, k: int, tail: _DenseOutput):
         self._parts, self._F = (run, mu, k, tail), None
         self._t = np.concatenate((run._t[:k], tail._t))
-        self._y = np.concatenate((run._y[:k, :2] + mu * run._y[:k, 2:], tail._y))
+        self._y = np.concatenate((_in_mu(run._y[:k], mu), tail._y))
 
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
         run, mu, k, tail = self._parts
-        F = run.coefficients()[:k]
-        return (np.concatenate((F[:, :, :2] + mu * F[:, :, 2:], tail.coefficients())),
+        return (np.concatenate((_in_mu(run.coefficients()[:k], mu), tail.coefficients())),
                 np.concatenate((run._h[:k], tail._h)))
 
 
 def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
-              blow_cap: float | None = None, store_dense: bool = True):
+              blow_cap: float | None = None, store_dense: bool = True, h0=None):
     """Step rhs from t0 to t_end; returns (t, y, dense, termination).
 
-    y0 holds (u, u') or (u, u', v, v'), with the step size controlled on
-    (u, u'); rhs(t, y) gets a tuple of floats and returns their derivatives.
-    t is the accepted-step grid (monotone), y has shape (len(y0), len(t)),
-    dense is a _DenseOutput (callable on t, scipy-free) holding the 13 stages
-    of every step in one float64 array, or None without store_dense or a
-    step.  Stops early on |y[0]| > blow_cap, a step below H_MIN, or MAX_STEPS
-    accepted steps.
+    y0 holds (u, u') or the limit run's 6 components, steps controlled on the
+    first two; rhs(t, y) gets a tuple of floats and returns their derivatives.
+    The first step tried is h0 or scipy's.  t is the accepted-step grid
+    (monotone), y has shape (len(y0), len(t)), dense is a _DenseOutput
+    (callable on t, scipy-free) holding the 13 stages of every step in one
+    float64 array, or None without store_dense or a step.  Stops early on
+    |y[0]| > blow_cap, a step below H_MIN, or MAX_STEPS accepted steps.
     """
     if t_end == t0:
         raise ValueError("empty integration span")
-    if len(y0) not in _KERNELS:
-        raise ValueError(f"drive_ode integrates 2 or 4 components, got {len(y0)}")
-    step_stages = _KERNELS[len(y0)][0]
+    if len(y0) not in (2, 6):
+        raise ValueError(f"drive_ode integrates 2 or 6 components, got {len(y0)}")
+    step_stages = _kernel(len(y0))[0]
     t, y = float(t0), tuple(float(v) for v in y0)
     direction = 1.0 if t_end > t0 else -1.0
     try:
         f = rhs(t, y)
     except OverflowError:      # the start is past the float range: no step
         return np.array([t]), np.array(y)[:, None], None, TERM_STEP_UNDERFLOW
-    h_abs = _initial_step(rhs, t, y, f, t_end, direction, tol.rtol, tol.atol)
+    h_abs = h0 or _initial_step(rhs, t, y, f, t_end, direction, tol.rtol, tol.atol)
     ts, ys, stages = [t], [y], array("d")
     termination = TERM_REACHED_END
     while direction * (t - t_end) < 0:
@@ -375,7 +384,9 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
         if blow_cap is not None and abs(y[0]) > blow_cap:
             termination = TERM_BLEW_UP
             break
-        if h_abs < H_MIN:
+        # a step that lands a few ulp short of t_end leaves a sliver to step,
+        # whose next size says nothing once the end is reached
+        if h_abs < H_MIN and direction * (t - t_end) < 0:
             termination = TERM_STEP_UNDERFLOW
             break
     t, y = np.array(ts), np.array(ys)
@@ -457,8 +468,8 @@ class Trajectory:
 
 
 def _trajectory(params: ModelParams, mu: float, c_scale: float, t0: float, y0,
-                t_end: float, tol: Tolerances, blow_cap: float) -> Trajectory:
-    t, y, dense, term = drive_ode(chart_rhs(params, mu), t0, y0, t_end, tol, blow_cap)
+                t_end: float, tol: Tolerances, blow_cap: float, h0=None) -> Trajectory:
+    t, y, dense, term = drive_ode(chart_rhs(params, mu), t0, y0, t_end, tol, blow_cap, h0=h0)
     return Trajectory(params=params, c_scale=c_scale, t=t, y=y, dense=dense,
                       termination=term)
 
@@ -482,15 +493,17 @@ def integrate(start: ProfileState, rho_end: float, params: ModelParams,
 
 
 def integrate_rescaled(c: float, x_start: float, U: float, dU: float, x_end: float,
-                       params: ModelParams, tol: Tolerances = Tolerances()) -> Trajectory:
-    """Integrate the exact rescaled equation in x; valid while rho < 1."""
+                       params: ModelParams, tol: Tolerances = Tolerances(), h0=None) -> Trajectory:
+    """Integrate the exact rescaled equation in x; valid while rho < 1, with
+    atol in units of u = c U: (U, U') are held to atol/c for c > 1."""
     if c <= 0.0:
         raise ValueError("rescaled chart needs c > 0")
     mu = float(c) ** (-(params.p - 1))
     x_cone = (1.0 - 1e-12) / math.sqrt(mu)
     if not (0.0 < x_start < x_cone and 0.0 < x_end < x_cone):
         raise ValueError("x span must stay inside the cone image")
-    return _trajectory(params, mu, float(c), x_start, (U, dU), x_end, tol, 1.0e3)
+    return _trajectory(params, mu, float(c), x_start, (U, dU), x_end,
+                       Tolerances(tol.rtol, tol.atol / max(float(c), 1.0)), 1.0e3, h0)
 
 
 def integrate_limit(x_start: float, U: float, dU: float, x_end: float,
@@ -513,38 +526,54 @@ def _past_center_launch(rho_end: float, stretch: float, x0: float) -> float:
     return rho_end * stretch
 
 
-_LIMIT_RUNS: dict = {}   # (params, tol) -> (run of (U0, U0', U1, U1'), its reach, why)
+_LIMIT_RUNS: dict = {}   # (params, tol) -> (the limit run, its reach, why)
 
 
 def _limit_rhs(params: ModelParams):
-    """The limit equation and the equation of U1 = dU/dmu at mu = 0,
-    U1'' = -2U1'/x - p U0^{p-1} U1 + aa1 U0 + 2 alpha x U0' - x^2 U0^p."""
+    """The limit equation and those of its corrections (odecore._limit_correction),
+    U1'' = aa1 U0 + 2 alpha x U0' - x^2 U0^p - 2U1'/x - p U0^{p-1} U1,
+    U2'' = x^2 U1'' + aa1 U1 + (2+2alpha) x U1' - 2U2'/x - p U0^{p-1} U2
+           - p(p-1)/2 U0^{p-2} U1^2."""
     p, aa1, two_al, limit = params.p, params.aa1, 2.0 * params.alpha, chart_rhs(params, 0.0)
+    tt, half = 2.0 + two_al, 0.5 * p * (p - 1)
 
     def rhs(t, y):
-        u, du, v, dv = y
-        upm = u ** (p - 1)
-        return (*limit(t, (u, du)), dv,
-                aa1 * u + two_al * t * du - t * t * upm * u - 2.0 * dv / t - p * upm * v)
+        u, du, v, dv, w, dw = y
+        upm2 = u ** (p - 2)
+        upm = upm2 * u
+        d2v = aa1 * u + two_al * t * du - t * t * upm * u - 2.0 * dv / t - p * upm * v
+        d2w = (t * t * d2v + aa1 * v + tt * t * dv - 2.0 * dw / t - p * upm * w
+               - half * upm2 * v * v)
+        if not math.isfinite(d2w):
+            raise _RangeEnd("U1 or U2 left the float range")
+        return (*limit(t, (u, du)), dv, d2v, dw, d2w)
     return rhs
 
 
+def _limit_tol(params: ModelParams, tol: Tolerances) -> Tolerances:
+    """rtol, and an atol that holds every shot's atol in units of u where it reads
+    U0: the outer run of amplitude c holds (U, U') to atol/c, and c is at most
+    2^{1074/(p-1)}, where mu = c^{-(p-1)} leaves the floats."""
+    return Tolerances(tol.rtol, tol.atol * 2.0 ** (-1074 / (params.p - 1)))
+
+
 def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str) -> Trajectory:
-    """The kept run of U0 from limit_launch and U1 from its series at the same
-    x0, with steps controlled on U0 (so they are integrate_limit's), for a
-    center shot or fit that reads it up to x.  The first run ends at
-    LIMIT_REACH; one whose last full step ends before x is replaced by one to
-    max(x^2, LIMIT_REACH).  Only the last step is cut to a run's end, so what
-    is read does not depend on the order of the calls.  Past the run's reach,
-    its last full step or last node before U0 turns nonpositive (the true U0
-    never does), x raises a ValueError naming subject."""
+    """The kept run of U0 from limit_launch and of U1 and U2 from their series
+    at the same x0, with steps controlled on U0 (so they are integrate_limit's
+    at _limit_tol), for a center shot or fit that reads it up to x.  The first
+    run ends at LIMIT_REACH; one whose last full step ends before x is replaced
+    by one to max(x^2, LIMIT_REACH), or to where U1 or U2 would leave the
+    floats.  Only the last step is cut to a run's end, so what is read does not
+    depend on the order of the calls.  Past the run's reach, its last full step
+    or last node before U0 turns nonpositive (the true U0 never does), x raises
+    a ValueError naming subject."""
     run, reach, why = _LIMIT_RUNS.get((params, tol), (None, 0.0, ""))
     while run is None or (run.t[-2] < x and run.termination == TERM_REACHED_END):
         x0, U, dU, _ = limit_launch(params, tol.rtol, tol.atol)
         t, y, dense, term = drive_ode(_limit_rhs(params), x0,
                                       (U, dU, *_limit_correction(x0, params)),
                                       max(x * x, LIMIT_REACH) if run else LIMIT_REACH,
-                                      tol, 1.0e3)
+                                      _limit_tol(params, tol), 1.0e3)
         run = Trajectory(params, 1.0, t, y, dense, term)
         bad = np.flatnonzero(y[0, :-1] <= 0.0)
         reach = float(t[bad[0] - 1] if bad.size else t[-2])
@@ -559,9 +588,11 @@ def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str) -> 
 def center_trajectory(c: float, rho_end: float, params: ModelParams,
                       tol: Tolerances = Tolerances()) -> Trajectory:
     """The center shot u(0) = c out to rho_end: a series launch in rho or, once
-    x_s = rtol^{1/4} c^{(p-1)/2} lies past the launch of the limit solution U0
-    (c > 1 for p = 7 at the default rtol), U0 + mu U1 on U0's grid up to x_s,
-    read in the chart of c, then the exact rescaled equation from there."""
+    x_s = rho_s c^{(p-1)/2} lies past the launch of the limit solution U0 (c >
+    0.46 for p = 7 at the default rtol), U0 + mu U1 + mu^2 U2 on U0's grid up
+    to x_s, read in the chart of c, then the exact rescaled equation from there,
+    first trying the limit run's step.  rho_s = rtol^{1/6}, where the first term
+    left out, ~rho^6, is ~rtol, moves in to rho_end/2 but not below rtol^{1/4}."""
     if c <= 0.0:
         raise ValueError("center launches need c > 0")
     if not 0.0 < rho_end < 1.0:
@@ -570,7 +601,7 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
         raise ValueError(f"center amplitude c={c:g} is beyond the float range of the "
                          "rescaled chart")
     stretch = float(c) ** ((params.p - 1) / 2.0)
-    x_s = math.sqrt(math.sqrt(tol.rtol)) * stretch
+    x_s = min(tol.rtol ** (1.0 / 6.0), max(tol.rtol ** 0.25, 0.5 * rho_end)) * stretch
     run = _limit_run(x_s, params, tol, f"center amplitude c={c:g}")
     if x_s <= run.t[0]:
         rho0, u, du, _ = center_launch(c, params, tol.rtol, tol.atol)
@@ -578,11 +609,11 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
                          params, tol)
     x_end = _past_center_launch(rho_end, stretch, x_s)
     mu = float(c) ** (-(params.p - 1))
-    U0, dU0, U1, dU1 = run.dense(np.asarray(x_s))
-    outer = integrate_rescaled(c, x_s, U0 + mu * U1, dU0 + mu * dU1, x_end, params, tol)
-    if outer.dense is None:    # not one step from there: labeled by its termination
-        return outer
-    dense = _Joined(run.dense, mu, int(run.t.searchsorted(x_s)), outer.dense)
+    k = int(run.t.searchsorted(x_s))
+    U, dU = _in_mu(run.dense(np.asarray(x_s)), mu)
+    h0 = float(run.t[k] - run.t[k - 1])   # the limit run's step at x_s
+    outer = integrate_rescaled(c, x_s, U, dU, x_end, params, tol, h0)
+    dense = _Joined(run.dense, mu, k, outer.dense)
     return Trajectory(params, float(c), dense._t, dense._y.T, dense, outer.termination)
 
 

@@ -15,9 +15,10 @@ where N_k are the coefficients of u^p and mu selects the chart: mu = 1 is
 the plain equation, mu = c^{-(p-1)} the exact large-amplitude rescaling
 x = rho c^{(p-1)/2}, U = u/c, and mu = 0 its limit equation
 U'' + (2/x) U' + U^p = 0.  Center shots launch from the series at mu = 1
-(center_launch) or, for large c, start from U0 + mu U1: the limit solution
-U0 that limit_launch starts and its first correction U1 = dU/dmu at mu = 0,
-whose series _limit_correction sums (see integrate.center_trajectory).
+(center_launch) or, for large c, start from U0 + mu U1 + mu^2 U2: the limit
+solution U0 that limit_launch starts and its mu and mu^2 corrections, whose
+series _limit_correction sums (see integrate.center_trajectory).  The
+coefficients of u^p come from J. C. P. Miller's recurrence (_pow_next).
 
 Light-cone chart.  With s = rho - 1 the analytic branch at the cone is
 u = b + b1 s + ..., indicial exponents 0 and (p-3)/(p-1), and the
@@ -73,37 +74,40 @@ def chart_rhs(params: ModelParams, mu: float):
     return rhs
 
 
-def _pow_coeffs(a: np.ndarray, p: int, order: int) -> np.ndarray:
-    """Coefficients of (sum a_k t^k)^p truncated at t^order."""
-    base = a[: order + 1]
-    out = base.copy()
-    for _ in range(p - 1):
-        out = np.convolve(out, base)[: order + 1]
-    return out
+def _pow_next(a, P, p: int) -> float:
+    """Coefficient k = len(P) of (sum a_j t^j)^p from a_0..a_k and its lower
+    coefficients P, by J. C. P. Miller's recurrence (Knuth, TAOCP 2, 4.7)
+    P_k = sum_{j=1..k} ((p+1) j - k) a_j P_{k-j} / (k a_0), on floats; a_0 != 0."""
+    k = len(P)
+    if not k:
+        return a[0] ** p
+    return sum(((p + 1) * j - k) * a[j] * P[k - j] for j in range(1, k + 1)) / (k * a[0])
+
+
+def _cauchy(a, b, k: int) -> float:
+    """Coefficient k of the product of the series a and b."""
+    return sum(a[j] * b[k - j] for j in range(k + 1))
 
 
 def _center_coeffs(c: float, params: ModelParams, order: int, mu: float) -> np.ndarray:
     aa1 = params.aa1
     tt = 2.0 + 2.0 * params.alpha
-    a = np.zeros(order + 1)
-    a[0] = c
-    for m in range(1, order):
-        if (m + 1) % 2:
-            continue  # odd coefficients vanish for the regular family
-        n = _pow_coeffs(a, params.p, m - 1)
+    a, n = [float(c)] + [0.0] * order, []
+    for m in range(1, order, 2):   # odd coefficients vanish for the regular family
+        while len(n) < m:
+            n.append(_pow_next(a, n, params.p))
         num = mu * ((m - 1) * (m - 2) + tt * (m - 1) + aa1) * a[m - 1] - n[m - 1]
         a[m + 1] = num / ((m + 1) * (m + 2))
-    return a
+    return np.array(a)
 
 
-def _lightcone_coeffs(b: float, params: ModelParams, order: int) -> np.ndarray:
+def _lightcone_coeffs(b: float, params: ModelParams, order: int) -> list:
     aa1 = params.aa1
     al = params.alpha
     tt = 2.0 + 2.0 * al
-    beta = np.zeros(order + 1)
-    beta[0] = b
+    beta, pw = [float(b)] + [0.0] * order, []
     for m in range(order):
-        pw = _pow_coeffs(beta, params.p, m)
+        pw.append(_pow_next(beta, pw, params.p))
         num = -(3.0 * m * (m - 1) + (4.0 + 4.0 * al) * m + aa1) * beta[m] + pw[m]
         if m >= 1:
             num -= ((m - 1) * (m - 2) + tt * (m - 1) + aa1) * beta[m - 1]
@@ -146,7 +150,7 @@ def _series_eval(coeffs: np.ndarray, t: float, order: int) -> tuple[float, float
 def _shrink_until_valid(coeffs, t0, order, rtol, atol, scale_u, scale_du):
     """Halve the offset t0 until the truncation estimates of u and u' drop
     below rtol * max(|value|, scale) + atol; returns (t, u, du, est)."""
-    t = t0
+    coeffs, t = [float(v) for v in coeffs], t0
     for _ in range(80):
         try:
             u, du, est = _series_eval(coeffs, t, order)
@@ -191,8 +195,10 @@ def lightcone_launch(b: float, params: ModelParams, rtol: float = 1e-12, atol: f
         raise ValueError("side must be -1 (inside the cone) or +1 (outside)")
     # the series radius shrinks like b^{-(p-1)}; a b past float range, or
     # whose valid offset is below one ulp of rho = 1, has no launch
-    with np.errstate(over="ignore", invalid="ignore"):
+    try:
         coeffs = _lightcone_coeffs(b, params, SERIES_ORDER + 2)
+    except OverflowError:   # b^p past the float range
+        coeffs = [np.inf]
     rho0 = 1.0
     if np.isfinite(coeffs).all():
         s0, u, du, est = _shrink_until_valid(coeffs, side * 1.0e-3, SERIES_ORDER, rtol,
@@ -218,14 +224,22 @@ def limit_launch(params: ModelParams, rtol: float = 1e-12,
     return _center_launch(1.0, 0.0, 1.0e-3, params, rtol, atol)
 
 
-def _limit_correction(x: float, params: ModelParams) -> tuple[float, float]:
-    """(U1, U1') at x for U1 = dU/dmu at mu = 0, the first correction to the
-    limit solution: the mu-derivative of the center recurrence at U(0) = 1,
-    whose nonlinear term is p (U0^{p-1} U1)_k; U1 = (aa1/6) x^2 + O(x^4)."""
+def _limit_correction(x: float, params: ModelParams) -> tuple[float, float, float, float]:
+    """(U1, U1', U2, U2') at x in U = U0 + mu U1 + mu^2 U2 + ...: the mu and mu^2
+    coefficients of the center recurrence at U(0) = 1, whose nonlinear terms are
+    p (U0^{p-1} U1)_k and p (U0^{p-1} U2)_k + p(p-1)/2 (U0^{p-2} U1^2)_k;
+    U1 = (aa1/6) x^2 + O(x^4) and U2 = O(x^4)."""
     p, tt = params.p, 2.0 + 2.0 * params.alpha
-    a, b = _center_coeffs(1.0, params, SERIES_ORDER, mu=0.0), np.zeros(SERIES_ORDER + 1)
+    a = _center_coeffs(1.0, params, SERIES_ORDER, mu=0.0).tolist()
+    q = []                                                   # U0^{p-2}
+    while len(q) <= SERIES_ORDER:
+        q.append(_pow_next(a, q, p - 2))
+    r = [_cauchy(q, a, k) for k in range(SERIES_ORDER + 1)]  # U0^{p-1}
+    b, c = [0.0] * (SERIES_ORDER + 1), [0.0] * (SERIES_ORDER + 1)
     for m in range(1, SERIES_ORDER, 2):
-        n = p * np.convolve(_pow_coeffs(a, p - 1, m - 1), b)[m - 1]
-        b[m + 1] = (((m - 1) * (m - 2) + tt * (m - 1) + params.aa1) * a[m - 1] - n) / (
-            (m + 1) * (m + 2))
-    return _eval_poly(b, x)
+        k, lin, den = m - 1, (m - 1) * (m - 2) + tt * (m - 1) + params.aa1, (m + 1) * (m + 2)
+        bb = [_cauchy(b, b, j) for j in range(k + 1)]
+        b[m + 1] = (lin * a[k] - p * _cauchy(r, b, k)) / den
+        c[m + 1] = (lin * b[k] - p * _cauchy(r, c, k)
+                    - 0.5 * p * (p - 1) * _cauchy(q, bb, k)) / den
+    return (*_eval_poly(b, x), *_eval_poly(c, x))

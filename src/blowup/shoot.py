@@ -28,7 +28,7 @@ of them, and integrate only their outer part in the exact rescaled chart,
 which keeps the curve data well conditioned up to the reach of U0.
 
 Solutions are classified by their nodal index: the number of zeros of
-w = u/u_singular - 1, counted by sign changes on the dense trajectory and
+w = u/u_singular - 1, counted by sign changes on the integration nodes and
 cross-checked against the winding of the phase (w, rho w'); profile n has
 exactly n + 1 zeros.
 """
@@ -49,7 +49,6 @@ from .integrate import (
     lightcone_trajectory,
 )
 from . import diagnostics as _diag
-from .diagnostics import w_zero_locations
 
 __all__ = [
     "MergedTrajectory",
@@ -248,9 +247,14 @@ def _newton_refine(c0, b0, shots: _ImageCache):
 # -- nodal classification ----------------------------------------------------
 
 
-def nodal_index(traj, params: ModelParams) -> int:
-    """Number of zeros of w, sign-change count cross-checked by phase winding."""
-    n_sign = len(w_zero_locations(traj, params))
+def nodal_index(traj: MergedTrajectory, params: ModelParams) -> int:
+    """Number of zeros of w: its sign changes on the center nodes, then on the
+    cone nodes past rho_mid, so a zero at the junction counts once; no zero is
+    located.  Cross-checked by phase winding."""
+    (_, wc, _, _), (t, wl, _, k) = (_diag._piece_chain(piece) for piece in traj.pieces)
+    s = np.sign(np.concatenate((wc, wl[t * k > traj.rho_mid])))
+    s = s[s != 0.0]
+    n_sign = int(np.count_nonzero(s[1:] != s[:-1]))
     n_phase = _diag.phase_zero_count(traj, params)
     if n_sign != n_phase:
         raise ShootingError(

@@ -268,8 +268,8 @@ def test_limit_samples_do_not_depend_on_what_ran_before(p7, tol, monkeypatch):
     # the samples are read off the run the large-c center shots start from,
     # on its full steps only: whether a limit request or a center shot builds
     # it (to LIMIT_REACH, whose last full step covers DEFAULT_X_MAX, so
-    # neither regrows it), and after a c = 1e13 shot regrows it to where U0
-    # stops (x = 3e62), they are the same to the bit
+    # neither regrows it), and after a c = 1e16 shot regrows it to where U2
+    # leaves the float range (x = 2.8e86), they are the same to the bit
     runs = {}
     monkeypatch.setattr(integrate_module, "_LIMIT_RUNS", runs)
     first = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
@@ -280,7 +280,7 @@ def test_limit_samples_do_not_depend_on_what_ran_before(p7, tol, monkeypatch):
     assert runs[p7, tol][0].t[-1] == integrate_module.LIMIT_REACH
     again = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
     assert runs[p7, tol][0].t[-1] == integrate_module.LIMIT_REACH
-    center_trajectory(1e13, 0.5, p7, tol)
+    center_trajectory(1e16, 0.5, p7, tol)
     assert runs[p7, tol][0].termination == TERM_STEP_UNDERFLOW
     regrown = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
     assert len(first) == 3

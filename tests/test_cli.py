@@ -90,21 +90,21 @@ def test_invalid_exponent_is_usage_error(tmp_path):
             (("curves", "--c-lo", "1e100", "--c-hi", "1e200", "--n-c", "2", "--n-b", "2"),
              "center amplitude c=1e+100 is beyond the float range of the rescaled chart"),
             # past the reach of the limit solution large-c shots start from:
-            # the integrated U0 turns nonpositive at x = 1.42e61, before its
-            # last full step at 3.05e62
+            # its run stops where U1 or U2 leaves the float range, after its
+            # last full step at x = 2.8e86
             (("curves", "--c-lo", "2", "--c-hi", "1e30", "--n-c", "2", "--n-b", "2"),
-             "center amplitude c=1e+30 needs the limit solution at x = 1e+87, past its "
-             "last positive node at 1.12e+61"),
-            (("curves", "--c-lo", "2", "--c-hi", "5e21", "--n-c", "2", "--n-b", "2"),
-             "center amplitude c=5e+21 needs the limit solution at x = 1.25e+62, past its "
-             "last positive node at 1.12e+61"),
+             "center amplitude c=1e+30 needs the limit solution at x = 1e+88, past its "
+             "last full step (step_underflow) at 2.8e+86"),
+            (("curves", "--c-lo", "2", "--c-hi", "5e29", "--n-c", "2", "--n-b", "2"),
+             "center amplitude c=5e+29 needs the limit solution at x = 1.25e+87, past its "
+             "last full step (step_underflow) at 2.8e+86"),
             # the limit fit reads the same U0 under the same reach
-            (("limit", "--x-max", "1e62"),
-             "x_max 1e+62 needs the limit solution at x = 1e+62, past its last positive "
-             "node at 1.12e+61"),
-            (("limit", "--x-max", "1e70"),
-             "x_max 1e+70 needs the limit solution at x = 1e+70, past its last positive "
-             "node at 1.12e+61"),
+            (("limit", "--x-max", "1e87"),
+             "x_max 1e+87 needs the limit solution at x = 1e+87, past its last full step "
+             "(step_underflow) at 2.8e+86"),
+            (("limit", "--x-max", "1e100"),
+             "x_max 1e+100 needs the limit solution at x = 1e+100, past its last full step "
+             "(step_underflow) at 2.8e+86"),
             (("curves", "--b-lo", "1", "--b-hi", "1e3", "--n-c", "2", "--n-b", "2"),
              "cone amplitude b=1000 has no validated series launch offset off rho = 1"),
             (("curves", "--b-lo", "1", "--b-hi", "1e10", "--n-c", "2", "--n-b", "2"),
@@ -230,11 +230,14 @@ def test_limit_below_the_fit_window_names_the_x_max_it_needs():
 
 
 def test_limit_fit_whose_envelope_overflows_is_a_compute_error():
-    # far out the ringdown sinks into integration noise and a Gauss-Newton
-    # iterate's envelope exp(-decay t) overflows: the fit stops there, before
-    # LAPACK's "SVD did not converge" and its stderr lines
-    proc = subprocess.run([sys.executable, "-m", "blowup", "limit", "--x-max", "1e40"],
-                          capture_output=True, text=True)
+    # a Gauss-Newton iterate whose envelope exp(-decay t) overflows stops the
+    # fit there, before LAPACK's "SVD did not converge" and its stderr lines.
+    # With U0's tail resolved no x_max reaches that, so the fit starts from
+    # decay -1000, whose envelope overflows at once
+    code = ("import sys; from blowup import asymptotics as a, cli; real = a._varpro; "
+            "a._varpro = lambda basis, omega0, decay0: real(basis, omega0, -1e3); "
+            "sys.exit(cli.main(['limit']))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("blowup: the ringdown fit did not converge (non-finite model")

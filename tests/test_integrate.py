@@ -75,6 +75,15 @@ def test_constant_solution_is_fixed_point(p7, tol):
     assert np.max(np.abs(du)) < 1e-12
 
 
+@pytest.mark.parametrize("p, rho_mid", [(7, 0.4015), (7, 0.4926), (9, 0.4015), (15, 0.4844)])
+def test_cone_shot_of_the_constant_solution_reaches_rho_mid(p, rho_mid, tol):
+    # from u(1) = b0 the first step spans the whole interval and, rounded,
+    # lands an ulp short of rho_mid: the sliver step left still reaches it
+    params = derive_constants(p)
+    traj = lightcone_trajectory(params.b0, rho_mid, params, tol)
+    assert traj.termination == TERM_REACHED_END and traj.t[-1] == rho_mid
+
+
 def test_cone_crossing_rejected(p7, tol):
     with pytest.raises(ValueError):
         integrate(ProfileState(0.5, 1.0, 0.0), 1.5, p7, tol)
@@ -84,22 +93,23 @@ def test_cone_crossing_rejected(p7, tol):
 
 def test_center_trajectory_charts_agree(p7, tol):
     # the same profile through the plain launch and the limit-solution start;
-    # the start x_s = rtol^{1/4} c^3 passes U0's launch radius 1e-3 at c = 1,
-    # so c = 0.99 launches plainly and c = 1.01 starts from U0 + mu U1
+    # the start x_s = rtol^{1/6} c^3 passes U0's launch radius 1e-3 at c =
+    # 0.1^{1/3} = 0.464, so c = 0.46 launches plainly and c = 0.47 starts from
+    # U0 + mu U1 + mu^2 U2
     x0 = limit_launch(p7, tol.rtol, tol.atol)[0]
-    assert x0 == 1e-3 and tol.rtol ** 0.25 * 1.0 ** 3 == pytest.approx(x0)
-    lo = center_trajectory(0.99, 0.6, p7, tol)
-    hi = center_trajectory(1.01, 0.6, p7, tol)
+    assert x0 == 1e-3 and tol.rtol ** (1.0 / 6.0) * 0.1 == pytest.approx(x0)
+    lo = center_trajectory(0.46, 0.6, p7, tol)
+    hi = center_trajectory(0.47, 0.6, p7, tol)
     assert lo.termination == hi.termination == TERM_REACHED_END
-    assert lo.c_scale == 1.0 and hi.c_scale == 1.01
-    # U0 + mu U1 on U0's grid up to x_s, then the rescaled run from x_s
-    x_s = math.sqrt(math.sqrt(tol.rtol)) * 1.01 ** 3
+    assert lo.c_scale == 1.0 and hi.c_scale == 0.47
+    # U0 + mu U1 + mu^2 U2 on U0's grid up to x_s, then the rescaled run from x_s
+    x_s = tol.rtol ** (1.0 / 6.0) * 0.47 ** 3.0
     assert hi.t[0] == x0 and x_s in hi.t
-    # cross-check c = 1.01 against the plain launch, from just past its
-    # launch radius (1e-3 here, as rho_s) out, and on U0's grid below it
-    rho0, u, du, _ = center_launch(1.01, p7, tol.rtol, tol.atol)
+    # cross-check c = 0.47 against the plain launch, from just past its
+    # launch radius (1e-3) out, and on U0's grid below rho_s = 1e-2
+    rho0, u, du, _ = center_launch(0.47, p7, tol.rtol, tol.atol)
     plain = integrate(ProfileState(rho0, u, du), 0.6, p7, tol)
-    rho = np.append(np.linspace(0.05, 0.6, 23), np.geomspace(2e-3, 0.04, 9))
+    rho = np.append(np.linspace(0.05, 0.6, 23), np.geomspace(x0 / 0.47 ** 3, 0.04, 9))
     u_a, du_a = hi.eval(rho)
     u_b, du_b = plain.eval(rho)
     assert np.max(np.abs(u_a - u_b) / np.abs(u_a)) < 1e-9
@@ -107,12 +117,13 @@ def test_center_trajectory_charts_agree(p7, tol):
 
 
 def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsys):
-    # U0 and U1 are integrated on first use and regrown to x_s^2 when a
-    # shot's start x_s lies past their last full step; a shot reads only steps
-    # that do not depend on the run's end.  c = 4.56e6 starts at x_s =
-    # 9.5e16, inside the last step of the first run (to 1e17, last full step
-    # at 8.7e16), which is cut to that end, so it regrows the run first;
-    # c = 1e13 regrows it past where U0 stops (x = 3e62)
+    # U0, U1 and U2 are integrated on first use and regrown to x_s^2 when a
+    # shot's start x_s = rtol^{1/6} c^3 lies past their last full step; a shot
+    # reads only steps that do not depend on the run's end.  c = 2.14e6
+    # starts at x_s = 9.8e16, inside the last step of the first run (to 1e17,
+    # last full step at 9.5e16), which is cut to that end, so it regrows the
+    # run first; c = 1e16 regrows it past where U2 leaves the float range
+    # (x = 2.8e86), where the run stops
     monkeypatch.setattr(integrate_module, "_LIMIT_RUNS", {})
     runs = []
 
@@ -121,10 +132,10 @@ def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsy
 
     def shots():
         read = []
-        for c in (1e3, 4.56e6):
+        for c in (1e3, 2.14e6):
             traj = center_trajectory(c, 0.5, p7, tol)
             run, _, k, _ = traj.dense._parts
-            # the shot, and the steps of U0 and U1 it reads with their interpolant
+            # the shot, and the steps of U0, U1 and U2 it reads with their interpolant
             read += [traj.t, traj.y, run._t[:k + 1], run._y[:k + 1],
                      run.coefficients()[:k], traj.dense.coefficients()]
             runs.append(kept_run())
@@ -132,49 +143,58 @@ def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsy
 
     first = shots()
     assert runs[0].t[-1] == integrate_module.LIMIT_REACH
-    assert runs[0].t[-2] < 1e-3 * 4.56e6 ** 3 < integrate_module.LIMIT_REACH
-    assert runs[1].t[-1] == pytest.approx((1e-3 * 4.56e6 ** 3) ** 2)
-    center_trajectory(1e13, 0.5, p7, tol)
+    x_s = tol.rtol ** (1.0 / 6.0) * 2.14e6 ** 3
+    assert runs[0].t[-2] < x_s < integrate_module.LIMIT_REACH
+    assert runs[1].t[-1] == pytest.approx(x_s ** 2)
+    center_trajectory(1e16, 0.5, p7, tol)
     assert kept_run().termination == TERM_STEP_UNDERFLOW
     again = shots()
     assert cli.main(["limit"]) == 0
     capsys.readouterr()
     for a, b, c in zip(first, again, shots()):
         assert np.array_equal(a, b) and np.array_equal(a, c)
-    # U0's components are integrate_limit's run to the bit: U1 rides along
-    # without moving a step
+    # U0's components are integrate_limit's run at the kept tolerances to the
+    # bit: U1 and U2 ride along without moving a step
     run = kept_run()
     x0, U, dU, _ = limit_launch(p7, tol.rtol, tol.atol)
-    end = (math.sqrt(math.sqrt(tol.rtol)) * 1e13 ** 3.0) ** 2
-    alone = integrate_module.integrate_limit(x0, U, dU, end, p7, tol)
+    alone = integrate_module.integrate_limit(x0, U, dU, run.t[-1], p7,
+                                             integrate_module._limit_tol(p7, tol))
     assert np.array_equal(alone.t, run.t) and np.array_equal(alone.y, run.y[:2])
 
 
 @pytest.mark.parametrize("p, c", [(9, 1.9e19), (31, 1.43e10), (31, 3.08e10)],
                          ids=["9-1.9e+19", "31-1.43e+10", "31-3.08e+10"])
 def test_shot_from_a_degenerate_limit_solution_stops_with_a_label(p, c, tol):
-    # within U0's reach but near it the shots have lost their accuracy: an
-    # interpolant stage overflows (p = 9), the error norm is 0/0 (p = 31,
-    # c = 1.43e10) or the outer run takes no step (p = 31, c = 3.08e10); the
-    # shot still comes back with a termination label, as the series launch did
-    traj = center_trajectory(c, 0.5, derive_constants(p), tol)
+    # p = 9: within the limit run's reach the shot comes back with a
+    # termination label, as the series launch did, and its interpolant builds.
+    # p = 31: x_s = 1e-2 c^15 lies past where U2 leaves the float range
+    # (x = 4.7e80), which ends the run; the shot is refused by name, never
+    # started from inf or nan.  Within the reach no outer run (odd p 7-31,
+    # 180 c up to the reach, rho_end 0.5, 0.9, 0.01) takes no step, builds a
+    # non-finite interpolant or meets a 0/0 error norm
+    params = derive_constants(p)
+    if p == 31:
+        with pytest.raises(ValueError, match=re.escape(f"center amplitude c={c:g} needs the "
+                                                       "limit solution at x = ")):
+            center_trajectory(c, 0.5, params, tol)
+        return
+    traj = center_trajectory(c, 0.5, params, tol)
     assert traj.termination in (TERM_REACHED_END, TERM_STEP_UNDERFLOW)
-    if traj.dense is not None:
-        traj.dense.coefficients()
+    assert np.isfinite(traj.dense.coefficients()).all()
 
 
 def test_shots_past_the_reach_of_the_limit_solution_are_named(p7, tol):
-    # the integrated U0 first turns nonpositive near x = 1.4e61 at p = 7
-    # (the true U0 is positive), before it stops at 3e62: its reach ends at
-    # the last node before that, for the center shots and the limit fits alike
-    run = integrate_module._limit_run(1e36, p7, tol, "")
-    assert run.termination == TERM_STEP_UNDERFLOW
-    first = int(np.flatnonzero(run.y[0] <= 0.0)[0])
-    assert first < len(run.t) - 2 and run.t[first] == pytest.approx(1.42e61, rel=0.01)
-    reach = run.t[first - 1]
-    c_max = (reach / tol.rtol ** 0.25) ** (1.0 / 3.0)
+    # the limit run stops where U1 or U2 first leaves the float range, near
+    # x = 2.8e86 at p = 7, with U0 positive on every node (as the true U0
+    # is): its reach ends at its last full step, for the center shots and the
+    # limit fits alike
+    run = integrate_module._limit_run(1e45, p7, tol, "")
+    assert run.termination == TERM_STEP_UNDERFLOW and (run.y[0] > 0.0).all()
+    reach = run.t[-2]
+    assert np.isfinite(run.y).all() and reach == pytest.approx(2.8e86, rel=0.01)
+    c_max = (reach / tol.rtol ** (1.0 / 6.0)) ** (1.0 / 3.0)
     assert center_trajectory(0.999 * c_max, 0.5, p7, tol).dense is not None
-    past = f"past its last positive node at {reach:.3g}"
+    past = f"past its last full step (step_underflow) at {reach:.3g}"
     with pytest.raises(ValueError, match=re.escape(f"center amplitude c={1.001 * c_max:g} "
                                                    "needs the limit solution at x = ")
                        + ".*" + re.escape(past)):
@@ -196,23 +216,42 @@ def _tight_shot(c, p7, x_end):
     return integrate_rescaled(c, x0, U, dU, x_end, p7, tight)
 
 
+def _scaled_gap(c, p7, x, U, dU, ref):
+    """(U, U') at x against ref's last node, scaled like Newton's F: u, and
+    u' over |u_singular'|."""
+    return (abs(c * (U - ref.y[0, -1])),
+            abs(c ** 4 * (dU - ref.y[1, -1])) / abs(du_singular(p7, x / c ** 3)))
+
+
 @pytest.mark.parametrize("c", [13.87, 35.91, 1394.4])
 def test_large_c_start_is_the_limit_solution_and_its_first_correction(c, p7, tol):
-    # U0 + mu U1 at x_s, where the outer run starts, against the x-chart
-    # series launch integrated there, scaled like Newton's F (u, and u' over
-    # |u_singular'|); U0 alone is off by ~1e-7 here
-    x_s = tol.rtol ** 0.25 * c ** 3
+    # U0 + mu U1 off the kept limit run at x = rtol^{1/4} c^3 against the
+    # x-chart series launch integrated there: within 1e-12, scaled like
+    # Newton's F, where U0 alone is off by ~1e-7
+    x = tol.rtol ** 0.25 * c ** 3
+    run = integrate_module._limit_run(x, p7, tol, "")
+    mu = c ** -(p7.p - 1)
+    U0, dU0, U1, dU1 = run.dense(np.asarray(x))[:4]
+    ref = _tight_shot(c, p7, x)
+    assert max(_scaled_gap(c, p7, x, U0 + mu * U1, dU0 + mu * dU1, ref)) <= 1e-12
+    assert max(_scaled_gap(c, p7, x, U0, dU0, ref)) > 1e-8
+
+
+@pytest.mark.parametrize("c", [13.87, 35.91, 1394.4])
+def test_large_c_start_adds_the_second_correction(c, p7, tol):
+    # the outer run starts at x_s = rtol^{1/6} c^3 from U0 + mu U1 + mu^2 U2:
+    # within 1e-12 of the x-chart series launch integrated there, scaled like
+    # Newton's F, where U0 + mu U1 alone is off by 2e-11 to 8e-10
+    x_s = tol.rtol ** (1.0 / 6.0) * c ** 3
     traj = center_trajectory(c, 0.5, p7, tol)
-    outer = traj.dense._parts[3]
+    run, mu, k, outer = traj.dense._parts
     assert outer._t[0] == pytest.approx(x_s, rel=1e-15)
-    U, dU = outer._y[0]
     ref = _tight_shot(c, p7, x_s)
-    ref_U, ref_dU = ref.y[:, -1]
-    rho_s = x_s / c ** 3
-    assert abs(c * (U - ref_U)) <= 1e-12
-    assert abs(c ** 4 * (dU - ref_dU)) / abs(du_singular(p7, rho_s)) <= 1e-12
-    # below x_s the shot reads U0 + mu U1 on U0's steps: 1e-11 relative
-    # (7.6e-13 in U and 2.7e-12 in U' at worst; U0 alone is off by ~1e-7)
+    assert max(_scaled_gap(c, p7, x_s, *outer._y[0], ref)) <= 1e-12
+    U0, dU0, U1, dU1 = run(np.asarray(x_s))[:4]
+    assert max(_scaled_gap(c, p7, x_s, U0 + mu * U1, dU0 + mu * dU1, ref)) > 1e-11
+    # below x_s the shot reads U0 + mu U1 + mu^2 U2 on U0's steps: 1e-11
+    # relative
     xq = x_s * np.geomspace(1e-3, 0.9, 6)
     assert np.max(np.abs(traj.dense(xq) / ref.dense(xq) - 1.0)) <= 1e-11
 
@@ -220,26 +259,15 @@ def test_large_c_start_is_the_limit_solution_and_its_first_correction(c, p7, tol
 @pytest.mark.parametrize("c", [13.87, 35.91, 1394.4, 54434.2])
 def test_large_c_image_matches_the_series_launch(c, p7, tol):
     # the reference: the even series of the rescaled chart at U(0) = 1 and
-    # mu = c^{-(p-1)}, launched at its validated offset and integrated in x;
-    # the image at rho_mid = 0.5 agrees, scaled like Newton's F.  At c_12 =
-    # 54434.2 U' falls below atol/rtol on the way, so a same-tolerance
-    # reference shares that error: it is checked against a tight one
-    mu = c ** -(p7.p - 1)
+    # mu = c^{-(p-1)}, launched at its validated offset and integrated in x
+    # at tight tolerances; the image at rho_mid = 0.5 agrees, scaled like
+    # Newton's F
     stretch = c ** ((p7.p - 1) / 2.0)
-    if c > 1e4:
-        ref_U, ref_dU = _tight_shot(c, p7, 0.5 * stretch).y[:, -1]
-        ref = ProfileState(0.5, c * ref_U, stretch * c * ref_dU)
-        bound = 2e-11
-    else:
-        coeffs = odecore._center_coeffs(1.0, p7, SERIES_ORDER + 2, mu=mu)
-        x0, U, dU, _ = _shrink_until_valid(coeffs, 1e-3, SERIES_ORDER, tol.rtol, tol.atol,
-                                           1.0, 1.0)
-        ref = integrate_rescaled(c, x0, U, dU, 0.5 * stretch, p7, tol).endpoint()
-        bound = 1e-12
+    ref_U, ref_dU = _tight_shot(c, p7, 0.5 * stretch).y[:, -1]
     new = center_trajectory(c, 0.5, p7, tol).endpoint()
     assert new.rho == pytest.approx(0.5, rel=1e-15)
-    assert abs(new.u - ref.u) <= bound
-    assert abs(new.du - ref.du) / abs(du_singular(p7, 0.5)) <= bound
+    assert abs(new.u - c * ref_U) <= 1e-12
+    assert abs(new.du - stretch * c * ref_dU) / abs(du_singular(p7, 0.5)) <= 1e-12
 
 
 def test_center_launch_bounds(p7, tol):
@@ -340,9 +368,10 @@ def test_center_chart_routes_on_the_stretch_for_large_p(tol):
 
 def test_shots_end_past_their_launch_radius(p7, tol):
     # rho_end inside the center launch radius, given in rho for both charts
-    # (the series launch for c <= 1, rho_s = rtol^{1/4} where U0 + mu U1 hands
-    # over to the rescaled run above), and rho_end on the cone launch radius
-    # are rejected by name
+    # (the series launch where rho_s c^3 lies inside U0's launch, as for c =
+    # 0.5 here, and above it rho_s, where U0 + mu U1 + mu^2 U2 hands over to
+    # the rescaled run: rtol^{1/4} for rho_end <= 2 rtol^{1/4}), and rho_end
+    # on the cone launch radius are rejected by name
     rho_s = tol.rtol ** 0.25
     for c, rho0 in ((0.5, center_launch(0.5, p7, tol.rtol, tol.atol)[0]), (2.0, rho_s),
                     (1e4, rho_s)):
@@ -396,10 +425,10 @@ def _oracle_case(name, p7, tol):
     if name == "limit":
         x0, U, dU, _ = limit_launch(p7, tol.rtol, tol.atol)
         return chart_rhs(p7, 0.0), x0, (U, dU), 1e6
-    if name == "limit and its first correction":
+    if name == "limit and its first corrections U1, U2":
         x0, U, dU, _ = limit_launch(p7, tol.rtol, tol.atol)
-        V, dV = odecore._limit_correction(x0, p7)
-        return integrate_module._limit_rhs(p7), x0, (U, dU, V, dV), 1e6
+        return (integrate_module._limit_rhs(p7), x0,
+                (U, dU, *odecore._limit_correction(x0, p7)), 1e6)
     beta = asymptotics._linearized_cone_coeffs(p7, SERIES_ORDER + 6)
     s0, w0, dw0, _ = _shrink_until_valid(beta, -1e-3, SERIES_ORDER + 4,
                                          tol.rtol, tol.atol, 1.0, 1.0)
@@ -484,14 +513,13 @@ def _loop_extra_stages(rhs, t, y, h, K):
 def _with_loop_stepper(monkeypatch, run):
     """run() with the loop stepper in place of the generated kernels."""
     with monkeypatch.context() as mp:
-        for n in integrate_module._KERNELS:
-            mp.setitem(integrate_module._KERNELS, n, (_loop_step_stages, _loop_extra_stages))
+        mp.setattr(integrate_module, "_kernel", lambda n: (_loop_step_stages, _loop_extra_stages))
         return run()
 
 
 @pytest.mark.parametrize("name", ["center c=2", "x-chart c=1e4", "cone b=0.7",
                                   "limit", "cone linearization",
-                                  "limit and its first correction"])
+                                  "limit and its first corrections U1, U2"])
 def test_generated_kernel_is_the_loop_stepper_bit_for_bit(name, p7, tol, monkeypatch):
     rhs, t0, y0, t_end = _oracle_case(name, p7, tol)
     for store_dense in (True, False):
@@ -621,16 +649,18 @@ def test_dense_output_is_scipys_bit_for_bit(oracle_shots):
         for q in (*nodes, *mids, *rand[:50], float(rand[0]), *ends, np.asarray(t[1])):
             ours = dense(q)
             assert ours.shape == (2,) and np.array_equal(ours, ref(q)), name
-    # a large-c centre shot: U0 + mu U1 on the limit run's first k steps, the
-    # last cut where the outer run starts, then the outer run; each point is
-    # its own part's value, the head summed as scipy sums those combined steps
+    # a large-c centre shot: U0 + mu U1 + mu^2 U2 on the limit run's first k
+    # steps, the last cut where the outer run starts, then the outer run; each
+    # point is its own part's value, the head summed as scipy sums those
+    # combined steps
     joined = oracle_shots["x-chart c=1e4"].dense
     run, mu, k, tail = joined._parts
     join = tail._t[0]
     assert run._t[k - 1] < join <= run._t[k]
     joined(join)
     t, y = run._t[:k + 1], joined._y[:k].T
-    assert np.array_equal(y, (run._y[:k, :2] + mu * run._y[:k, 2:]).T)
+    assert np.array_equal(y, (run._y[:k, :2] + mu * run._y[:k, 2:4]
+                              + mu * mu * run._y[:k, 4:]).T)
     head = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], joined._F[i])
                            for i in range(k)])
     q = np.concatenate((np.geomspace(t[0], tail._t[-1], 200), [join]))
@@ -639,9 +669,9 @@ def test_dense_output_is_scipys_bit_for_bit(oracle_shots):
     assert np.array_equal(joined(q)[:, ~lo], tail(q[~lo]))
     for x in (join, math.nextafter(join, math.inf), float(q[50]), float(q[150])):
         assert np.array_equal(joined(x), head(x) if x <= join else tail(x))
-    # the limit run (U0, U0', U1, U1') itself, on the array path
+    # the limit run (U0, U0', U1, U1', U2, U2') itself, on the array path
     t, y, F = run._t, run._y.T, run.coefficients()
-    assert F.shape == (len(t) - 1, 7, 4)
+    assert F.shape == (len(t) - 1, 7, 6)
     ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], F[i])
                           for i in range(len(t) - 1)])
     q = np.concatenate((t, np.geomspace(t[0], t[-1], 300)))

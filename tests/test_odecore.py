@@ -133,6 +133,39 @@ def test_limit_launch_curvature(p7):
     assert est <= 1e-12 + 1e-14
 
 
+def test_limit_corrections_are_the_mu_coefficients_of_the_center_series(p7):
+    # U = U0 + mu U1 + mu^2 U2 + ...: through x^6 each coefficient of the
+    # center series at U(0) = 1 is a polynomial of degree <= 3 in mu, so the
+    # central second difference in mu is its mu^2 coefficient exactly, and
+    # the first difference at steps h and 2h combine into its mu coefficient
+    def series(mu):
+        return odecore._center_coeffs(1.0, p7, odecore.SERIES_ORDER, mu=mu)
+
+    def first(h):
+        return (series(h) - series(-h)) / (2.0 * h)
+
+    h = 0.5
+    mu1 = (4.0 * first(h) - first(2.0 * h)) / 3.0
+    mu2 = (series(h) - 2.0 * series(0.0) + series(-h)) / (2.0 * h * h)
+    for x in (1e-3, 0.1, 0.5):
+        U1, dU1, U2, dU2 = odecore._limit_correction(x, p7)
+        assert (U1, dU1) == pytest.approx(odecore._eval_poly(mu1, x), rel=1e-13)
+        assert (U2, dU2) == pytest.approx(odecore._eval_poly(mu2, x), rel=1e-13)
+
+
+def test_series_powers_match_repeated_products(p7):
+    # Miller's recurrence for the coefficients of a power of a series against
+    # p - 1 truncated products, on the center and cone series it serves
+    for a in (odecore._center_coeffs(1.7, p7, 8, mu=1.0),
+              odecore._lightcone_coeffs(0.7, p7, 8)):
+        ref, P = np.array(a, dtype=float), []
+        for _ in range(p7.p - 1):
+            ref = np.convolve(ref, a)[:9]
+        while len(P) < 9:
+            P.append(odecore._pow_next(a, P, p7.p))
+        assert P == pytest.approx(ref, rel=1e-14, abs=1e-15)
+
+
 # -- symbolic derivations ------------------------------------------------------
 
 

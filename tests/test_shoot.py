@@ -40,6 +40,14 @@ def test_constant_solution_through_pipeline(p7, tol):
     assert zs[0] == pytest.approx(2.0 ** -0.5, abs=1e-9)
 
 
+def test_zero_at_the_junction_counts_once(p7, tol):
+    # w of u = b0 vanishes at rho = 2^{-1/2}; matched there, the centre shot
+    # ends on the zero and the cone shot starts on it, and the sign count
+    # reads the cone's nodes only past rho_mid
+    res = constant_solution_result(p7, tol, rho_mid=2.0 ** -0.5)
+    assert res.zeros == shoot.nodal_index(res.trajectory, p7) == 1
+
+
 def test_family_matches_reference_table(family):
     for row in family.rows:
         c_ref, b_ref, _, _ = FAMILY_TABLE[row.n]
@@ -77,6 +85,17 @@ def test_matching_radius_independence(p7, tol, u1):
         row = find_solution(1, p7, tol, rho_mid=rho_mid)
         assert row.c == pytest.approx(u1.c, rel=1e-9)
         assert row.b == pytest.approx(u1.b, rel=1e-9)
+
+
+@pytest.mark.parametrize("rho_mid", [0.0011, 0.005])
+def test_matching_radius_near_the_center_solves(rho_mid, p7, tol, u1):
+    # the centre shot starts from the limit solution at rho_s = rtol^{1/6} =
+    # 1e-2, moved in to rho_mid/2 but not below rtol^{1/4} = 1e-3: a rho_mid
+    # just past 1e-3, or between there and 2e-2, still gives row 1
+    row = find_solution(1, p7, tol, rho_mid=rho_mid)
+    assert row.zeros == 2
+    assert row.c == pytest.approx(u1.c, rel=1e-9)
+    assert row.b == pytest.approx(u1.b, rel=1e-9)
 
 
 def test_second_row_matching_radius_independence(p7, tol, family):
@@ -252,8 +271,8 @@ def test_quotient_seed_needs_few_centre_shots(p7, tol, monkeypatch):
 
 
 def test_large_c_centre_shots_take_a_flat_step_budget(p7, tol, monkeypatch):
-    # a centre shot that starts from the limit solution and its first
-    # correction integrates only from x_s = rtol^{1/4} c^3 to rho_mid c^3, so
+    # a centre shot that starts from the limit solution and its
+    # corrections integrates only from x_s = rtol^{1/6} c^3 to rho_mid c^3, so
     # its steps stop growing with ln c (a series launch at x = 1e-3 takes 423
     # steps to rho_mid at n = 12)
     outer = {}
@@ -273,8 +292,9 @@ def test_large_c_centre_shots_take_a_flat_step_budget(p7, tol, monkeypatch):
 
 @pytest.mark.parametrize("p", range(7, 32, 2))
 def test_loose_tolerance_rows_from_the_limit_solution(p, tol):
-    # at rtol 1e-8 centre shots with c^{(p-1)/2} > 0.1 start from U0 + mu U1
-    # at rho_s = 1e-2; rows n <= 6 keep their zero counts and c_n
+    # at rtol 1e-8 centre shots with c^{(p-1)/2} > 0.02 start from U0 + mu U1
+    # + mu^2 U2 at rho_s = rtol^{1/6} = 0.046; rows n <= 6 keep their zero
+    # counts and c_n
     params = derive_constants(p)
     loose = shoot.spectrum(6, params, Tolerances(rtol=1e-8, atol=1e-10)).rows
     tight = shoot.spectrum(6, params, tol).rows
