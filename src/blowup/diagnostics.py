@@ -11,8 +11,8 @@ Deviation phase.  With w = u/u_singular - 1 the pair (w, rho w') traces a
 spiral around the origin; Theta = atan2(rho w', w) unwrapped along the
 radius decreases through pi/2 - k pi exactly at the zeros of w, so the
 nodal index can be read off as a winding count, independently of sign
-changes on the sample grid.  Angle steps larger than pi/2 are subdivided
-through dense output before unwrapping.
+changes on the sample grid.  The walk runs on Python floats; angle steps
+larger than pi/2 are subdivided through dense output before unwrapping.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .integrate import (
 )
 
 __all__ = [
-    "PhasePoint",
     "MonotoneCheck",
     "MonotonicityReport",
     "FirstCrossingReport",
@@ -166,15 +165,6 @@ def monotonicity_report(traj, params: ModelParams) -> MonotonicityReport:
 # -- phase of the deviation --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    rho: float
-    w: float
-    rw: float       # rho * w'
-    theta: float    # unwrapped, decreasing through pi/2 - k pi at zeros of w
-    R: float        # hypot(w, rho*w')
-
-
 def _principal(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
@@ -187,45 +177,52 @@ def _piece_chain(piece: Trajectory):
     return t, w, rw, piece.rho_per_t()
 
 
-def phase_trajectory(traj, params: ModelParams) -> list[PhasePoint]:
-    """Unwrapped deviation phase along rho, subdividing wide angle steps."""
-    pts: list[PhasePoint] = []
-    theta = None
+def _push(pts: list, rho: float, w: float, rw: float, theta: float) -> float:
+    R = math.hypot(w, rw)
+    if R < R_DEGENERATE:
+        raise DegenerateTrajectoryError(
+            f"phase radius {R:.2e} at rho={rho:.6g}; the deviation "
+            "trajectory is indistinguishable from the singular solution")
+    pts.append((rho, w, rw, theta))
+    return theta
 
-    def push(rho, w, rw, th):
-        R = math.hypot(w, rw)
-        if R < R_DEGENERATE:
-            raise DegenerateTrajectoryError(
-                f"phase radius {R:.2e} at rho={rho:.6g}; the deviation "
-                "trajectory is indistinguishable from the singular solution")
-        pts.append(PhasePoint(rho=rho, w=w, rw=rw, theta=th, R=R))
 
+def _refine(pts, piece, k, t_a, th_a, t_b, w_b, rw_b, depth=0) -> float:
+    """Phase at t_b from th_a at t_a, halving steps wider than PHASE_MAX_STEP."""
+    d = _principal(math.atan2(rw_b, w_b) - th_a)
+    if abs(d) <= PHASE_MAX_STEP:
+        return _push(pts, t_b * k, w_b, rw_b, th_a + d)
+    if depth >= 48:
+        raise DegenerateTrajectoryError(f"phase refinement stalled near rho={t_b * k:.6g}")
+    t_m = 0.5 * (t_a + t_b)
+    w_m, rw_m = piece.w_of_t(t_m)
+    th_m = _refine(pts, piece, k, t_a, th_a, t_m, float(w_m), float(rw_m), depth + 1)
+    return _refine(pts, piece, k, t_m, th_m, t_b, w_b, rw_b, depth + 1)
+
+
+def phase_trajectory(traj, params: ModelParams) -> tuple[np.ndarray, ...]:
+    """(rho, w, rho w', theta) arrays of the unwrapped deviation phase along rho,
+    walked on Python floats; a step wider than PHASE_MAX_STEP goes through _refine."""
+    pts, theta = [], None
+    atan2, hypot, pi, tau = math.atan2, math.hypot, math.pi, 2.0 * math.pi
     for piece in traj.pieces:
         t, w, rw, k = _piece_chain(piece)
-
-        def advance(t_a, th_a, t_b, w_b, rw_b, depth=0):
-            d = _principal(math.atan2(rw_b, w_b) - th_a)
-            if abs(d) <= PHASE_MAX_STEP:
-                push(t_b * k, w_b, rw_b, th_a + d)
-                return th_a + d
-            if depth >= 48:
-                raise DegenerateTrajectoryError(
-                    f"phase refinement stalled near rho={t_b * k:.6g}")
-            t_m = 0.5 * (t_a + t_b)
-            w_m, rw_m = piece.w_of_t(t_m)
-            th_m = advance(t_a, th_a, t_m, float(w_m), float(rw_m), depth + 1)
-            return advance(t_m, th_m, t_b, w_b, rw_b, depth + 1)
-
-        start = math.atan2(rw[0], w[0])
+        t, w, rw = t.tolist(), w.tolist(), rw.tolist()
+        start = atan2(rw[0], w[0])
         if theta is None:
-            theta = start
-            push(t[0] * k, float(w[0]), float(rw[0]), theta)
+            theta = _push(pts, t[0] * k, w[0], rw[0], start)
         else:
             # junction: same geometric point up to the matching mismatch
             theta = theta + _principal(start - theta)
-        for i in range(len(t) - 1):
-            theta = advance(t[i], theta, t[i + 1], float(w[i + 1]), float(rw[i + 1]))
-    return pts
+        for i in range(1, len(t)):
+            wi, rwi = w[i], rw[i]
+            d = (atan2(rwi, wi) - theta + pi) % tau - pi
+            if abs(d) <= PHASE_MAX_STEP and hypot(wi, rwi) >= R_DEGENERATE:
+                theta = theta + d
+                pts.append((t[i] * k, wi, rwi, theta))
+            else:
+                theta = _refine(pts, piece, k, t[i - 1], theta, t[i], wi, rwi)
+    return tuple(np.array(pts).T)
 
 
 def _brentq(f, xa: float, xb: float) -> float:
@@ -295,25 +292,17 @@ def w_zero_locations(traj, params: ModelParams) -> np.ndarray:
     return np.asarray(out)
 
 
-def _level_index(theta: float) -> int:
-    # number of half-integer levels pi/2 - k pi at or below theta
-    return math.floor((theta - 0.5 * math.pi) / math.pi)
-
-
 def phase_zero_count(traj, params: ModelParams) -> int:
     """Zeros of w counted as gross crossings of the levels pi/2 - k pi."""
-    pts = phase_trajectory(traj, params)
-    levels = [_level_index(q.theta) for q in pts]
-    return int(sum(abs(b - a) for a, b in zip(levels[:-1], levels[1:])))
+    levels = np.floor((phase_trajectory(traj, params)[3] - 0.5 * math.pi) / math.pi)
+    return int(np.abs(np.diff(levels)).sum())
 
 
 def phase_at(traj, params: ModelParams, rho):
     """Unwrapped phase at radii inside the trajectory span: the exact
     atan2(rho w', w) from dense output, on the branch of the interpolated
     phase trajectory.  A scalar rho gives a float, an array an array."""
-    pts = phase_trajectory(traj, params)
-    rhos = np.array([q.rho for q in pts])
-    thetas = np.array([q.theta for q in pts])
+    rhos, _, _, thetas = phase_trajectory(traj, params)
     r = np.asarray(rho, dtype=float)
     if not (rhos[0] <= r.min() and r.max() <= rhos[-1]):
         raise ValueError(f"rho in [{r.min():g}, {r.max():g}] outside sampled span "
@@ -361,8 +350,9 @@ def first_crossing_report(c: float, params: ModelParams,
                            f"rho={CROSSING_RHO_END} for c={c:g}")
     rho1 = float(zs[0])
     rw1 = float(traj.w_of_t(rho1 / traj.rho_per_t())[1])
-    after = [q.w for q in phase_trajectory(traj, params) if q.rho > rho1]
-    min_w = float(min(after)) if after else float("nan")
+    rho, w = phase_trajectory(traj, params)[:2]
+    after = w[rho > rho1].tolist()
+    min_w = min(after) if after else float("nan")
     floor = -2.0 * params.alpha
     passed = (rho1 < bound * (1.0 + 1e-6)
               and 0.0 < rw1 < params.alpha

@@ -2,10 +2,10 @@
 
 The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as
 scipy 1.17.1 steps it, on Python floats for the systems (u, u') every caller
-integrates (and the limit run below), in straight-line stage code generated
-on first use from the module's tableau; numpy is the only import.  Step budget,
-minimum step size and termination reasons are explicit.  Dense output, built
-on first use from the kept stages, sums scipy's DOP853 interpolant bit for bit.
+integrates (and the limit run below), in one step loop generated on first use
+from the module's tableau, with the chart equation in its stages; numpy is the
+only import.  Step budget, minimum step size and termination reasons are
+explicit.  Dense output, built lazily from the kept stages, is scipy's to the bit.
 
 Every trajectory lives in one chart family: (U, U') in x = rho c^{(p-1)/2}
 with u = c U.  The plain equation in rho is the member c = 1; large center
@@ -26,13 +26,15 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import struct
 from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import ModelParams, ProfileState
-from .odecore import _limit_correction, center_launch, chart_rhs, lightcone_launch, limit_launch
+from .odecore import (_CHART_U2, _limit_correction, center_launch, chart_rhs, lightcone_launch,
+                      limit_launch)
 
 __all__ = [
     "Tolerances",
@@ -53,6 +55,7 @@ TERM_REACHED_END = "reached_end"
 TERM_BLEW_UP = "blew_up"
 TERM_STEP_UNDERFLOW = "step_underflow"
 TERM_STEP_LIMIT = "step_limit"
+_TERM_RANGE_END = "left_float_range"   # an uncontrolled component left the floats
 
 MAX_STEPS = 200_000       # accepted steps before an integration stops (step_limit)
 H_MIN = 1e-15             # step size below which it stops (step_underflow)
@@ -158,37 +161,113 @@ def _sum(row, k: str) -> str:
     return " + ".join(f"{a!r} * {k}{j}" for a, j in row)
 
 
-def _stage_lines(rows, first: int, n: int) -> list[str]:
-    return [f"    {_ks(n, i)} = rhs(t + {c!r} * h, ("
-            + ", ".join(f"y{m} + ({_sum(row, f'k{m}_')}) * h" for m in range(n)) + "))"
-            for i, (c, row) in enumerate(rows, first)]
+def _stage_lines(rows, first: int, n: int, chart: bool) -> list[str]:
+    """Source of the stages first, first + 1, ...: a call of rhs on the stage's
+    state or, for the chart equation, that equation written in."""
+    lines = []
+    for i, (c, row) in enumerate(rows, first):
+        y = [f"y{m} + ({_sum(row, f'k{m}_')}) * h" for m in range(n)]
+        lines += ([f"ti = t + {c!r} * h", f"u = {y[0]}", f"k0_{i} = du = {y[1]}",
+                   f"k1_{i} = {_CHART_U2.format(t='ti')}"] if chart else
+                  [f"{_ks(n, i)} = rhs(t + {c!r} * h, ({', '.join(y)},))"])
+    return lines
 
 
 def _ks(n: int, j) -> str:
     return ", ".join(f"k{m}_{j}" for m in range(n))
 
 
+# drive_ode's loop of accepted steps, each sized as scipy's DOP853 _step sizes
+# it, and the interpolant's stages; _kernel fills in the stages
+_LOOP = """\
+def _loop(rhs, t, y, f, h_abs, t_end, direction, rtol, atol, blow_cap, stages, h_min, max_steps):
+    {head}
+    {y}, = y
+    {k0}, = f
+    ts, ys = [t], [*y]
+    while direction * (t - t_end) < 0:
+        if len(ts) > max_steps:
+            return ts, ys, TERM_STEP_LIMIT
+        min_step = 10.0 * abs(nextafter(t, direction * inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while h_abs >= min_step:
+            t_new = t + h_abs * direction
+            if direction * (t_new - t_end) > 0:
+                t_new = t_end
+            h = t_new - t
+            h_abs = abs(h)
+            try:
+{stages}
+            except _RangeEnd:
+                return ts, ys, _TERM_RANGE_END
+            except OverflowError:
+                # u**p left the float range: scipy's error norm rejects by the smallest factor
+                h_abs *= _MIN_FACTOR
+                rejected = True
+                continue
+            s0 = atol + max(abs(y0), abs(yn0)) * rtol
+            s1 = atol + max(abs(y1), abs(yn1)) * rtol
+            err5 = (({e5_0}) / s0) ** 2 + (({e5_1}) / s1) ** 2
+            err3 = (({e3_0}) / s0) ** 2 + (({e3_1}) / s1) ** 2
+            norm = sqrt((err5 + 0.01 * err3) * 2.0)
+            # norm is 0 only when both estimates underflow: the step's error is nil
+            err = h_abs * err5 / norm if norm else 0.0
+            if err < 1.0:
+                factor = min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT) if err else _MAX_FACTOR
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
+            rejected = True
+        else:
+            return ts, ys, TERM_STEP_UNDERFLOW
+        if stages is not None:
+            stages.frombytes(pack({kept}))
+        t, {y} = t_new, {yn}
+        {k0} = {k12}
+        ts.append(t)
+        ys += {y},
+        if blow_cap is not None and abs(y0) > blow_cap:
+            return ts, ys, TERM_BLEW_UP
+        # a step that lands a few ulp short of t_end leaves a sliver to step,
+        # whose next size says nothing once the end is reached
+        if h_abs < h_min and direction * (t - t_end) < 0:
+            return ts, ys, TERM_STEP_UNDERFLOW
+    return ts, ys, TERM_REACHED_END
+
+
+def _extra_stages(rhs, t, y, h, K):
+    {head}
+    {y}, = y
+    {K}, = K
+{extra}
+    return {extra_out}
+"""
+
+
 @functools.cache
-def _kernel(n: int):
-    """DOP853's stages for n components as straight-line code, generated from
-    the tableau on first use (as namedtuple builds its class), so a step runs no
-    per-term loop: each sum adds its row's nonzero terms left to right, in repr
-    literals.  The error estimates are the first two components', (u, u')."""
-    y = ", ".join(f"y{m}" for m in range(n))
-    K = ", ".join(f"({', '.join(f'k{m}_{j}' for j in range(_STAGES + 1))})" for m in range(n))
-    src = "\n".join([
-        "def _step_stages(rhs, t, y, h, t_new, f):",
-        f"    {y}, = y", f"    {_ks(n, 0)}, = f", *_stage_lines(_MAIN, 1, n),
-        "    y_new = (" + ", ".join(f"y{m} + h * ({_sum(_B, f'k{m}_')})" for m in range(n)) + ",)",
-        f"    {_ks(n, _STAGES)}, = f_new = rhs(t_new, y_new)",
-        f"    return y_new, f_new, ({K}), "
-        + ", ".join(_sum(row, f"k{m}_") for row in (_E5, _E3) for m in (0, 1)),
-        "def _extra_stages(rhs, t, y, h, K):",
-        f"    {y}, = y", f"    {K}, = K", *_stage_lines(_EXTRA, _STAGES + 1, n),
-        "    return " + ", ".join(f"(k{m}_13, k{m}_14, k{m}_15)" for m in range(n))])
-    ns = {}
-    exec(compile(src, f"<DOP853 kernel, {n} components>", "exec"), ns)
-    return ns["_step_stages"], ns["_extra_stages"]
+def _kernel(n: int, chart: bool):
+    """_LOOP for n components, generated from the tableau on first use (as
+    namedtuple builds its class): no per-term loop and no Python call but rhs's,
+    each sum adding its row's nonzero terms left to right in repr literals; with
+    chart, the stages compute odecore.chart_rhs's equation in place instead."""
+    y, yn = ", ".join(f"y{m}" for m in range(n)), ", ".join(f"yn{m}" for m in range(n))
+    rows = [", ".join(f"k{m}_{j}" for j in range(_STAGES + 1)) for m in range(n)]
+    last = ["u = yn0", "k0_12 = du = yn1", f"k1_12 = {_CHART_U2.format(t='t_new')}"] if chart \
+        else [f"{_ks(n, _STAGES)} = rhs(t_new, ({yn},))"]
+    stages = [*_stage_lines(_MAIN, 1, n, chart),
+              *(f"yn{m} = y{m} + h * ({_sum(_B, f'k{m}_')})" for m in range(n)), *last]
+    src = _LOOP.format(
+        head="mu, aa1, tt, p = rhs.chart" if chart else "", y=y, yn=yn, k0=_ks(n, 0),
+        k12=_ks(n, _STAGES), stages="\n".join(" " * 16 + line for line in stages),
+        kept=", ".join(rows), K=", ".join(f"({km})" for km in rows),
+        **{f"e{o}_{m}": _sum(row, f"k{m}_") for o, row in ((5, _E5), (3, _E3)) for m in (0, 1)},
+        extra="\n".join("    " + line for line in _stage_lines(_EXTRA, _STAGES + 1, n, chart)),
+        extra_out=", ".join(f"(k{m}_13, k{m}_14, k{m}_15)" for m in range(n)))
+    ns = dict(globals(), nextafter=math.nextafter, inf=math.inf, sqrt=math.sqrt,
+              pack=struct.Struct(f"{n * (_STAGES + 1)}d").pack)
+    exec(compile(src, f"<DOP853 loop, {n} components{', chart' if chart else ''}>", "exec"), ns)
+    return ns["_loop"], ns["_extra_stages"]
 
 
 def _initial_step(rhs, t, y, f, t_end, direction, rtol, atol) -> float:
@@ -198,6 +277,8 @@ def _initial_step(rhs, t, y, f, t_end, direction, rtol, atol) -> float:
     s1 = atol + abs(y[1]) * rtol
     d0 = math.hypot(y[0] / s0, y[1] / s1) / math.sqrt(2.0)
     d1 = math.hypot(f[0] / s0, f[1] / s1) / math.sqrt(2.0)
+    if d1 == math.inf:         # so h0 = 0, and scipy's 0/0 slope difference gives h = 0
+        return 0.0
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
     hd = h0 * direction
     try:
@@ -214,45 +295,6 @@ class _RangeEnd(OverflowError):
     """An uncontrolled component left the float range: no step helps."""
 
 
-def _step(step_stages, rhs, t, y, f, h_abs, t_end, direction, rtol, atol):
-    """One accepted step from (t, y), where rhs is f: sizes are tried with the
-    generated step_stages until one passes.  Returns (t, y, f, next h_abs, K)
-    with the 13 stages of each component, or None below 10 ulp or on _RangeEnd."""
-    min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
-    h_abs = max(h_abs, min_step)
-    rejected = False
-    while h_abs >= min_step:
-        t_new = t + h_abs * direction
-        if direction * (t_new - t_end) > 0:
-            t_new = t_end
-        h = t_new - t
-        h_abs = abs(h)
-        try:
-            y_new, f_new, K, e5_0, e5_1, e3_0, e3_1 = step_stages(rhs, t, y, h, t_new, f)
-        except _RangeEnd:
-            return None
-        except OverflowError:
-            # u**p left the float range; there scipy's arrays hold inf and
-            # its error norm rejects the step by the smallest factor
-            h_abs *= _MIN_FACTOR
-            rejected = True
-            continue
-        s0 = atol + max(abs(y[0]), abs(y_new[0])) * rtol
-        s1 = atol + max(abs(y[1]), abs(y_new[1])) * rtol
-        err5 = (e5_0 / s0) ** 2 + (e5_1 / s1) ** 2
-        err3 = (e3_0 / s0) ** 2 + (e3_1 / s1) ** 2
-        norm = math.sqrt((err5 + 0.01 * err3) * 2.0)
-        # norm is 0 only when both estimates underflow: the step's error is nil
-        err = h_abs * err5 / norm if norm else 0.0
-        if err < 1.0:
-            factor = min(_MAX_FACTOR, _SAFETY * err ** _EXPONENT) if err else _MAX_FACTOR
-            h_next = h_abs * (min(1.0, factor) if rejected else factor)
-            return t_new, y_new, f_new, h_next, K
-        h_abs *= max(_MIN_FACTOR, _SAFETY * err ** _EXPONENT)
-        rejected = True
-    return None
-
-
 class _DenseOutput:
     """DOP853's interpolant on every step of one drive_ode run.  Its first
     call adds each step's 3 interpolant stages, from the generated
@@ -260,15 +302,15 @@ class _DenseOutput:
     returned) and builds the (step, 7, n) coefficients and step sizes.
     Each point's step is chosen as in scipy's OdeSolution and summed in the
     order of its Dop853DenseOutput, so values are scipy's to the bit: shape
-    (n,) for a scalar t, (n, m) for m points.  A float t, for n = 2 only, is
-    summed on Python floats, which round as numpy does, in a tenth of the time."""
+    (n,) for a scalar t, (n, m) for m points.  A float t is summed on Python
+    floats, which round as numpy does, in a tenth of the time."""
 
     def __init__(self, rhs, t: np.ndarray, y: np.ndarray, stages: np.ndarray):
         self._pending, self._t, self._y, self._F = (rhs, stages), t, y, None
 
     def _build(self) -> tuple[np.ndarray, np.ndarray]:
         (rhs, stages), t, y = self._pending, self._t, self._y
-        extra_stages, ts = _kernel(stages.shape[1])[1], t.tolist()
+        extra_stages, ts = _kernel(stages.shape[1], hasattr(rhs, "chart"))[1], t.tolist()
 
         def extra(i):   # one step at a time, so no list holds the whole run's K
             try:
@@ -303,10 +345,13 @@ class _DenseOutput:
             keys, ts, hs = self._lists
             i = bisect.bisect_left(keys, self._sign * tq, 1, len(keys) - 1) - 1
             x = (tq - ts[i]) / hs[i]
-            y0 = y1 = 0.0
-            for (f0, f1), m in zip(reversed(F[i].tolist()), (x, 1 - x) * 4):
-                y0, y1 = (y0 + f0) * m, (y1 + f1) * m
-            return np.array((y0, y1)) + self._y[i]
+            ms, y = (x, 1 - x) * 4, []
+            for f in F[i].T.tolist():   # each component's 7 coefficients
+                v = 0.0
+                for a, m in zip(reversed(f), ms):
+                    v = (v + a) * m
+                y.append(v)
+            return np.array(y) + self._y[i]
         t, tq = self._t, np.asarray(tq)
         q = tq.ravel()
         seg = self._keys[1:-1].searchsorted(self._sign * q, side="left")
@@ -351,13 +396,15 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
     (monotone), y has shape (len(y0), len(t)), dense is a _DenseOutput
     (callable on t, scipy-free) holding the 13 stages of every step in one
     float64 array, or None without store_dense or a step.  Stops early on
-    |y[0]| > blow_cap, a step below H_MIN, or MAX_STEPS accepted steps.
+    |y[0]| > blow_cap, a step below H_MIN, MAX_STEPS accepted steps, or an
+    uncontrolled component leaving the floats.  Every step runs in the loop
+    _kernel generates, with the chart equation in its stages when rhs is
+    odecore.chart_rhs's, else a call of rhs per stage.
     """
     if t_end == t0:
         raise ValueError("empty integration span")
     if len(y0) not in (2, 6):
         raise ValueError(f"drive_ode integrates 2 or 6 components, got {len(y0)}")
-    step_stages = _kernel(len(y0))[0]
     t, y = float(t0), tuple(float(v) for v in y0)
     direction = 1.0 if t_end > t0 else -1.0
     try:
@@ -365,32 +412,13 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
     except OverflowError:      # the start is past the float range: no step
         return np.array([t]), np.array(y)[:, None], None, TERM_STEP_UNDERFLOW
     h_abs = h0 or _initial_step(rhs, t, y, f, t_end, direction, tol.rtol, tol.atol)
-    ts, ys, stages = [t], [y], array("d")
-    termination = TERM_REACHED_END
-    while direction * (t - t_end) < 0:
-        if len(ts) > MAX_STEPS:
-            termination = TERM_STEP_LIMIT
-            break
-        step = _step(step_stages, rhs, t, y, f, h_abs, t_end, direction, tol.rtol, tol.atol)
-        if step is None:
-            termination = TERM_STEP_UNDERFLOW
-            break
-        t, y, f, h_abs, K = step
-        if store_dense:
-            for k in K:
-                stages.extend(k)
-        ts.append(t)
-        ys.append(y)
-        if blow_cap is not None and abs(y[0]) > blow_cap:
-            termination = TERM_BLEW_UP
-            break
-        # a step that lands a few ulp short of t_end leaves a sliver to step,
-        # whose next size says nothing once the end is reached
-        if h_abs < H_MIN and direction * (t - t_end) < 0:
-            termination = TERM_STEP_UNDERFLOW
-            break
-    t, y = np.array(ts), np.array(ys)
-    K = np.frombuffer(stages).reshape(-1, len(y0), _STAGES + 1)   # (step, component, stage)
+    stages = array("d") if store_dense else None
+    ts, ys, termination = _kernel(len(y), hasattr(rhs, "chart"))[0](
+        rhs, t, y, f, h_abs, t_end, direction, tol.rtol, tol.atol, blow_cap, stages,
+        H_MIN, MAX_STEPS)
+    t, y = np.array(ts), np.array(ys).reshape(len(ts), -1)
+    # the kept stages as (step, component, stage)
+    K = np.frombuffer(stages).reshape(len(ts) - 1, -1, _STAGES + 1) if stages else None
     return t, y.T, _DenseOutput(rhs, t, y, K) if stages else None, termination
 
 
@@ -610,7 +638,7 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
     x_end = _past_center_launch(rho_end, stretch, x_s)
     mu = float(c) ** (-(params.p - 1))
     k = int(run.t.searchsorted(x_s))
-    U, dU = _in_mu(run.dense(np.asarray(x_s)), mu)
+    U, dU = _in_mu(run.dense(x_s), mu)
     h0 = float(run.t[k] - run.t[k - 1])   # the limit run's step at x_s
     outer = integrate_rescaled(c, x_s, U, dU, x_end, params, tol, h0)
     dense = _Joined(run.dense, mu, k, outer.dense)

@@ -27,14 +27,16 @@ coefficient is the one-parameter boundary condition of the regular family:
 
     u'(1) = (p-1) b^p / 4 - (p+1) b / (2(p-1)).
 
-One kernel, chart_rhs(params, mu), serves every chart: the first-order
-system of the plain (mu = 1), rescaled (mu = c^{-(p-1)}) and limit (mu = 0)
-equations.  Every launch returns (offset, u, du, trunc_est): the offset is
-halved until trunc_est, the first omitted series term there, falls below the
-integration tolerance, and the shots in integrate start from that state.
+One kernel, chart_rhs(params, mu), serves every chart: the first-order system
+of the plain (mu = 1), rescaled (mu = c^{-(p-1)}) and limit (mu = 0) equations,
+from one source text integrate's stages share.  Every launch returns (offset,
+u, du, trunc_est): the offset is halved until trunc_est, the first omitted
+series term, falls below the integration tolerance; shots start from there.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -55,23 +57,33 @@ class SeriesRangeError(ValueError):
     """Raised when a series is evaluated beyond its validated radius."""
 
 
+# u'' of the chart equation at t, the one source text of the equation: chart_rhs
+# compiles it, and integrate writes it into the stages of its DOP853 loop
+_CHART_U2 = "(mu * (aa1 * u + tt * {t} * du) - 2.0 * du / {t} - u**p) / (1.0 - mu * {t} * {t})"
+
+
+@functools.cache
+def _chart_closure():
+    ns = {}
+    exec(compile(f"""def chart(mu, aa1, tt, p):
+    def rhs(t, y):
+        u, du = y
+        return (du, {_CHART_U2.format(t='t')})
+    rhs.chart = mu, aa1, tt, p
+    return rhs""", "<chart equation>", "exec"), ns)
+    return ns["chart"]
+
+
 def chart_rhs(params: ModelParams, mu: float):
     """rhs(t, (u, du)) -> (u', u'') of the profile equation in the chart with parameter mu.
 
     mu = 1 is the plain equation in rho, mu = c^{-(p-1)} the rescaled one in
-    x, mu = 0 the limit equation.  The closure is the integrator's hot path,
-    so it captures its constants and makes no further Python calls.
+    x, mu = 0 the limit equation.  The closure, compiled on first use from
+    _CHART_U2, makes no further Python calls; its constants (mu, aa1, tt, p)
+    ride along as rhs.chart, by which integrate.drive_ode knows the equation
+    and computes it inside its stages instead of calling rhs.
     """
-    p = params.p
-    aa1 = params.aa1
-    tt = 2.0 + 2.0 * params.alpha
-
-    def rhs(t, y):
-        u, du = y
-        return (du, (mu * (aa1 * u + tt * t * du) - 2.0 * du / t - u**p)
-                / (1.0 - mu * t * t))
-
-    return rhs
+    return _chart_closure()(mu, params.aa1, 2.0 + 2.0 * params.alpha, params.p)
 
 
 def _pow_next(a, P, p: int) -> float:

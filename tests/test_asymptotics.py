@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from blowup.integrate import (TERM_STEP_UNDERFLOW, Tolerances, center_trajectory, drive_ode,
-                              lightcone_trajectory)
+from blowup.integrate import Tolerances, center_trajectory, drive_ode, lightcone_trajectory
 from blowup.model import derive_constants
 from blowup.odecore import chart_rhs
 from blowup import asymptotics as asym, cli, integrate as integrate_module
@@ -281,7 +280,7 @@ def test_limit_samples_do_not_depend_on_what_ran_before(p7, tol, monkeypatch):
     again = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
     assert runs[p7, tol][0].t[-1] == integrate_module.LIMIT_REACH
     center_trajectory(1e16, 0.5, p7, tol)
-    assert runs[p7, tol][0].termination == TERM_STEP_UNDERFLOW
+    assert runs[p7, tol][0].termination == integrate_module._TERM_RANGE_END
     regrown = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
     assert len(first) == 3
     for a, b, c in zip(first, again, regrown):

@@ -94,17 +94,17 @@ def test_invalid_exponent_is_usage_error(tmp_path):
             # last full step at x = 2.8e86
             (("curves", "--c-lo", "2", "--c-hi", "1e30", "--n-c", "2", "--n-b", "2"),
              "center amplitude c=1e+30 needs the limit solution at x = 1e+88, past its "
-             "last full step (step_underflow) at 2.8e+86"),
+             "last full step (left_float_range) at 2.8e+86"),
             (("curves", "--c-lo", "2", "--c-hi", "5e29", "--n-c", "2", "--n-b", "2"),
              "center amplitude c=5e+29 needs the limit solution at x = 1.25e+87, past its "
-             "last full step (step_underflow) at 2.8e+86"),
+             "last full step (left_float_range) at 2.8e+86"),
             # the limit fit reads the same U0 under the same reach
             (("limit", "--x-max", "1e87"),
              "x_max 1e+87 needs the limit solution at x = 1e+87, past its last full step "
-             "(step_underflow) at 2.8e+86"),
+             "(left_float_range) at 2.8e+86"),
             (("limit", "--x-max", "1e100"),
              "x_max 1e+100 needs the limit solution at x = 1e+100, past its last full step "
-             "(step_underflow) at 2.8e+86"),
+             "(left_float_range) at 2.8e+86"),
             (("curves", "--b-lo", "1", "--b-hi", "1e3", "--n-c", "2", "--n-b", "2"),
              "cone amplitude b=1000 has no validated series launch offset off rho = 1"),
             (("curves", "--b-lo", "1", "--b-hi", "1e10", "--n-c", "2", "--n-b", "2"),

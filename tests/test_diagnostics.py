@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -101,20 +102,88 @@ def test_phase_count_agrees_with_sign_count(family, p7):
         assert len(zs) == diag.phase_zero_count(row.trajectory, p7) == row.n + 1
 
 
+def _recursive_phase_walk(traj):
+    """The phase walk as it ran before it walked floats, kept as its
+    reference: (rho, w, rw, theta) per node, each step through advance."""
+    pts, theta = [], None
+
+    def push(rho, w, rw, th):
+        R = math.hypot(w, rw)
+        if R < diag.R_DEGENERATE:
+            raise diag.DegenerateTrajectoryError(
+                f"phase radius {R:.2e} at rho={rho:.6g}; the deviation "
+                "trajectory is indistinguishable from the singular solution")
+        pts.append((rho, w, rw, th))
+
+    for piece in traj.pieces:
+        t, w, rw, k = diag._piece_chain(piece)
+
+        def advance(t_a, th_a, t_b, w_b, rw_b, depth=0):
+            d = diag._principal(math.atan2(rw_b, w_b) - th_a)
+            if abs(d) <= diag.PHASE_MAX_STEP:
+                push(t_b * k, w_b, rw_b, th_a + d)
+                return th_a + d
+            if depth >= 48:
+                raise diag.DegenerateTrajectoryError(
+                    f"phase refinement stalled near rho={t_b * k:.6g}")
+            t_m = 0.5 * (t_a + t_b)
+            w_m, rw_m = piece.w_of_t(t_m)
+            th_m = advance(t_a, th_a, t_m, float(w_m), float(rw_m), depth + 1)
+            return advance(t_m, th_m, t_b, w_b, rw_b, depth + 1)
+
+        start = math.atan2(rw[0], w[0])
+        if theta is None:
+            theta = start
+            push(t[0] * k, float(w[0]), float(rw[0]), theta)
+        else:
+            theta = theta + diag._principal(start - theta)
+        for i in range(len(t) - 1):
+            theta = advance(t[i], theta, t[i + 1], float(w[i + 1]), float(rw[i + 1]))
+    return pts
+
+
+def _level_crossings(pts):
+    levels = [math.floor((q[3] - 0.5 * math.pi) / math.pi) for q in pts]
+    return sum(abs(b - a) for a, b in zip(levels[:-1], levels[1:]))
+
+
+def test_phase_walk_on_floats_is_the_recursive_walk_bit_for_bit(family, p7, monkeypatch):
+    def same(traj, n):
+        ref = _recursive_phase_walk(traj)
+        ours = diag.phase_trajectory(traj, p7)
+        assert all(np.array_equal(a, b) for a, b in zip(ours, np.array(ref).T))
+        assert diag.phase_zero_count(traj, p7) == _level_crossings(ref) == n + 1
+        return len(ref)
+
+    for row in family.rows:
+        same(row.trajectory, row.n)
+    # a narrow phase step sends most nodes through the refinement
+    monkeypatch.setattr(diag, "PHASE_MAX_STEP", 0.02)
+    for row in family.rows[:3]:
+        nodes = sum(len(piece.t) for piece in row.trajectory.pieces)
+        assert same(row.trajectory, row.n) > 1.5 * nodes
+    # a degenerate deviation stops both walks with the same message
+    traj = lightcone_trajectory(p7.b_inf, 0.5, p7, Tolerances())
+    with pytest.raises(diag.DegenerateTrajectoryError) as ref:
+        _recursive_phase_walk(traj)
+    with pytest.raises(diag.DegenerateTrajectoryError, match=re.escape(str(ref.value))):
+        diag.phase_trajectory(traj, p7)
+
+
 def test_phase_anchor_and_cone_value_constant_solution(p7, tol):
     res = shoot.constant_solution_result(p7, tol)
-    pts = diag.phase_trajectory(res.trajectory, p7)
+    rho, _, _, theta = diag.phase_trajectory(res.trajectory, p7)
     # u is identically b0, so the anchor is exact arithmetic: the deviation
     # sits at (x - 1, alpha x) with x = (b0/b_inf) rho^alpha, second quadrant,
     # tending to pi as the launch radius shrinks
-    x = (p7.b0 / p7.b_inf) * pts[0].rho ** p7.alpha
-    assert pts[0].theta == pytest.approx(math.atan2(p7.alpha * x, x - 1.0), rel=1e-9)
-    assert 3.0 < pts[0].theta < math.pi
+    x = (p7.b0 / p7.b_inf) * rho[0] ** p7.alpha
+    assert theta[0] == pytest.approx(math.atan2(p7.alpha * x, x - 1.0), rel=1e-9)
+    assert 3.0 < theta[0] < math.pi
     # at the cone: w = b0/b_inf - 1, rw = alpha b0/b_inf, pure arithmetic
     ratio = p7.b0 / p7.b_inf
     theta1 = math.atan2(p7.alpha * ratio, ratio - 1.0)
     assert theta1 == pytest.approx(ORACLES["theta1_const"], rel=1e-12)
-    assert diag.phase_at(res.trajectory, p7, pts[-1].rho) == pytest.approx(
+    assert diag.phase_at(res.trajectory, p7, rho[-1]) == pytest.approx(
         theta1, abs=5e-3)
 
 

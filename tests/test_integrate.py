@@ -147,7 +147,7 @@ def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsy
     assert runs[0].t[-2] < x_s < integrate_module.LIMIT_REACH
     assert runs[1].t[-1] == pytest.approx(x_s ** 2)
     center_trajectory(1e16, 0.5, p7, tol)
-    assert kept_run().termination == TERM_STEP_UNDERFLOW
+    assert kept_run().termination == integrate_module._TERM_RANGE_END
     again = shots()
     assert cli.main(["limit"]) == 0
     capsys.readouterr()
@@ -189,12 +189,12 @@ def test_shots_past_the_reach_of_the_limit_solution_are_named(p7, tol):
     # is): its reach ends at its last full step, for the center shots and the
     # limit fits alike
     run = integrate_module._limit_run(1e45, p7, tol, "")
-    assert run.termination == TERM_STEP_UNDERFLOW and (run.y[0] > 0.0).all()
+    assert run.termination == integrate_module._TERM_RANGE_END and (run.y[0] > 0.0).all()
     reach = run.t[-2]
     assert np.isfinite(run.y).all() and reach == pytest.approx(2.8e86, rel=0.01)
     c_max = (reach / tol.rtol ** (1.0 / 6.0)) ** (1.0 / 3.0)
     assert center_trajectory(0.999 * c_max, 0.5, p7, tol).dense is not None
-    past = f"past its last full step (step_underflow) at {reach:.3g}"
+    past = f"past its last full step (left_float_range) at {reach:.3g}"
     with pytest.raises(ValueError, match=re.escape(f"center amplitude c={1.001 * c_max:g} "
                                                    "needs the limit solution at x = ")
                        + ".*" + re.escape(past)):
@@ -510,10 +510,71 @@ def _loop_extra_stages(rhs, t, y, h, K):
     return [k[-3:] for k in K]
 
 
+def _loop_step(rhs, t, y, f, h_abs, t_end, direction, rtol, atol):
+    """One accepted step from (t, y) as scipy's _step controls it, sizes tried
+    with _loop_step_stages until one passes: (t, y, f, next h_abs, K), or the
+    termination label of a run that cannot step."""
+    m = integrate_module
+    min_step = 10.0 * abs(math.nextafter(t, direction * math.inf) - t)
+    h_abs = max(h_abs, min_step)
+    rejected = False
+    while h_abs >= min_step:
+        t_new = t + h_abs * direction
+        if direction * (t_new - t_end) > 0:
+            t_new = t_end
+        h = t_new - t
+        h_abs = abs(h)
+        try:
+            y_new, f_new, K, e5_0, e5_1, e3_0, e3_1 = _loop_step_stages(rhs, t, y, h, t_new, f)
+        except m._RangeEnd:
+            return m._TERM_RANGE_END
+        except OverflowError:
+            h_abs *= m._MIN_FACTOR
+            rejected = True
+            continue
+        s0 = atol + max(abs(y[0]), abs(y_new[0])) * rtol
+        s1 = atol + max(abs(y[1]), abs(y_new[1])) * rtol
+        err5 = (e5_0 / s0) ** 2 + (e5_1 / s1) ** 2
+        err3 = (e3_0 / s0) ** 2 + (e3_1 / s1) ** 2
+        norm = math.sqrt((err5 + 0.01 * err3) * 2.0)
+        err = h_abs * err5 / norm if norm else 0.0
+        if err < 1.0:
+            factor = min(m._MAX_FACTOR, m._SAFETY * err ** m._EXPONENT) if err else m._MAX_FACTOR
+            return t_new, y_new, f_new, h_abs * (min(1.0, factor) if rejected else factor), K
+        h_abs *= max(m._MIN_FACTOR, m._SAFETY * err ** m._EXPONENT)
+        rejected = True
+    return TERM_STEP_UNDERFLOW
+
+
+def _loop_drive(rhs, t, y, f, h_abs, t_end, direction, rtol, atol, blow_cap, stages,
+                h_min, max_steps):
+    """drive_ode's step loop, one _loop_step call per step, in the generated
+    loop's contract: (grid, states in one flat list, termination)."""
+    ts, ys = [t], [*y]
+    while direction * (t - t_end) < 0:
+        if len(ts) > max_steps:
+            return ts, ys, TERM_STEP_LIMIT
+        step = _loop_step(rhs, t, y, f, h_abs, t_end, direction, rtol, atol)
+        if isinstance(step, str):
+            return ts, ys, step
+        t, y, f, h_abs, K = step
+        if stages is not None:
+            for k in K:
+                stages.extend(k)
+        ts.append(t)
+        ys += y
+        if blow_cap is not None and abs(y[0]) > blow_cap:
+            return ts, ys, TERM_BLEW_UP
+        if h_abs < h_min and direction * (t - t_end) < 0:
+            return ts, ys, TERM_STEP_UNDERFLOW
+    return ts, ys, TERM_REACHED_END
+
+
 def _with_loop_stepper(monkeypatch, run):
-    """run() with the loop stepper in place of the generated kernels."""
+    """run() with the loop stepper, rhs called per stage, in place of the
+    generated loop and interpolant stages."""
     with monkeypatch.context() as mp:
-        mp.setattr(integrate_module, "_kernel", lambda n: (_loop_step_stages, _loop_extra_stages))
+        mp.setattr(integrate_module, "_kernel", lambda n, chart: (_loop_drive, _loop_extra_stages))
         return run()
 
 
@@ -542,7 +603,7 @@ def test_generated_kernel_is_the_loop_stepper_bit_for_bit(name, p7, tol, monkeyp
 
 def test_generated_kernel_takes_the_overflow_retry_as_the_loop_did(p7, monkeypatch):
     # at u0 = 1e6, u**p overflows in a trial stage of the first step, which
-    # _step rejects by the smallest factor, to below the minimum step size
+    # the loop rejects by the smallest factor, to below the minimum step size
     tol = Tolerances(rtol=1e-10, atol=1e-12)
     calls = []
 
@@ -570,6 +631,69 @@ def test_generated_kernel_takes_the_overflow_retry_as_the_loop_did(p7, monkeypat
     assert ref_calls.index("overflow") > 2 and calls == ref_calls
     assert traj.termination == ref.termination == TERM_STEP_UNDERFLOW
     assert np.array_equal(traj.t, ref.t) and np.array_equal(traj.y, ref.y)
+
+
+def _call_form(rhs):
+    """rhs without its chart attribute, so drive_ode calls it per stage."""
+    return lambda t, y: rhs(t, y)
+
+
+@pytest.mark.parametrize("name", ["center c=2", "x-chart c=1e4", "cone b=0.7", "limit"])
+def test_chart_equation_in_the_stages_is_the_call_form_bit_for_bit(name, p7, tol):
+    rhs, t0, y0, t_end = _oracle_case(name, p7, tol)
+    assert hasattr(rhs, "chart")
+    for store_dense in (True, False):
+        t, y, dense, term = drive_ode(rhs, t0, y0, t_end, tol, store_dense=store_dense)
+        t_c, y_c, dense_c, term_c = drive_ode(_call_form(rhs), t0, y0, t_end, tol,
+                                              store_dense=store_dense)
+        assert term == term_c == TERM_REACHED_END
+        assert np.array_equal(t, t_c) and np.array_equal(y, y_c)
+        if not store_dense:
+            assert dense is None and dense_c is None
+            continue
+        assert np.array_equal(dense._pending[1], dense_c._pending[1])
+        # the interpolant's 3 extra stages, computed in place and called
+        tq = np.concatenate((t, np.linspace(min(t0, t_end), max(t0, t_end), 202)[1:-1]))
+        assert (dense(tq) == dense_c(tq)).all()
+        assert np.array_equal(dense.coefficients(), dense_c.coefficients())
+
+
+def test_chart_equation_in_the_stages_takes_the_overflow_retry_as_the_call_form(p7,
+                                                                                monkeypatch):
+    # at u0 = 1e6, u**p overflows in a trial stage of the first step, rejected
+    # by the smallest factor down to below the minimum step size
+    tol = Tolerances(rtol=1e-10, atol=1e-12)
+    start = ProfileState(0.5, 1e6, 0.0)
+    ours = integrate(start, 0.9, p7, tol)
+    overflows = []
+
+    def called(params, mu):
+        rhs = chart_rhs(params, mu)
+
+        def call(t, y):
+            try:
+                return rhs(t, y)
+            except OverflowError:
+                overflows.append(t)
+                raise
+        return call
+
+    monkeypatch.setattr(integrate_module, "chart_rhs", called)
+    ref = integrate(start, 0.9, p7, tol)
+    assert overflows and overflows[0] > start.rho
+    assert ours.termination == ref.termination == TERM_STEP_UNDERFLOW
+    assert np.array_equal(ours.t, ref.t) and np.array_equal(ours.y, ref.y)
+    assert ours.dense is None and ref.dense is None
+
+
+@pytest.mark.parametrize("p, u0", [(7, 2.54e42), (15, 6.06e19), (31, 5.34e9)])
+def test_overflowing_start_slope_stops_with_a_label(p, u0, tol):
+    # the scaled slope f/s overflows, so scipy's initial step is h = 0 (its
+    # trial step 0.01 d0/d1 is 0, and the slope difference over it 0/0); no
+    # step of 10 ulp passes either
+    traj = integrate(ProfileState(0.5, u0, 0.0), 0.9, derive_constants(p), tol)
+    assert traj.termination == TERM_STEP_UNDERFLOW
+    assert traj.dense is None and traj.t.tolist() == [0.5]
 
 
 def test_step_budget_stops_with_step_limit(p7, tol, monkeypatch):
@@ -669,13 +793,16 @@ def test_dense_output_is_scipys_bit_for_bit(oracle_shots):
     assert np.array_equal(joined(q)[:, ~lo], tail(q[~lo]))
     for x in (join, math.nextafter(join, math.inf), float(q[50]), float(q[150])):
         assert np.array_equal(joined(x), head(x) if x <= join else tail(x))
-    # the limit run (U0, U0', U1, U1', U2, U2') itself, on the array path
+    # the limit run (U0, U0', U1, U1', U2, U2') itself, on the array path and
+    # on the float path the center shots read it by
     t, y, F = run._t, run._y.T, run.coefficients()
     assert F.shape == (len(t) - 1, 7, 6)
     ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], F[i])
                           for i in range(len(t) - 1)])
     q = np.concatenate((t, np.geomspace(t[0], t[-1], 300)))
     assert np.array_equal(run(q), ref(q))
+    for x in q[::7].tolist():
+        assert run(x).shape == (6,) and np.array_equal(run(x), ref(x))
     # a node where the two steps meeting there disagree in the last bit (y[0]
     # + (y[1] - y[0]) != y[1]) shows which step OdeSolution's tie rule picks
     y = np.array([[1.0, 1e-17, 0.3], [2.0, -3e-17, 0.7]])

@@ -82,6 +82,19 @@ def test_every_name_the_tracer_binds_resolves():
             f"blowup.{mod}.{name}"
 
 
+def test_traced_spectrum_prints_the_untraced_csv(capsys):
+    # the tracer wraps every rhs, so its shots call the chart equation per
+    # stage where untraced ones compute it inside the stages: the same digits
+    from blowup import cli
+    assert cli.main(["spectrum", "--n-max", "3"]) == 0
+    untraced = capsys.readouterr().out
+    tracer = _tracing().Tracer(1e-12)
+    with tracer.installed():
+        assert cli.main(["spectrum", "--n-max", "3"]) == 0
+    assert capsys.readouterr().out == untraced
+    assert tracer.counts["integrate.rhs_calls"] > 0
+
+
 # exported names no package code reaches, each with the reason it stays
 UNREACHED_BY_DESIGN = {
     "u_singular": "the closed-form singular solution, the oracle the README names",
