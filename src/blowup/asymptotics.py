@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import ModelParams
 from .odecore import SERIES_ORDER, _shrink_until_valid
 from .integrate import TERM_REACHED_END, Tolerances, _limit_run, drive_ode
@@ -78,6 +76,7 @@ def integrate_limit_equation(x_max: float, params: ModelParams,
     a grid uniform in tau = ln x (the ringdown's variable), dense enough for
     the fits; read off full steps of integrate._limit_run, so they do not
     depend on what ran before.  An x_max past U0's reach is a ValueError."""
+    import numpy as np
     if x_max <= 1.0:
         raise ValueError("x_max must exceed 1")
     run = _limit_run(x_max, params, tol, f"x_max {x_max:g}")
@@ -91,6 +90,7 @@ def integrate_limit_equation(x_max: float, params: ModelParams,
 
 def limit_lyapunov(samples, params: ModelParams):
     """(tau, h) along limit samples (x, U, U'); h is non-increasing for p > 5."""
+    import numpy as np
     p = params.p
     al = params.alpha
     x, U, dU = samples
@@ -108,6 +108,7 @@ def _project(M, y):
     """Least squares of y on the columns of M, whose first two are a sin and
     cos of one phase; returns (A, delta, rms): the amplitude and phase of that
     pair and the RMS misfit."""
+    import numpy as np
     coef, *_ = np.linalg.lstsq(M, y, rcond=None)
     rms = float(np.sqrt(np.mean((y - M @ coef) ** 2)))
     return float(np.hypot(coef[0], coef[1])), float(math.atan2(coef[1], coef[0])), rms
@@ -122,6 +123,8 @@ def _varpro(basis, omega0, decay0):
     central-difference Jacobian, until a step is <= 1e-13 relative, or stops
     on a non-finite model (an envelope that overflows) before LAPACK sees it.
     """
+    import numpy as np
+
     def failed(why):
         return RuntimeError(f"the {basis.__name__} fit did not converge ({why})")
 
@@ -149,6 +152,7 @@ def fit_limit_asymptotics(samples, params: ModelParams) -> OscillationFit:
     """A0, delta0 of the ringdown U = b_inf x^{-alpha}(1 + A0 x^{-(p-5)/(2(p-1))}
     sin(omega ln x + delta0)) of limit samples (x, U, U'), with the free-fit
     frequency and decay."""
+    import numpy as np
     p = params.p
     om = params.omega
     period = 2.0 * math.pi / om
@@ -205,13 +209,12 @@ def fit_limit_asymptotics(samples, params: ModelParams) -> OscillationFit:
 # -- linearized light-cone equation -------------------------------------------
 
 
-def _linearized_cone_coeffs(params: ModelParams, order: int) -> np.ndarray:
+def _linearized_cone_coeffs(params: ModelParams, order: int) -> list:
     """Taylor coefficients of the cone-regular linearized deviation in
     s = rho - 1, normalized to w(1) = 1 (hence w'(1) = (p-3)/2)."""
     al = params.alpha
     kap = 2.0 * (params.p - 3.0) / (params.p - 1.0)
-    beta = np.zeros(order + 1)
-    beta[0] = 1.0
+    beta = [1.0] + [0.0] * order
     for m in range(order):
         acc = (5.0 * m * (m - 1.0) - (kap - 6.0) * m - kap) * beta[m]
         if m >= 1:
@@ -237,6 +240,7 @@ def solve_linearized_lightcone(rho_min: float, params: ModelParams,
                                tol: Tolerances = Tolerances()) -> OscillationFit:
     """A1, delta1 of the cone linearization w_L ~ rho^{-(p-5)/(2(p-1))}
     A1 sin(omega ln rho + delta1), from a series launch at the cone."""
+    import numpy as np
     if not 0.0 < rho_min < 0.5:
         raise ValueError("rho_min must lie in (0, 0.5)")
     p = params.p
@@ -253,7 +257,7 @@ def solve_linearized_lightcone(rho_min: float, params: ModelParams,
 
     period = 2.0 * math.pi / om
     lo = math.log(rho_min)
-    hi = math.log(min(CONE_TRANSIENT_RHO, float(np.max(t))))
+    hi = math.log(min(CONE_TRANSIENT_RHO, max(t)))
     n_periods = (hi - lo) / period
     if n_periods < 1.0:
         raise InsufficientSpanError(

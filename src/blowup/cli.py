@@ -17,11 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import asymptotics as asy
 from . import diagnostics as diag
@@ -35,10 +34,15 @@ EXIT_OK = 0
 EXIT_COMPUTE = 1
 EXIT_USAGE = 2
 
-# computational failures (exit 1), tested before ValueError, which three of
+# computational failures (exit 1), tested before ValueError, which two of
 # them subclass; RuntimeError covers ShootingError
-COMPUTE_ERRORS = (RuntimeError, diag.DegenerateTrajectoryError,
-                  asy.InsufficientSpanError, np.linalg.LinAlgError)
+COMPUTE_ERRORS = (RuntimeError, diag.DegenerateTrajectoryError, asy.InsufficientSpanError)
+
+
+def _compute_errors() -> tuple:
+    """COMPUTE_ERRORS, and numpy's LinAlgError (a ValueError) once numpy is loaded."""
+    np = sys.modules.get("numpy")
+    return COMPUTE_ERRORS + ((np.linalg.LinAlgError,) if np else ())
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,7 @@ def _cell(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, numbers.Integral):
         return str(int(x))
     if isinstance(x, str):
         return x
@@ -153,7 +157,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     try:
         for res in shoot.iter_rows(args.n_max, P, cfg.tol, cfg.rho_mid):
             spec.rows.append(res)
-    except COMPUTE_ERRORS as exc:
+    except _compute_errors() as exc:
         print(f"spectrum: row {len(spec.rows) + 1} failed: {exc}", file=sys.stderr)
         failed = True
     # quotient columns are filled wherever the next row exists
@@ -183,6 +187,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
 def cmd_profile(cfg: RunConfig, args) -> int:
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
+    import numpy as np
     res = _solve_chain(args.n, cfg)
     traj = res.trajectory
     P = cfg.params
@@ -269,7 +274,7 @@ def _attempt(make):
     call, the computational failure make() raised instead."""
     try:
         value, error = make(), None
-    except COMPUTE_ERRORS as exc:
+    except _compute_errors() as exc:
         value, error = None, exc
 
     def get():
@@ -368,7 +373,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
 
     def limit_lyapunov_monotone():
         tau, h = asy.limit_lyapunov(limit(), P)
-        rise = float(np.max(np.diff(h)))
+        rise = float((h[1:] - h[:-1]).max())
         return rise <= 1e-12, "max rise %.3g" % rise
 
     def cone_linearization_fit():
@@ -390,6 +395,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
                     % (dc, P.ratio_c, db, P.ratio_b))
 
     def critical_case_first_integral():
+        import numpy as np
         P5 = _derive_unchecked(5)
         rng = np.random.default_rng(20260816)
         drift = 0.0
@@ -401,7 +407,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
                 continue
             rho, u, du = traj.profile_samples()
             q = diag.eval_virial(rho, u, du, P5)
-            drift = max(drift, float(np.max(np.abs(q - q[0]))) / (1.0 + abs(float(q[0]))))
+            drift = max(drift, float(abs(q - q[0]).max()) / (1.0 + abs(float(q[0]))))
         return ok and drift <= 1e-9, "max scaled drift %.3g over 10 launches" % drift
 
     out = []
@@ -412,7 +418,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
                quotient_convergence, critical_case_first_integral):
         try:
             ok, detail = fn()
-        except COMPUTE_ERRORS as exc:
+        except _compute_errors() as exc:
             ok, detail = False, " ".join(f"{type(exc).__name__}: {exc}".split())
         out.append((fn.__name__, ok, detail))
     return out
@@ -510,7 +516,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(cfg, args)
-    except COMPUTE_ERRORS as exc:
+    except _compute_errors() as exc:
         print(f"blowup: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
     except ValueError as exc:

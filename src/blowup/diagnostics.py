@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import ModelParams
 from .integrate import (
     TERM_REACHED_END,
@@ -69,10 +67,8 @@ class DegenerateTrajectoryError(ValueError):
 
 
 def eval_energy(rho, u, du, params: ModelParams):
-    """Interior energy; non-increasing in rho for rho^2 <= 2(p-1)/(p+3)."""
-    rho = np.asarray(rho, dtype=float)
-    u = np.asarray(u, dtype=float)
-    du = np.asarray(du, dtype=float)
+    """Interior energy; non-increasing in rho for rho^2 <= 2(p-1)/(p+3); on
+    floats or arrays."""
     p = params.p
     return (0.5 * (1.0 - rho**2) * du**2 + u**(p + 1) / (p + 1)
             - 0.5 * params.aa1 * u**2)
@@ -80,10 +76,7 @@ def eval_energy(rho, u, du, params: ModelParams):
 
 def eval_virial(rho, u, du, params: ModelParams):
     """Weighted virial; vanishes at the center, non-increasing inside the
-    cone, and exactly conserved in the critical case p = 5."""
-    rho = np.asarray(rho, dtype=float)
-    u = np.asarray(u, dtype=float)
-    du = np.asarray(du, dtype=float)
+    cone, and exactly conserved in the critical case p = 5; on floats or arrays."""
     p = params.p
     q2 = 3.0 * (5 - p) / (4.0 * (p - 1)) - 2.0 / (p - 1) ** 2
     omc = 1.0 - rho**2
@@ -97,6 +90,7 @@ def eval_deviation_energy(rho, u, du, params: ModelParams):
     d/drho = -(kappa - 1) rho v'^2 with kappa = 2(p-3)/(p-1) > 1, so this
     decreases along every trajectory, on both sides of the cone.
     """
+    import numpy as np
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("deviation energy needs rho > 0")
@@ -144,13 +138,13 @@ def monotonicity_report(traj, params: ModelParams) -> MonotonicityReport:
     """Evaluate energy, virial and deviation energy along increasing rho and
     flag any rise above DRIFT_TOL * (1 + |value|)."""
     rho, u, du = traj.profile_samples()
-    order = np.argsort(rho)
+    order = rho.argsort()
     rho, u, du = rho[order], u[order], du[order]
     checks = {}
     for name, functional in _FUNCTIONALS.items():
         vals = functional(rho, u, du, params)
-        rises = (vals[1:] - vals[:-1]) / (1.0 + np.abs(vals[:-1]))
-        drift = np.abs(vals - vals[0]) / (1.0 + abs(float(vals[0])))
+        rises = (vals[1:] - vals[:-1]) / (1.0 + abs(vals[:-1]))
+        drift = abs(vals - vals[0]) / (1.0 + abs(float(vals[0])))
         max_rise = float(rises.max()) if len(rises) else 0.0
         checks[name] = MonotoneCheck(
             name=name, n_samples=len(vals),
@@ -170,7 +164,7 @@ def _principal(a: float) -> float:
 
 
 def _piece_chain(piece: Trajectory):
-    """(t ascending in rho, w, rw, k) with k the rho-per-t factor."""
+    """(t ascending in rho, w, rw, k) with k the rho-per-t factor; sequences of floats."""
     t, w, rw = piece.w_samples()
     if len(t) > 1 and t[0] > t[-1]:
         t, w, rw = t[::-1], w[::-1], rw[::-1]
@@ -196,18 +190,17 @@ def _refine(pts, piece, k, t_a, th_a, t_b, w_b, rw_b, depth=0) -> float:
         raise DegenerateTrajectoryError(f"phase refinement stalled near rho={t_b * k:.6g}")
     t_m = 0.5 * (t_a + t_b)
     w_m, rw_m = piece.w_of_t(t_m)
-    th_m = _refine(pts, piece, k, t_a, th_a, t_m, float(w_m), float(rw_m), depth + 1)
+    th_m = _refine(pts, piece, k, t_a, th_a, t_m, w_m, rw_m, depth + 1)
     return _refine(pts, piece, k, t_m, th_m, t_b, w_b, rw_b, depth + 1)
 
 
-def phase_trajectory(traj, params: ModelParams) -> tuple[np.ndarray, ...]:
-    """(rho, w, rho w', theta) arrays of the unwrapped deviation phase along rho,
-    walked on Python floats; a step wider than PHASE_MAX_STEP goes through _refine."""
+def phase_trajectory(traj, params: ModelParams) -> tuple[tuple, ...]:
+    """(rho, w, rho w', theta) of the unwrapped deviation phase along rho, as tuples
+    of floats; a step wider than PHASE_MAX_STEP goes through _refine."""
     pts, theta = [], None
     atan2, hypot, pi, tau = math.atan2, math.hypot, math.pi, 2.0 * math.pi
     for piece in traj.pieces:
         t, w, rw, k = _piece_chain(piece)
-        t, w, rw = t.tolist(), w.tolist(), rw.tolist()
         start = atan2(rw[0], w[0])
         if theta is None:
             theta = _push(pts, t[0] * k, w[0], rw[0], start)
@@ -222,7 +215,7 @@ def phase_trajectory(traj, params: ModelParams) -> tuple[np.ndarray, ...]:
                 pts.append((t[i] * k, wi, rwi, theta))
             else:
                 theta = _refine(pts, piece, k, t[i - 1], theta, t[i], wi, rwi)
-    return tuple(np.array(pts).T)
+    return tuple(zip(*pts))
 
 
 def _brentq(f, xa: float, xb: float) -> float:
@@ -266,7 +259,7 @@ def _brentq(f, xa: float, xb: float) -> float:
     raise RuntimeError("Failed to converge after 100 iterations.")
 
 
-def w_zero_locations(traj, params: ModelParams) -> np.ndarray:
+def w_zero_locations(traj, params: ModelParams) -> list:
     """Zeros of w = u/u_singular - 1 in rho, refined through dense output."""
     zeros = []
     for piece in traj.pieces:
@@ -275,12 +268,11 @@ def w_zero_locations(traj, params: ModelParams) -> np.ndarray:
         for i in range(len(t) - 1):
             wi, wj = w[i], w[i + 1]
             if wi == 0.0:
-                zeros.append(float(t[i]) * k)
+                zeros.append(t[i] * k)
             elif (wi < 0.0 < wj) or (wj < 0.0 < wi):
-                tz = _brentq(lambda tq: float(piece.w_of_t(tq)[0]), t[i], t[i + 1])
-                zeros.append(float(tz) * k)
+                zeros.append(_brentq(lambda tq: piece.w_of_t(tq)[0], t[i], t[i + 1]) * k)
         if len(t) and w[-1] == 0.0:
-            zeros.append(float(t[-1]) * k)
+            zeros.append(t[-1] * k)
     zeros = sorted(zeros)
     # junction duplicates (a zero straddling the glue point) collapse to one;
     # distinct zeros are whole spiral turns apart, so a relative test is safe
@@ -289,19 +281,21 @@ def w_zero_locations(traj, params: ModelParams) -> np.ndarray:
         if out and z <= out[-1] * (1.0 + 1e-6):
             continue
         out.append(z)
-    return np.asarray(out)
+    return out
 
 
 def phase_zero_count(traj, params: ModelParams) -> int:
     """Zeros of w counted as gross crossings of the levels pi/2 - k pi."""
-    levels = np.floor((phase_trajectory(traj, params)[3] - 0.5 * math.pi) / math.pi)
-    return int(np.abs(np.diff(levels)).sum())
+    levels = [math.floor((th - 0.5 * math.pi) / math.pi)
+              for th in phase_trajectory(traj, params)[3]]
+    return sum(abs(b - a) for a, b in zip(levels, levels[1:]))
 
 
 def phase_at(traj, params: ModelParams, rho):
     """Unwrapped phase at radii inside the trajectory span: the exact
     atan2(rho w', w) from dense output, on the branch of the interpolated
     phase trajectory.  A scalar rho gives a float, an array an array."""
+    import numpy as np
     rhos, _, _, thetas = phase_trajectory(traj, params)
     r = np.asarray(rho, dtype=float)
     if not (rhos[0] <= r.min() and r.max() <= rhos[-1]):
@@ -351,7 +345,7 @@ def first_crossing_report(c: float, params: ModelParams,
     rho1 = float(zs[0])
     rw1 = float(traj.w_of_t(rho1 / traj.rho_per_t())[1])
     rho, w = phase_trajectory(traj, params)[:2]
-    after = w[rho > rho1].tolist()
+    after = [wi for ri, wi in zip(rho, w) if ri > rho1]
     min_w = min(after) if after else float("nan")
     floor = -2.0 * params.alpha
     passed = (rho1 < bound * (1.0 + 1e-6)
@@ -366,11 +360,9 @@ def first_crossing_report(c: float, params: ModelParams,
 
 def crossing_discriminant(v, params: ModelParams):
     """Discriminant of the quadratic controlling transversality of radial
-    crossings at deviation amplitude v, times (p-1)^2."""
+    crossings at deviation amplitude v (a float or an array), times (p-1)^2."""
     p = params.p
-    v = np.asarray(v, dtype=float)
-    s = np.zeros_like(v)
-    vk = np.ones_like(v)
+    s, vk = 0.0, 1.0
     for _ in range(1, p):
         vk = vk * v
         s = s + vk
@@ -390,6 +382,7 @@ class DiscriminantReport:
 def discriminant_report(params: ModelParams) -> DiscriminantReport:
     """Scan the discriminant on [v*, 1], v* = (p-5)/(p-1); spiraling toward
     the singular solution is transversal when it stays negative there."""
+    import numpy as np
     p = params.p
     v_star = (p - 5.0) / (p - 1.0)
     closed = ((2.0 * p * p - 8.0 * p + 6.0) * ((p - 5.0) / (p - 1.0)) ** p
@@ -441,10 +434,10 @@ def extend_beyond_lightcone(b: float, params: ModelParams, rho_max: float = 100.
     f = rho * du + 0.5 * (params.alpha + 1.0) * u
     p = params.p
     f_cone = (p - 1.0) / 4.0 * b**p
-    monotone = bool(np.all(du < 0.0))
-    positive = bool(np.all(u > 0.0))
-    below = bool(np.all(u < params.b0))
-    f_pos = bool(np.all(f > 0.0))
+    monotone = bool((du < 0.0).all())
+    positive = bool((u > 0.0).all())
+    below = bool((u < params.b0).all())
+    f_pos = bool((f > 0.0).all())
     return ExtensionReport(
         b=b, rho_max=rho_max,
         u_final=float(u[-1]), du_final=float(du[-1]),

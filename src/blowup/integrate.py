@@ -3,9 +3,11 @@
 The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as
 scipy 1.17.1 steps it, on Python floats for the systems (u, u') every caller
 integrates (and the limit run below), in one step loop generated on first use
-from the module's tableau, with the chart equation in its stages; numpy is the
-only import.  Step budget, minimum step size and termination reasons are
-explicit.  Dense output, built lazily from the kept stages, is scipy's to the bit.
+from the module's tableau, with the chart equation in its stages.  Runs hold
+their nodes in lists of floats; numpy is imported only to evaluate dense output
+or sample a trajectory on arrays.  Step budget, minimum step size and
+termination reasons are explicit.  Dense output, built one step at a time from
+the kept stages, is scipy's to the bit given its coefficients.
 
 Every trajectory lives in one chart family: (U, U') in x = rho c^{(p-1)/2}
 with u = c U.  The plain equation in rho is the member c = 1; large center
@@ -27,10 +29,9 @@ import bisect
 import functools
 import math
 import struct
+import sys
 from array import array
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import ModelParams, ProfileState
 from .odecore import (_CHART_U2, _limit_correction, center_launch, chart_rhs, lightcone_launch,
@@ -60,7 +61,7 @@ _TERM_RANGE_END = "left_float_range"   # an uncontrolled component left the floa
 MAX_STEPS = 200_000       # accepted steps before an integration stops (step_limit)
 H_MIN = 1e-15             # step size below which it stops (step_underflow)
 LIMIT_REACH = 1e17        # end of the first U0 run; its last full step passes 1e16
-_RTOL_MIN = 100.0 * np.finfo(float).eps
+_RTOL_MIN = 100.0 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ _MAIN = [(c, _sparse(row)) for c, row in zip(_C_ALL[1:_STAGES], _A_ROWS)]
 _EXTRA = [(c, _sparse(row)) for c, row in zip(_C_ALL[_STAGES + 1:], _A_ROWS[_STAGES:])]
 _B, _E5 = _sparse(_A_ROWS[_STAGES - 1]), _sparse(_E5_ROW)
 _E3 = _sparse([b - d for b, d in zip((*_A_ROWS[_STAGES - 1], 0.0), _E3_LESS_B)])
-_D = np.array(_D_ROWS, dtype=float)
+_D = [_sparse(row) for row in _D_ROWS]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR, _EXPONENT = 0.9, 0.2, 10.0, -1.0 / 8.0
 
 
@@ -178,7 +179,7 @@ def _ks(n: int, j) -> str:
 
 
 # drive_ode's loop of accepted steps, each sized as scipy's DOP853 _step sizes
-# it, and the interpolant's stages; _kernel fills in the stages
+# it, and one step's interpolant coefficients; _kernel fills in the stages
 _LOOP = """\
 def _loop(rhs, t, y, f, h_abs, t_end, direction, rtol, atol, blow_cap, stages, h_min, max_steps):
     {head}
@@ -236,12 +237,17 @@ def _loop(rhs, t, y, f, h_abs, t_end, direction, rtol, atol, blow_cap, stages, h
     return ts, ys, TERM_REACHED_END
 
 
-def _extra_stages(rhs, t, y, h, K):
+def _coeffs(rhs, t, y, yn, h, K):
     {head}
     {y}, = y
-    {K}, = K
+    {yn}, = yn
+    {kept}, = K
+    try:
 {extra}
-    return {extra_out}
+    except OverflowError:   # u**p left the float range: no finite interpolant, as scipy's
+        {extra_ks} = inf
+    {d} = {dy}
+    return {F}
 """
 
 
@@ -250,7 +256,9 @@ def _kernel(n: int, chart: bool):
     """_LOOP for n components, generated from the tableau on first use (as
     namedtuple builds its class): no per-term loop and no Python call but rhs's,
     each sum adding its row's nonzero terms left to right in repr literals; with
-    chart, the stages compute odecore.chart_rhs's equation in place instead."""
+    chart, the stages compute odecore.chart_rhs's equation in place instead;
+    _coeffs gives a step's Dop853DenseOutput F0..F6 of each component in turn,
+    D's rows so summed."""
     y, yn = ", ".join(f"y{m}" for m in range(n)), ", ".join(f"yn{m}" for m in range(n))
     rows = [", ".join(f"k{m}_{j}" for j in range(_STAGES + 1)) for m in range(n)]
     last = ["u = yn0", "k0_12 = du = yn1", f"k1_12 = {_CHART_U2.format(t='t_new')}"] if chart \
@@ -260,14 +268,18 @@ def _kernel(n: int, chart: bool):
     src = _LOOP.format(
         head="mu, aa1, tt, p = rhs.chart" if chart else "", y=y, yn=yn, k0=_ks(n, 0),
         k12=_ks(n, _STAGES), stages="\n".join(" " * 16 + line for line in stages),
-        kept=", ".join(rows), K=", ".join(f"({km})" for km in rows),
+        kept=", ".join(rows), d=", ".join(f"d{m}" for m in range(n)),
+        dy=", ".join(f"yn{m} - y{m}" for m in range(n)),
+        F=", ".join(f"d{m}, h * k{m}_0 - d{m}, 2.0 * d{m} - h * (k{m}_12 + k{m}_0), "
+                    + ", ".join(f"h * ({_sum(row, f'k{m}_')})" for row in _D)
+                    for m in range(n)),
         **{f"e{o}_{m}": _sum(row, f"k{m}_") for o, row in ((5, _E5), (3, _E3)) for m in (0, 1)},
-        extra="\n".join("    " + line for line in _stage_lines(_EXTRA, _STAGES + 1, n, chart)),
-        extra_out=", ".join(f"(k{m}_13, k{m}_14, k{m}_15)" for m in range(n)))
+        extra="\n".join(" " * 8 + line for line in _stage_lines(_EXTRA, _STAGES + 1, n, chart)),
+        extra_ks=" = ".join(f"k{m}_{j}" for m in range(n) for j in range(_STAGES + 1, 16)))
     ns = dict(globals(), nextafter=math.nextafter, inf=math.inf, sqrt=math.sqrt,
               pack=struct.Struct(f"{n * (_STAGES + 1)}d").pack)
     exec(compile(src, f"<DOP853 loop, {n} components{', chart' if chart else ''}>", "exec"), ns)
-    return ns["_loop"], ns["_extra_stages"]
+    return ns["_loop"], ns["_coeffs"]
 
 
 def _initial_step(rhs, t, y, f, t_end, direction, rtol, atol) -> float:
@@ -296,94 +308,97 @@ class _RangeEnd(OverflowError):
 
 
 class _DenseOutput:
-    """DOP853's interpolant on every step of one drive_ode run.  Its first
-    call adds each step's 3 interpolant stages, from the generated
-    _extra_stages, to the 13 kept ones (RHS calls made after drive_ode
-    returned) and builds the (step, 7, n) coefficients and step sizes.
-    Each point's step is chosen as in scipy's OdeSolution and summed in the
-    order of its Dop853DenseOutput, so values are scipy's to the bit: shape
-    (n,) for a scalar t, (n, m) for m points.  A float t is summed on Python
-    floats, which round as numpy does, in a tenth of the time."""
+    """DOP853's interpolant on every step of one drive_ode run.  Step i's
+    coefficients, F0..F6 of each component in turn, are built on its first read
+    from its 13 kept stages and 3 interpolant stages (RHS calls made after
+    drive_ode returned) by the generated _coeffs, and kept as doubles; a float t
+    and an array read the same ones.  Each point's step is chosen as in scipy's OdeSolution and
+    summed in the order of its Dop853DenseOutput, so values are scipy's to the
+    bit given the coefficients: a tuple of n floats for a float t, shape (n, m)
+    for m points ((n,) for a 0-d array), which imports numpy."""
 
-    def __init__(self, rhs, t: np.ndarray, y: np.ndarray, stages: np.ndarray):
-        self._pending, self._t, self._y, self._F = (rhs, stages), t, y, None
+    def __init__(self, rhs, t: list, y: tuple, stages: array):
+        self._rhs, self._t, self._y, self._stages, self._F = rhs, t, y, stages, {}
 
-    def _build(self) -> tuple[np.ndarray, np.ndarray]:
-        (rhs, stages), t, y = self._pending, self._t, self._y
-        extra_stages, ts = _kernel(stages.shape[1], hasattr(rhs, "chart"))[1], t.tolist()
+    def coefficients(self, i: int) -> array:
+        F = self._F.get(i)
+        if F is None:
+            t, y, w = self._t, self._y, len(self._y) * (_STAGES + 1)
+            F = self._F[i] = array("d", _kernel(len(y), hasattr(self._rhs, "chart"))[1](
+                self._rhs, t[i], [c[i] for c in y], [c[i + 1] for c in y], t[i + 1] - t[i],
+                self._stages[i * w:(i + 1) * w]))
+        return F
 
-        def extra(i):   # one step at a time, so no list holds the whole run's K
-            try:
-                return extra_stages(rhs, ts[i], y[i].tolist(), ts[i + 1] - ts[i],
-                                    stages[i].tolist())
-            except OverflowError:   # u**p left the float range: no finite interpolant
-                return [(math.inf,) * 3] * stages.shape[1]
-        K = np.concatenate((stages, [extra(i) for i in range(len(stages))]), axis=2)
-        h = np.diff(t)[:, None]
-        dy = np.diff(y, axis=0)
-        f_old, f_new = K[:, :, 0], K[:, :, _STAGES]
-        with np.errstate(invalid="ignore", over="ignore"):   # such steps read nan, as scipy's
-            return np.concatenate(
-                (np.stack((dy, h * f_old - dy, 2.0 * dy - h * (f_new + f_old)), axis=1),
-                 h[:, :, None] * np.swapaxes(K @ _D.T, 1, 2)), axis=1), h[:, 0]
+    @functools.cached_property
+    def _h(self) -> list:
+        return [b - a for a, b in zip(self._t, self._t[1:])]
 
-    def coefficients(self) -> np.ndarray:
-        if self._F is None:
-            t = self._t
-            (self._F, self._h), self._pending = self._build(), None
-            # the nodes in the direction of integration (negation is exact)
-            self._sign = 1.0 if t[-1] >= t[0] else -1.0
-            self._keys = self._sign * t
-            self._lists = self._keys.tolist(), t.tolist(), self._h.tolist()
-        return self._F
+    @functools.cached_property
+    def _keys(self) -> tuple[float, list]:
+        """The direction of integration, and the nodes along it (negation is exact)."""
+        sign = 1.0 if self._t[-1] >= self._t[0] else -1.0
+        return sign, [sign * v for v in self._t]
 
     def __call__(self, tq):
-        F = self.coefficients()
         # OdeSolution's step, clip(searchsorted(t, q) - 1, 0, steps - 1), read off
         # the interior nodes: an interior node goes to the step that ends there
-        if isinstance(tq, float):
-            keys, ts, hs = self._lists
-            i = bisect.bisect_left(keys, self._sign * tq, 1, len(keys) - 1) - 1
-            x = (tq - ts[i]) / hs[i]
-            ms, y = (x, 1 - x) * 4, []
-            for f in F[i].T.tolist():   # each component's 7 coefficients
-                v = 0.0
-                for a, m in zip(reversed(f), ms):
-                    v = (v + a) * m
-                y.append(v)
-            return np.array(y) + self._y[i]
-        t, tq = self._t, np.asarray(tq)
-        q = tq.ravel()
-        seg = self._keys[1:-1].searchsorted(self._sign * q, side="left")
-        x = ((q - t[seg]) / self._h[seg])[:, None]
-        y = np.zeros((len(q), F.shape[2]))
-        for i, f in enumerate(F[seg].transpose(1, 0, 2)[::-1]):
+        if not isinstance(tq, float):
+            return self._on_array(tq)
+        sign, keys = self._keys
+        i = bisect.bisect_left(keys, sign * tq, 1, len(keys) - 1) - 1
+        x = (tq - self._t[i]) / self._h[i]
+        F, ms, y = self.coefficients(i), (x, 1 - x) * 4, []
+        for m, c in enumerate(self._y):
+            v = 0.0
+            for a, mx in zip(reversed(F[7 * m:7 * m + 7]), ms):
+                v = (v + a) * mx
+            y.append(v + c[i])
+        return tuple(y)
+
+    def _on_array(self, tq):
+        import numpy as np
+        q = np.ravel(tq)
+        sign, keys = self._keys
+        seg = np.searchsorted(keys[1:-1], sign * q, side="left")
+        x = (q - np.take(self._t, seg)) / np.take(self._h, seg)
+        y = np.zeros((len(self._y), len(q)))
+        F = np.array([self.coefficients(i) for i in seg.tolist()]).reshape(
+            len(q), len(self._y), 7).T   # (7, n, points)
+        for i, f in enumerate(F[::-1]):
             y += f
             y *= x if i % 2 == 0 else 1 - x
-        y += self._y[seg]
-        return y[0] if tq.ndim == 0 else y.T
+        y += np.array(self._y)[:, seg]
+        return y[:, 0] if np.ndim(tq) == 0 else y
 
 
-def _in_mu(a: np.ndarray, mu: float) -> np.ndarray:
-    """a0 + mu a1 + mu^2 a2 from the limit run's last axis (U0, U0', U1, U1', U2, U2')."""
-    return a[..., :2] + mu * a[..., 2:4] + mu * mu * a[..., 4:]
+def _in_mu(a, mu: float) -> tuple:
+    """a0 + mu a1 + mu^2 a2 of the limit run's (U0, U0', U1, U1', U2, U2'),
+    elementwise over six sequences: its nodes, a step's coefficients, a point."""
+    mm = mu * mu
+    return tuple([u + mu * v + mm * w for u, v, w in zip(*a[m::2])] for m in (0, 1))
 
 
 class _Joined(_DenseOutput):
     """U0 + mu U1 + mu^2 U2 on the first k steps of the limit run, nodes
     y0 + mu y1 + mu^2 y2 and coefficients F0 + mu F1 + mu^2 F2, the last step
     cut where an outer run starts, then all of the outer run's; each run builds
-    its coefficients once."""
+    and keeps its own coefficients."""
 
     def __init__(self, run: _DenseOutput, mu: float, k: int, tail: _DenseOutput):
-        self._parts, self._F = (run, mu, k, tail), None
-        self._t = np.concatenate((run._t[:k], tail._t))
-        self._y = np.concatenate((_in_mu(run._y[:k], mu), tail._y))
+        self._parts, self._t = (run, mu, k, tail), run._t[:k] + tail._t
+        self._y = tuple(h + c for h, c in zip(_in_mu([c[:k] for c in run._y], mu), tail._y))
 
-    def _build(self) -> tuple[np.ndarray, np.ndarray]:
+    def coefficients(self, i: int) -> list:
         run, mu, k, tail = self._parts
-        return (np.concatenate((_in_mu(run.coefficients()[:k], mu), tail.coefficients())),
-                np.concatenate((run._h[:k], tail._h)))
+        if i >= k:
+            return tail.coefficients(i - k)
+        F = run.coefficients(i)
+        return [a for f in _in_mu([F[j:j + 7] for j in range(0, len(F), 7)], mu) for a in f]
+
+    @functools.cached_property
+    def _h(self) -> list:
+        run, _, k, tail = self._parts
+        return run._h[:k] + tail._h
 
 
 def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
@@ -393,9 +408,9 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
     y0 holds (u, u') or the limit run's 6 components, steps controlled on the
     first two; rhs(t, y) gets a tuple of floats and returns their derivatives.
     The first step tried is h0 or scipy's.  t is the accepted-step grid
-    (monotone), y has shape (len(y0), len(t)), dense is a _DenseOutput
-    (callable on t, scipy-free) holding the 13 stages of every step in one
-    float64 array, or None without store_dense or a step.  Stops early on
+    (monotone) as a list, y a tuple of len(y0) lists of the components on it,
+    dense a _DenseOutput (callable on t, scipy-free) holding the 13 stages of
+    every step in one array('d'), or None without store_dense or a step.  Stops early on
     |y[0]| > blow_cap, a step below H_MIN, MAX_STEPS accepted steps, or an
     uncontrolled component leaving the floats.  Every step runs in the loop
     _kernel generates, with the chart equation in its stages when rhs is
@@ -410,25 +425,23 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
     try:
         f = rhs(t, y)
     except OverflowError:      # the start is past the float range: no step
-        return np.array([t]), np.array(y)[:, None], None, TERM_STEP_UNDERFLOW
+        return [t], tuple([v] for v in y), None, TERM_STEP_UNDERFLOW
     h_abs = h0 or _initial_step(rhs, t, y, f, t_end, direction, tol.rtol, tol.atol)
     stages = array("d") if store_dense else None
     ts, ys, termination = _kernel(len(y), hasattr(rhs, "chart"))[0](
         rhs, t, y, f, h_abs, t_end, direction, tol.rtol, tol.atol, blow_cap, stages,
         H_MIN, MAX_STEPS)
-    t, y = np.array(ts), np.array(ys).reshape(len(ts), -1)
-    # the kept stages as (step, component, stage)
-    K = np.frombuffer(stages).reshape(len(ts) - 1, -1, _STAGES + 1) if stages else None
-    return t, y.T, _DenseOutput(rhs, t, y, K) if stages else None, termination
+    y = tuple(ys[m::len(y0)] for m in range(len(y0)))
+    return ts, y, _DenseOutput(rhs, ts, y, stages) if stages else None, termination
 
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Integrated piece of a profile in the chart of scale c_scale.
 
-    t, y hold the accepted-step grid in chart coordinates x = rho
-    c_scale^{(p-1)/2}, with u = c_scale U; c_scale is 1.0 for the plain rho
-    chart.  eval() and profile_samples() convert to (rho, u, du).  The
+    t (a list) and y (a tuple of (U, U') lists) hold the accepted-step grid in
+    chart coordinates x = rho c_scale^{(p-1)/2}, with u = c_scale U; c_scale
+    is 1.0 for the plain rho chart.  eval() and profile_samples() convert to (rho, u, du).  The
     deviation variable w = u/u_singular - 1 and its scale-invariant slope
     rho*w' have the same expression in every chart's native variables, so
     w_samples()/w_of_t() never leave the well-conditioned representation.
@@ -438,8 +451,8 @@ class Trajectory:
 
     params: ModelParams
     c_scale: float
-    t: np.ndarray
-    y: np.ndarray
+    t: list
+    y: tuple
     dense: _DenseOutput | None
     termination: str
 
@@ -455,37 +468,43 @@ class Trajectory:
         return self.c_scale ** (-(self.params.p - 1) / 2.0)
 
     def rho_span(self) -> tuple[float, float]:
-        r = self.t * self.rho_per_t()
-        return (float(r.min()), float(r.max()))
+        return (min(self.t) * self.rho_per_t(), max(self.t) * self.rho_per_t())
 
-    def profile_samples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def profile_samples(self):
         """(rho, u, du) arrays on the accepted-step grid, in rho units."""
+        import numpy as np
         dscale = self.c_scale ** ((self.params.p + 1) / 2.0)
-        return self.t * self.rho_per_t(), self.c_scale * self.y[0], dscale * self.y[1]
+        t, (U, dU) = np.array(self.t), np.array(self.y[:2])
+        return t * self.rho_per_t(), self.c_scale * U, dscale * dU
 
     def eval(self, rho):
-        """(u, du) at arbitrary rho inside the integrated span."""
+        """(u, du) at rho inside the integrated span: floats for a float rho,
+        arrays for an array."""
         if self.dense is None:
             raise ValueError("trajectory has no step to interpolate")
-        yv = self.dense(np.asarray(rho) / self.rho_per_t())
+        yv = self.dense(rho / self.rho_per_t())
         return self.c_scale * yv[0], self.c_scale ** ((self.params.p + 1) / 2.0) * yv[1]
 
     def endpoint(self) -> ProfileState:
-        rho, u, du = self.profile_samples()
-        return ProfileState(float(rho[-1]), float(u[-1]), float(du[-1]))
+        return ProfileState(self.t[-1] * self.rho_per_t(), self.c_scale * self.y[0][-1],
+                            self.c_scale ** ((self.params.p + 1) / 2.0) * self.y[1][-1])
 
     # -- deviation from the singular solution ------------------------------
 
     def _w_expr(self, t, u, du):
         al = self.params.alpha
-        ta = np.asarray(t) ** al
+        ta = t ** al
         w = ta * u / self.params.b_inf - 1.0
         rw = ta * (t * du + al * u) / self.params.b_inf
         return w, rw
 
     def w_samples(self):
-        """(t_grid, w, rho*w') on the accepted-step grid (chart coordinates)."""
-        return self.t, *self._w_expr(self.t, self.y[0], self.y[1])
+        """(t_grid, w, rho*w') on the accepted-step grid (chart coordinates), as
+        lists: _w_expr node by node."""
+        al, bi = self.params.alpha, self.params.b_inf
+        ta = [t ** al for t in self.t]
+        return (self.t, [a * u / bi - 1.0 for a, u in zip(ta, self.y[0])],
+                [a * (t * du + al * u) / bi for a, t, u, du in zip(ta, self.t, *self.y[:2])])
 
     def w_of_t(self, tq):
         """(w, rho*w') at arbitrary chart coordinate tq via dense output."""
@@ -581,8 +600,13 @@ def _limit_rhs(params: ModelParams):
 def _limit_tol(params: ModelParams, tol: Tolerances) -> Tolerances:
     """rtol, and an atol that holds every shot's atol in units of u where it reads
     U0: the outer run of amplitude c holds (U, U') to atol/c, and c is at most
-    2^{1074/(p-1)}, where mu = c^{-(p-1)} leaves the floats."""
-    return Tolerances(tol.rtol, tol.atol * 2.0 ** (-1074 / (params.p - 1)))
+    2^{1074/(p-1)}, where mu = c^{-(p-1)} leaves the floats.  An atol whose
+    scaled value underflows to 0 is a ValueError naming p's floor."""
+    scale = 2.0 ** (-1074 / (params.p - 1))
+    if tol.atol * scale == 0.0:
+        raise ValueError(f"atol {tol.atol!r} is under p = {params.p}'s floor ~"
+                         f"{math.ulp(0.0) / scale / 2:.3g}, where the limit run's atol underflows")
+    return Tolerances(tol.rtol, tol.atol * scale)
 
 
 def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str) -> Trajectory:
@@ -603,9 +627,9 @@ def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str) -> 
                                       max(x * x, LIMIT_REACH) if run else LIMIT_REACH,
                                       _limit_tol(params, tol), 1.0e3)
         run = Trajectory(params, 1.0, t, y, dense, term)
-        bad = np.flatnonzero(y[0, :-1] <= 0.0)
-        reach = float(t[bad[0] - 1] if bad.size else t[-2])
-        why = "positive node" if bad.size else f"full step ({term})"
+        bad = next((i for i, u in enumerate(y[0][:-1]) if u <= 0.0), None)
+        reach = t[-2] if bad is None else t[bad - 1]
+        why = f"full step ({term})" if bad is None else "positive node"
         _LIMIT_RUNS[params, tol] = run, reach, why
     if x > reach:
         raise ValueError(f"{subject} needs the limit solution at x = {x:.3g}, "
@@ -637,12 +661,12 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
                          params, tol)
     x_end = _past_center_launch(rho_end, stretch, x_s)
     mu = float(c) ** (-(params.p - 1))
-    k = int(run.t.searchsorted(x_s))
-    U, dU = _in_mu(run.dense(x_s), mu)
-    h0 = float(run.t[k] - run.t[k - 1])   # the limit run's step at x_s
+    k = bisect.bisect_left(run.t, x_s)
+    (U,), (dU,) = _in_mu([(v,) for v in run.dense(x_s)], mu)
+    h0 = run.t[k] - run.t[k - 1]   # the limit run's step at x_s
     outer = integrate_rescaled(c, x_s, U, dU, x_end, params, tol, h0)
     dense = _Joined(run.dense, mu, k, outer.dense)
-    return Trajectory(params, float(c), dense._t, dense._y.T, dense, outer.termination)
+    return Trajectory(params, float(c), dense._t, dense._y, dense, outer.termination)
 
 
 def lightcone_trajectory(b: float, rho_end: float, params: ModelParams,

@@ -37,8 +37,7 @@ series term, falls below the integration tolerance; shots start from there.
 from __future__ import annotations
 
 import functools
-
-import numpy as np
+import math
 
 from .model import ModelParams
 
@@ -101,7 +100,7 @@ def _cauchy(a, b, k: int) -> float:
     return sum(a[j] * b[k - j] for j in range(k + 1))
 
 
-def _center_coeffs(c: float, params: ModelParams, order: int, mu: float) -> np.ndarray:
+def _center_coeffs(c: float, params: ModelParams, order: int, mu: float) -> list:
     aa1 = params.aa1
     tt = 2.0 + 2.0 * params.alpha
     a, n = [float(c)] + [0.0] * order, []
@@ -110,7 +109,7 @@ def _center_coeffs(c: float, params: ModelParams, order: int, mu: float) -> np.n
             n.append(_pow_next(a, n, params.p))
         num = mu * ((m - 1) * (m - 2) + tt * (m - 1) + aa1) * a[m - 1] - n[m - 1]
         a[m + 1] = num / ((m + 1) * (m + 2))
-    return np.array(a)
+    return a
 
 
 def _lightcone_coeffs(b: float, params: ModelParams, order: int) -> list:
@@ -128,7 +127,7 @@ def _lightcone_coeffs(b: float, params: ModelParams, order: int) -> list:
     return beta
 
 
-def _eval_poly(a: np.ndarray, t: float) -> tuple[float, float]:
+def _eval_poly(a: list, t: float) -> tuple[float, float]:
     # Horner evaluation of the polynomial and its derivative
     u = 0.0
     du = 0.0
@@ -138,7 +137,7 @@ def _eval_poly(a: np.ndarray, t: float) -> tuple[float, float]:
     return u, du
 
 
-def _series_eval(coeffs: np.ndarray, t: float, order: int) -> tuple[float, float, float]:
+def _series_eval(coeffs: list, t: float, order: int) -> tuple[float, float, float]:
     """Evaluate the truncated series and estimate the first omitted term.
 
     coeffs must extend at least two orders past `order` so the tail term is
@@ -210,9 +209,9 @@ def lightcone_launch(b: float, params: ModelParams, rtol: float = 1e-12, atol: f
     try:
         coeffs = _lightcone_coeffs(b, params, SERIES_ORDER + 2)
     except OverflowError:   # b^p past the float range
-        coeffs = [np.inf]
+        coeffs = [math.inf]
     rho0 = 1.0
-    if np.isfinite(coeffs).all():
+    if all(map(math.isfinite, coeffs)):
         s0, u, du, est = _shrink_until_valid(coeffs, side * 1.0e-3, SERIES_ORDER, rtol,
                                              atol, abs(b), max(abs(b), 1.0))
         rho0 = 1.0 + s0
@@ -242,7 +241,7 @@ def _limit_correction(x: float, params: ModelParams) -> tuple[float, float, floa
     p (U0^{p-1} U1)_k and p (U0^{p-1} U2)_k + p(p-1)/2 (U0^{p-2} U1^2)_k;
     U1 = (aa1/6) x^2 + O(x^4) and U2 = O(x^4)."""
     p, tt = params.p, 2.0 + 2.0 * params.alpha
-    a = _center_coeffs(1.0, params, SERIES_ORDER, mu=0.0).tolist()
+    a = _center_coeffs(1.0, params, SERIES_ORDER, mu=0.0)
     q = []                                                   # U0^{p-2}
     while len(q) <= SERIES_ORDER:
         q.append(_pow_next(a, q, p - 2))

@@ -38,8 +38,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import ModelParams, du_singular
 from .integrate import (
     TERM_REACHED_END,
@@ -97,6 +95,7 @@ class MergedTrajectory:
         return (self.center, self.lightcone)
 
     def profile_samples(self):
+        import numpy as np
         rc, uc, dc = self.center.profile_samples()
         rl, ul, dl = self.lightcone.profile_samples()
         if rl[0] > rl[-1]:  # integrated downward from the cone
@@ -107,6 +106,7 @@ class MergedTrajectory:
                 np.concatenate([dc, dl[keep]]))
 
     def eval(self, rho):
+        import numpy as np
         rho = np.asarray(rho, dtype=float)
         u = np.empty_like(rho)
         du = np.empty_like(rho)
@@ -188,11 +188,11 @@ class _ImageCache:
             self._memo[key] = _shot(side, param, self.rho_mid, self.params, self.tol)
         return self._memo[key]
 
-    def F(self, c: float, b: float) -> np.ndarray:
+    def F(self, c: float, b: float) -> tuple[float, float]:
         """Scaled two-component gap between the center and cone images."""
         ic = self.shot("center", c).endpoint()
         il = self.shot("lightcone", b).endpoint()
-        return np.array([ic.u - il.u, (ic.du - il.du) / self.dscale])
+        return ic.u - il.u, (ic.du - il.du) / self.dscale
 
 
 # -- Newton refinement -------------------------------------------------------
@@ -205,7 +205,7 @@ def _newton_refine(c0, b0, shots: _ImageCache):
     s = math.log(c0)
     b = b0
     F = shots.F(math.exp(s), b)
-    norm = float(np.hypot(*F))
+    norm = math.hypot(*F)
     trace = [(c0, norm)]
     for _ in range(NEWTON_MAX_ITER):
         if norm < target:
@@ -217,11 +217,13 @@ def _newton_refine(c0, b0, shots: _ImageCache):
         db = 1e-9
         Fc = shots.F(math.exp(s + ds), b)
         Fb = shots.F(c, b + db)
-        J = np.column_stack([(Fc - F) / ds, (Fb - F) / db])
-        try:
-            step = np.linalg.solve(J, F)
-        except np.linalg.LinAlgError:
+        # J's columns are dF/d ln c and dF/db; the step J^{-1} F by Cramer's rule
+        (j00, j10), (j01, j11) = ([(x - f) / d for x, f in zip(Fd, F)]
+                                  for Fd, d in ((Fc, ds), (Fb, db)))
+        det = j00 * j11 - j01 * j10
+        if det == 0.0:
             raise SearchError("singular mismatch Jacobian", trace)
+        step = ((j11 * F[0] - j01 * F[1]) / det, (j00 * F[1] - j10 * F[0]) / det)
         lam = 1.0
         improved = False
         while lam >= 1.0 / 512.0:
@@ -229,7 +231,7 @@ def _newton_refine(c0, b0, shots: _ImageCache):
             b_t = b - lam * step[1]
             if b_t > 1e-5 and abs(s_t - s) < 2.0:
                 Ft = shots.F(math.exp(s_t), b_t)
-                nt = float(np.hypot(*Ft))
+                nt = math.hypot(*Ft)
                 if nt < norm:
                     s, b, F, norm = s_t, b_t, Ft, nt
                     improved = True
@@ -252,9 +254,8 @@ def nodal_index(traj: MergedTrajectory, params: ModelParams) -> int:
     cone nodes past rho_mid, so a zero at the junction counts once; no zero is
     located.  Cross-checked by phase winding."""
     (_, wc, _, _), (t, wl, _, k) = (_diag._piece_chain(piece) for piece in traj.pieces)
-    s = np.sign(np.concatenate((wc, wl[t * k > traj.rho_mid])))
-    s = s[s != 0.0]
-    n_sign = int(np.count_nonzero(s[1:] != s[:-1]))
+    s = [w > 0.0 for w in (*wc, *(w for ti, w in zip(t, wl) if ti * k > traj.rho_mid)) if w]
+    n_sign = sum(a != b for a, b in zip(s, s[1:]))
     n_phase = _diag.phase_zero_count(traj, params)
     if n_sign != n_phase:
         raise ShootingError(
@@ -286,7 +287,7 @@ def constant_solution_result(params: ModelParams, tol: Tolerances = Tolerances()
     """The n = 0 member, u = b0, pushed through the standard pipeline."""
     b0 = params.b0
     shots = _ImageCache(params, rho_mid, tol)
-    return _assemble(0, b0, b0, float(np.hypot(*shots.F(b0, b0))), shots)
+    return _assemble(0, b0, b0, math.hypot(*shots.F(b0, b0)), shots)
 
 
 def _next_row(history, params, tol, rho_mid) -> ShootingResult:
@@ -300,12 +301,12 @@ def _next_row(history, params, tol, rho_mid) -> ShootingResult:
     """
     q, bi = -params.ratio_b, params.b_inf
     tail = history[-3:]
-    e = [np.array([c1 / c0 - params.ratio_c, (b1 - bi) / (bi - b0) - params.ratio_b])
+    e = [(c1 / c0 - params.ratio_c, (b1 - bi) / (bi - b0) - params.ratio_b)
          for (c0, b0), (c1, b1) in zip(tail, tail[1:])]
     if len(e) == 2:
-        e_c, e_b = q * (1 + q) * e[1] - q ** 3 * e[0]
+        e_c, e_b = (q * (1 + q) * e1 - q ** 3 * e0 for e0, e1 in zip(*e))
     else:
-        e_c, e_b = q * e[0] if e else (0.0, 0.0)
+        e_c, e_b = (q * e0 for e0 in e[0]) if e else (0.0, 0.0)
     c, b = history[-1]
     shots = _ImageCache(params, rho_mid, tol)
     c, b, norm = _newton_refine(c * (params.ratio_c + e_c),
@@ -349,14 +350,20 @@ def spectrum(n_max: int, params: ModelParams, tol: Tolerances = Tolerances(),
                           params=params, rho_mid=rho_mid)
 
 
+def _linspace(start: float, stop: float, num: int) -> list:
+    """numpy's linspace on floats: start + i step, the last point set to stop."""
+    step = (stop - start) / (num - 1)
+    return [start + i * step for i in range(num - 1)] + [stop]
+
+
 def sample_curves(params: ModelParams, tol: Tolerances, rho_mid: float,
                   c_lo: float, c_hi: float, n_c: int,
                   b_lo: float, b_hi: float, n_b: int):
     """Rows (side, param, u_mid, du_mid) of C0 over a log c grid, then of C1
     over a b grid that always includes b_inf, whose image is the spiral limit
     point.  No curve keeps its trajectories."""
-    cs = np.exp(np.linspace(math.log(c_lo), math.log(c_hi), n_c))
-    bs = np.unique(np.append(np.linspace(b_lo, b_hi, n_b), params.b_inf))
+    cs = [math.exp(v) for v in _linspace(math.log(c_lo), math.log(c_hi), n_c)]
+    bs = sorted({*_linspace(b_lo, b_hi, n_b), params.b_inf})
     rows = []
     for side, grid in (("center", cs), ("lightcone", bs)):
         for param in grid:

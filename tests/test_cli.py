@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import blowup
-from blowup import asymptotics, cli, diagnostics, shoot
+from blowup import asymptotics, cli, diagnostics, integrate, shoot
+from blowup.integrate import Tolerances
+from blowup.model import derive_constants
 
 SCHEMA = json.loads(
     (Path(blowup.__file__).parent / "schemas" / "cli_output.schema.json").read_text())
@@ -34,6 +36,18 @@ def test_constants_csv_and_values():
     assert float(vals["b_inf"]) == pytest.approx(0.778271716, abs=1e-9)
     assert float(vals["ratio_c"]) == pytest.approx(2.500515152, abs=1e-9)
     assert float(vals["b0"]) == pytest.approx(0.8735804647, abs=1e-9)
+
+
+@pytest.mark.parametrize("p, atol, floor", [(7, "1e-300", 1.89e-270), (31, "1e-320", 1.48e-313)])
+def test_atol_under_the_limit_run_floor_is_a_named_usage_error(p, atol, floor, capsys):
+    # the limit run holds atol 2^{-1074/(p-1)}, 2^{-179} at p = 7: an atol whose
+    # scaled value underflows to 0 is refused with the value given and p's
+    # floor, where it used to be refused as "got 0.0"; an atol just above passes
+    assert cli.main(["solve", "--p", str(p), "--n", "1", "--atol", atol]) == 2
+    assert capsys.readouterr().err == (f"blowup: atol {atol} is under p = {p}'s floor "
+                                       f"~{floor:.3g}, where the limit run's atol underflows\n")
+    params = derive_constants(p)
+    assert integrate._limit_tol(params, Tolerances(atol=1.01 * floor)).atol > 0.0
 
 
 EXTEND_N_MESSAGE = ("--n must be at least 1 for extend "
@@ -299,6 +313,34 @@ def test_every_command_runs_without_scipy():
     result = json.loads(proc.stdout)
     assert result["scipy"] == []
     assert result["codes"] == [0] * 8
+
+
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, json, sys
+from blowup import cli
+first = [["constants"], ["solve", "--n", "2"], ["spectrum", "--n-max", "2"],
+         ["curves", "--n-c", "5", "--n-b", "5"]]
+then = [["profile", "--n", "1", "--samples", "16"], ["check"], ["limit"], ["extend", "--n", "1"]]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in first]
+    loaded = [m for m in ("numpy", "blowup.asymptotics", "blowup.diagnostics") if m in sys.modules]
+    codes += [cli.main(argv) for argv in then]
+print(json.dumps({"codes": codes, "loaded": loaded, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_shooting_commands_run_without_numpy():
+    # importing blowup.cli and running constants, solve, spectrum and curves
+    # loads no numpy, yet keeps blowup.asymptotics and blowup.diagnostics
+    # imported (perfbench's tracer reads them from sys.modules); the four
+    # commands that need arrays load it themselves.  Run in a fresh
+    # interpreter because this one has numpy loaded
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == ["blowup.asymptotics", "blowup.diagnostics"]
+    assert result["numpy"] and result["codes"] == [0] * 8
 
 
 def test_output_file_writing(tmp_path):

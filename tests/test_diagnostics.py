@@ -302,7 +302,7 @@ def test_brentq_is_scipys_bit_for_bit(oracle_shots):
     # of w_zero_locations; levels at deciles of w add brackets to the zeros
     # of w itself
     for name, traj in oracle_shots.items():
-        t, w, _ = traj.w_samples()
+        t, w = (np.array(v) for v in traj.w_samples()[:2])
         roots = 0
         for level in (0.0, *np.quantile(w, np.linspace(0.05, 0.95, 10))):
             def f(tq):

@@ -1,5 +1,6 @@
 import math
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -136,8 +137,8 @@ def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsy
             traj = center_trajectory(c, 0.5, p7, tol)
             run, _, k, _ = traj.dense._parts
             # the shot, and the steps of U0, U1 and U2 it reads with their interpolant
-            read += [traj.t, traj.y, run._t[:k + 1], run._y[:k + 1],
-                     run.coefficients()[:k], traj.dense.coefficients()]
+            read += [traj.t, traj.y, run._t[:k + 1], [c[:k + 1] for c in run._y],
+                     _coefficients(run)[:k], _coefficients(traj.dense)]
             runs.append(kept_run())
         return read
 
@@ -180,7 +181,7 @@ def test_shot_from_a_degenerate_limit_solution_stops_with_a_label(p, c, tol):
         return
     traj = center_trajectory(c, 0.5, params, tol)
     assert traj.termination in (TERM_REACHED_END, TERM_STEP_UNDERFLOW)
-    assert np.isfinite(traj.dense.coefficients()).all()
+    assert np.isfinite(_coefficients(traj.dense)).all()
 
 
 def test_shots_past_the_reach_of_the_limit_solution_are_named(p7, tol):
@@ -189,7 +190,7 @@ def test_shots_past_the_reach_of_the_limit_solution_are_named(p7, tol):
     # is): its reach ends at its last full step, for the center shots and the
     # limit fits alike
     run = integrate_module._limit_run(1e45, p7, tol, "")
-    assert run.termination == integrate_module._TERM_RANGE_END and (run.y[0] > 0.0).all()
+    assert run.termination == integrate_module._TERM_RANGE_END and min(run.y[0]) > 0.0
     reach = run.t[-2]
     assert np.isfinite(run.y).all() and reach == pytest.approx(2.8e86, rel=0.01)
     c_max = (reach / tol.rtol ** (1.0 / 6.0)) ** (1.0 / 3.0)
@@ -219,8 +220,8 @@ def _tight_shot(c, p7, x_end):
 def _scaled_gap(c, p7, x, U, dU, ref):
     """(U, U') at x against ref's last node, scaled like Newton's F: u, and
     u' over |u_singular'|."""
-    return (abs(c * (U - ref.y[0, -1])),
-            abs(c ** 4 * (dU - ref.y[1, -1])) / abs(du_singular(p7, x / c ** 3)))
+    return (abs(c * (U - ref.y[0][-1])),
+            abs(c ** 4 * (dU - ref.y[1][-1])) / abs(du_singular(p7, x / c ** 3)))
 
 
 @pytest.mark.parametrize("c", [13.87, 35.91, 1394.4])
@@ -247,7 +248,7 @@ def test_large_c_start_adds_the_second_correction(c, p7, tol):
     run, mu, k, outer = traj.dense._parts
     assert outer._t[0] == pytest.approx(x_s, rel=1e-15)
     ref = _tight_shot(c, p7, x_s)
-    assert max(_scaled_gap(c, p7, x_s, *outer._y[0], ref)) <= 1e-12
+    assert max(_scaled_gap(c, p7, x_s, *(y[0] for y in outer._y), ref)) <= 1e-12
     U0, dU0, U1, dU1 = run(np.asarray(x_s))[:4]
     assert max(_scaled_gap(c, p7, x_s, U0 + mu * U1, dU0 + mu * dU1, ref)) > 1e-11
     # below x_s the shot reads U0 + mu U1 + mu^2 U2 on U0's steps: 1e-11
@@ -263,7 +264,7 @@ def test_large_c_image_matches_the_series_launch(c, p7, tol):
     # at tight tolerances; the image at rho_mid = 0.5 agrees, scaled like
     # Newton's F
     stretch = c ** ((p7.p - 1) / 2.0)
-    ref_U, ref_dU = _tight_shot(c, p7, 0.5 * stretch).y[:, -1]
+    ref_U, ref_dU = (y[-1] for y in _tight_shot(c, p7, 0.5 * stretch).y)
     new = center_trajectory(c, 0.5, p7, tol).endpoint()
     assert new.rho == pytest.approx(0.5, rel=1e-15)
     assert abs(new.u - c * ref_U) <= 1e-12
@@ -442,6 +443,7 @@ def test_stepper_agrees_with_scipy_dop853(name, p7, tol):
     t_ref, y_ref, dense_ref, ref_calls = _scipy_dop853(rhs, t0, y0, t_end, tol)
     rhs_new, calls = _counted(rhs)
     t, y, dense, term = drive_ode(rhs_new, t0, y0, t_end, tol)
+    t, y = np.array(t), np.array(y)
     assert term == TERM_REACHED_END
     assert len(t) == len(t_ref)
     # each accepted step has cost its 13 stages (12 RHS calls, the first
@@ -459,8 +461,9 @@ def test_stepper_agrees_with_scipy_dop853(name, p7, tol):
     assert np.max(np.abs(y - dense_ref(t)) / scale) < 1e-12
     tq = np.linspace(min(t0, t_end), max(t0, t_end), 200)
     assert np.max(np.abs(dense(tq) - dense_ref(tq)) / scale) < 1e-12
-    # after it: the same RHS calls as scipy, interpolant stages included,
-    # and later evaluations reuse the interpolant
+    # each step read builds its 3 interpolant stages: once all are read, the
+    # same RHS calls as scipy, and later evaluations reuse them
+    dense(0.5 * (t[:-1] + t[1:]))
     assert len(calls) == ref_calls
     dense(tq)
     assert len(calls) == ref_calls
@@ -505,9 +508,30 @@ def _loop_step_stages(rhs, t, y, h, t_new, f):
     return (y_new, f_new, K, *_combine(m._E5, K[:2]), *_combine(m._E3, K[:2]))
 
 
-def _loop_extra_stages(rhs, t, y, h, K):
-    _add_stages(integrate_module._EXTRA, rhs, t, y, h, K)
-    return [k[-3:] for k in K]
+def _plain_sum(row, k):
+    """sum_j row[j] k[j] over every stage, zeros included, left to right from 0.0."""
+    d = 0.0
+    for a, kj in zip(row, k):
+        d += a * kj
+    return d
+
+
+def _loop_coeffs(rhs, t, y, yn, h, K):
+    """A step's dense coefficients, F0..F6 of each component in turn, from its 13
+    kept stages and 3 interpolant stages, each of D's rows a plain sum over the 16."""
+    K = [list(K[j:j + 13]) for j in range(0, len(K), 13)]
+    try:
+        _add_stages(integrate_module._EXTRA, rhs, t, y, h, K)
+    except OverflowError:
+        K = [k[:13] + [math.inf] * 3 for k in K]
+    return tuple(F for k, a, b in zip(K, y, yn)
+                 for F in (b - a, h * k[0] - (b - a), 2.0 * (b - a) - h * (k[12] + k[0]),
+                           *(h * _plain_sum(row, k) for row in integrate_module._D_ROWS)))
+
+
+def _coefficients(dense):
+    """Every step's coefficients, as dense reads them."""
+    return [dense.coefficients(i) for i in range(len(dense._t) - 1)]
 
 
 def _loop_step(rhs, t, y, f, h_abs, t_end, direction, rtol, atol):
@@ -572,9 +596,9 @@ def _loop_drive(rhs, t, y, f, h_abs, t_end, direction, rtol, atol, blow_cap, sta
 
 def _with_loop_stepper(monkeypatch, run):
     """run() with the loop stepper, rhs called per stage, in place of the
-    generated loop and interpolant stages."""
+    generated loop and dense coefficients."""
     with monkeypatch.context() as mp:
-        mp.setattr(integrate_module, "_kernel", lambda n, chart: (_loop_drive, _loop_extra_stages))
+        mp.setattr(integrate_module, "_kernel", lambda n, chart: (_loop_drive, _loop_coeffs))
         return run()
 
 
@@ -595,7 +619,7 @@ def test_generated_kernel_is_the_loop_stepper_bit_for_bit(name, p7, tol, monkeyp
             continue
         # the kept stages, then the interpolant, whose 3 extra stages each
         # side builds on first use with its own stepper
-        assert np.array_equal(dense._pending[1], dense_ref._pending[1])
+        assert dense._stages == dense_ref._stages
         tq = np.concatenate((t, np.linspace(min(t0, t_end), max(t0, t_end), 202)[1:-1]))
         ref = _with_loop_stepper(monkeypatch, lambda: dense_ref(tq))
         assert (dense(tq) == ref).all()
@@ -651,11 +675,11 @@ def test_chart_equation_in_the_stages_is_the_call_form_bit_for_bit(name, p7, tol
         if not store_dense:
             assert dense is None and dense_c is None
             continue
-        assert np.array_equal(dense._pending[1], dense_c._pending[1])
+        assert dense._stages == dense_c._stages
         # the interpolant's 3 extra stages, computed in place and called
         tq = np.concatenate((t, np.linspace(min(t0, t_end), max(t0, t_end), 202)[1:-1]))
         assert (dense(tq) == dense_c(tq)).all()
-        assert np.array_equal(dense.coefficients(), dense_c.coefficients())
+        assert np.array_equal(_coefficients(dense), _coefficients(dense_c))
 
 
 def test_chart_equation_in_the_stages_takes_the_overflow_retry_as_the_call_form(p7,
@@ -693,7 +717,7 @@ def test_overflowing_start_slope_stops_with_a_label(p, u0, tol):
     # step of 10 ulp passes either
     traj = integrate(ProfileState(0.5, u0, 0.0), 0.9, derive_constants(p), tol)
     assert traj.termination == TERM_STEP_UNDERFLOW
-    assert traj.dense is None and traj.t.tolist() == [0.5]
+    assert traj.dense is None and traj.t == [0.5]
 
 
 def test_step_budget_stops_with_step_limit(p7, tol, monkeypatch):
@@ -701,8 +725,8 @@ def test_step_budget_stops_with_step_limit(p7, tol, monkeypatch):
     rhs, t0, y0, t_end = _oracle_case("center c=2", p7, tol)
     t, y, dense, term = drive_ode(rhs, t0, y0, t_end, tol)
     assert term == TERM_STEP_LIMIT
-    assert len(t) == 6 and y.shape == (2, 6)
-    assert dense(t[-1]) == pytest.approx(y[:, -1], rel=1e-15)
+    assert len(t) == 6 and np.shape(y) == (2, 6)
+    assert dense(t[-1]) == pytest.approx([c[-1] for c in y], rel=1e-15)
 
 
 def test_step_below_h_min_stops_after_one_step(p7, tol, monkeypatch):
@@ -736,7 +760,7 @@ def test_tableau_is_scipys_bit_for_bit():
         assert arr.shape == ref.shape and np.array_equal(arr, ref), name
     assert m._B == m._sparse(DOP853.B)
     assert m._E5 == m._sparse(DOP853.E5) and m._E3 == m._sparse(DOP853.E3)
-    assert m._D.shape == DOP853.D.shape and np.array_equal(m._D, DOP853.D)
+    assert m._D == [m._sparse(row) for row in DOP853.D]
     main = [(c, m._sparse(row[:i + 1]))
             for i, (c, row) in enumerate(zip(DOP853.C[1:], DOP853.A[1:]))]
     extra = [(c, m._sparse(row)) for c, row in zip(DOP853.C_EXTRA, DOP853.A_EXTRA)]
@@ -751,16 +775,18 @@ def _runs(dense):
     return [dense]
 
 
+def _scipy_F(dense, i):
+    """Step i's coefficients in the (7, n) layout of scipy's Dop853DenseOutput."""
+    return np.array(dense.coefficients(i)).reshape(-1, 7).T
+
+
 def test_dense_output_is_scipys_bit_for_bit(oracle_shots):
     rng = np.random.default_rng(8)
     for name, dense in ((name, d) for name, traj in oracle_shots.items()
                         for d in _runs(traj.dense)):
-        t, y = dense._t, dense._y.T
+        t, y = np.array(dense._t), np.array(dense._y)
         assert (name == "cone b=0.7 inward") == (t[-1] < t[0]), name
-        dense(t[0])                     # builds the coefficient array
-        F = dense._F
-        assert F.shape == (len(t) - 1, 7, 2)
-        ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], F[i])
+        ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], _scipy_F(dense, i))
                               for i in range(len(t) - 1)])
         nodes, mids = t, 0.5 * (t[:-1] + t[1:])
         rand = rng.uniform(min(t[0], t[-1]), max(t[0], t[-1]), 300)
@@ -772,7 +798,7 @@ def test_dense_output_is_scipys_bit_for_bit(oracle_shots):
         ends = (float(t[0]), float(t[-1]), float(t[len(t) // 2]))
         for q in (*nodes, *mids, *rand[:50], float(rand[0]), *ends, np.asarray(t[1])):
             ours = dense(q)
-            assert ours.shape == (2,) and np.array_equal(ours, ref(q)), name
+            assert np.shape(ours) == (2,) and np.array_equal(ours, ref(q)), name
     # a large-c centre shot: U0 + mu U1 + mu^2 U2 on the limit run's first k
     # steps, the last cut where the outer run starts, then the outer run; each
     # point is its own part's value, the head summed as scipy sums those
@@ -781,11 +807,9 @@ def test_dense_output_is_scipys_bit_for_bit(oracle_shots):
     run, mu, k, tail = joined._parts
     join = tail._t[0]
     assert run._t[k - 1] < join <= run._t[k]
-    joined(join)
-    t, y = run._t[:k + 1], joined._y[:k].T
-    assert np.array_equal(y, (run._y[:k, :2] + mu * run._y[:k, 2:4]
-                              + mu * mu * run._y[:k, 4:]).T)
-    head = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], joined._F[i])
+    t, y, ry = np.array(run._t[:k + 1]), np.array(joined._y)[:, :k], np.array(run._y)[:, :k]
+    assert np.array_equal(y, ry[:2] + mu * ry[2:4] + mu * mu * ry[4:])
+    head = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], _scipy_F(joined, i))
                            for i in range(k)])
     q = np.concatenate((np.geomspace(t[0], tail._t[-1], 200), [join]))
     lo = q <= join
@@ -795,22 +819,56 @@ def test_dense_output_is_scipys_bit_for_bit(oracle_shots):
         assert np.array_equal(joined(x), head(x) if x <= join else tail(x))
     # the limit run (U0, U0', U1, U1', U2, U2') itself, on the array path and
     # on the float path the center shots read it by
-    t, y, F = run._t, run._y.T, run.coefficients()
-    assert F.shape == (len(t) - 1, 7, 6)
-    ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], F[i])
+    t, y = np.array(run._t), np.array(run._y)
+    assert len(run.coefficients(0)) == 6 * 7
+    ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], _scipy_F(run, i))
                           for i in range(len(t) - 1)])
     q = np.concatenate((t, np.geomspace(t[0], t[-1], 300)))
     assert np.array_equal(run(q), ref(q))
     for x in q[::7].tolist():
-        assert run(x).shape == (6,) and np.array_equal(run(x), ref(x))
+        assert len(run(x)) == 6 and np.array_equal(run(x), ref(x))
     # a node where the two steps meeting there disagree in the last bit (y[0]
     # + (y[1] - y[0]) != y[1]) shows which step OdeSolution's tie rule picks
     y = np.array([[1.0, 1e-17, 0.3], [2.0, -3e-17, 0.7]])
     for t in (np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.5, 0.0])):
-        dense = integrate_module._DenseOutput(lambda t, y: (0.0, 0.0), t, y.T,
-                                              np.zeros((2, 2, 13)))
-        dense(t[0])
-        ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], dense._F[i])
+        dense = integrate_module._DenseOutput(lambda t, y: (0.0, 0.0), t.tolist(),
+                                              tuple(y.tolist()), array("d", [0.0] * 52))
+        ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], _scipy_F(dense, i))
                               for i in range(2)])
         for q in (t, t[::-1], *t):
             assert np.array_equal(dense(q), ref(q))
+
+
+def test_dense_coefficients_are_one_build_on_floats(oracle_shots):
+    # the float path and the array path read the same per-step coefficients,
+    # built once per step on floats with each of D's rows a plain left-to-right
+    # sum over the 16 stages, so they do not depend on the host's BLAS kernel:
+    # for the limit run, and for the two runs a large-c centre shot joins
+    joined = oracle_shots["x-chart c=1e4"].dense
+    run, mu, k, tail = joined._parts
+
+    def fresh(d):
+        return integrate_module._DenseOutput(d._rhs, d._t, d._y, d._stages)
+
+    def mids(t):
+        return [0.5 * (a + b) for a, b in zip(t, t[1:])]
+
+    pairs = []
+    for make in (lambda: fresh(run), lambda: integrate_module._Joined(fresh(run), mu, k,
+                                                                      fresh(tail))):
+        on_array, on_floats = make(), make()
+        q = mids(on_array._t)
+        values = on_array(np.array(q))
+        assert np.array_equal(values, np.array([on_floats(x) for x in q]).T)
+        pairs += zip(getattr(on_array, "_parts", (on_array,))[::3],
+                     getattr(on_floats, "_parts", (on_floats,))[::3])
+    assert len(pairs) == 3
+    for a, b in pairs:
+        assert a._F.keys() == b._F.keys() == set(range(len(a._t) - 1 if a is not pairs[1][0]
+                                                       else k))
+        n, w = len(a._y), 13 * len(a._y)
+        for i, F in a._F.items():
+            ref = _loop_coeffs(a._rhs, a._t[i], [c[i] for c in a._y], [c[i + 1] for c in a._y],
+                               a._t[i + 1] - a._t[i], a._stages[i * w:(i + 1) * w])
+            assert len(F) == 7 * n
+            assert np.array(F).tobytes() == np.array(b._F[i]).tobytes() == np.array(ref).tobytes()

@@ -138,6 +138,15 @@ def test_sample_curves_includes_limit_amplitude(p7):
     assert len(b_rows) == 7   # the limit amplitude is spliced into the grid
 
 
+def test_curve_grids_are_numpys_linspace():
+    # the curves' grids on floats: start + i step, the last point set to stop,
+    # as numpy's linspace computes them, bit for bit
+    rng = np.random.default_rng(21)
+    for start, stop in [(1.0, 1e4), (0.02, 0.87), *rng.uniform(-10.0, 10.0, (100, 2))]:
+        for num in (2, 3, 7, 120, 1001):
+            assert shoot._linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
+
+
 def test_merged_trajectory_is_continuous(u1, p7):
     traj = u1.trajectory
     rho = np.linspace(*traj.rho_span(), 200)
