@@ -312,10 +312,10 @@ class _DenseOutput:
     coefficients, F0..F6 of each component in turn, are built on its first read
     from its 13 kept stages and 3 interpolant stages (RHS calls made after
     drive_ode returned) by the generated _coeffs, and kept as doubles; a float t
-    and an array read the same ones.  Each point's step is chosen as in scipy's OdeSolution and
-    summed in the order of its Dop853DenseOutput, so values are scipy's to the
-    bit given the coefficients: a tuple of n floats for a float t, shape (n, m)
-    for m points ((n,) for a 0-d array), which imports numpy."""
+    and an array read the same ones.  Each point's step is chosen as in scipy's
+    OdeSolution and summed in the order of its Dop853DenseOutput, so values are
+    scipy's to the bit given the coefficients: a tuple of n floats for a float
+    t, shape (n, m) for m points ((n,) for a 0-d array), which imports numpy."""
 
     def __init__(self, rhs, t: list, y: tuple, stages: array):
         self._rhs, self._t, self._y, self._stages, self._F = rhs, t, y, stages, {}
@@ -362,7 +362,8 @@ class _DenseOutput:
         seg = np.searchsorted(keys[1:-1], sign * q, side="left")
         x = (q - np.take(self._t, seg)) / np.take(self._h, seg)
         y = np.zeros((len(self._y), len(q)))
-        F = np.array([self.coefficients(i) for i in seg.tolist()]).reshape(
+        steps, at = np.unique(seg, return_inverse=True)   # each step's coefficients once
+        F = np.array([self.coefficients(i) for i in steps.tolist()])[at].reshape(
             len(q), len(self._y), 7).T   # (7, n, points)
         for i, f in enumerate(F[::-1]):
             y += f
@@ -386,7 +387,8 @@ class _Joined(_DenseOutput):
 
     def __init__(self, run: _DenseOutput, mu: float, k: int, tail: _DenseOutput):
         self._parts, self._t = (run, mu, k, tail), run._t[:k] + tail._t
-        self._y = tuple(h + c for h, c in zip(_in_mu([c[:k] for c in run._y], mu), tail._y))
+        head = _in_mu([c[:k] for c in run._y], mu)
+        self._y = tuple(a + b for a, b in zip(head, tail._y))
 
     def coefficients(self, i: int) -> list:
         run, mu, k, tail = self._parts
@@ -410,11 +412,11 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
     The first step tried is h0 or scipy's.  t is the accepted-step grid
     (monotone) as a list, y a tuple of len(y0) lists of the components on it,
     dense a _DenseOutput (callable on t, scipy-free) holding the 13 stages of
-    every step in one array('d'), or None without store_dense or a step.  Stops early on
-    |y[0]| > blow_cap, a step below H_MIN, MAX_STEPS accepted steps, or an
-    uncontrolled component leaving the floats.  Every step runs in the loop
-    _kernel generates, with the chart equation in its stages when rhs is
-    odecore.chart_rhs's, else a call of rhs per stage.
+    every step in one array('d'), or None without store_dense or a step.
+    Stops early on |y[0]| > blow_cap, a step below H_MIN, MAX_STEPS accepted
+    steps, or an uncontrolled component leaving the floats.  Every step runs in
+    the loop _kernel generates, with the chart equation in its stages when rhs
+    is odecore.chart_rhs's, else a call of rhs per stage.
     """
     if t_end == t0:
         raise ValueError("empty integration span")
@@ -441,12 +443,13 @@ class Trajectory:
 
     t (a list) and y (a tuple of (U, U') lists) hold the accepted-step grid in
     chart coordinates x = rho c_scale^{(p-1)/2}, with u = c_scale U; c_scale
-    is 1.0 for the plain rho chart.  eval() and profile_samples() convert to (rho, u, du).  The
-    deviation variable w = u/u_singular - 1 and its scale-invariant slope
-    rho*w' have the same expression in every chart's native variables, so
-    w_samples()/w_of_t() never leave the well-conditioned representation.
-    dense builds its interpolant on the first eval()/w_of_t(), so a shot
-    read only on its grid, like a Newton trial, never pays for it.
+    is 1.0 for the plain rho chart.  eval() and profile_samples() convert to
+    (rho, u, du).  The deviation variable w = u/u_singular - 1 and its
+    scale-invariant slope rho*w' have the same expression in every chart's
+    native variables, so w_samples()/w_of_t() never leave the well-conditioned
+    representation.  dense builds a step's interpolant when eval()/w_of_t()
+    first reads it, so a shot read only on its grid, like a Newton trial,
+    never pays for it.
     """
 
     params: ModelParams

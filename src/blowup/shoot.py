@@ -254,7 +254,8 @@ def nodal_index(traj: MergedTrajectory, params: ModelParams) -> int:
     cone nodes past rho_mid, so a zero at the junction counts once; no zero is
     located.  Cross-checked by phase winding."""
     (_, wc, _, _), (t, wl, _, k) = (_diag._piece_chain(piece) for piece in traj.pieces)
-    s = [w > 0.0 for w in (*wc, *(w for ti, w in zip(t, wl) if ti * k > traj.rho_mid)) if w]
+    past = [w for ti, w in zip(t, wl) if ti * k > traj.rho_mid]
+    s = [w > 0.0 for w in (*wc, *past) if w]   # the signs of the nonzero values
     n_sign = sum(a != b for a, b in zip(s, s[1:]))
     n_phase = _diag.phase_zero_count(traj, params)
     if n_sign != n_phase:

@@ -138,6 +138,16 @@ def test_sample_curves_includes_limit_amplitude(p7):
     assert len(b_rows) == 7   # the limit amplitude is spliced into the grid
 
 
+def test_singular_jacobian_is_a_search_error(p7, tol, monkeypatch):
+    # a mismatch that does not move with b leaves J's second column exactly 0,
+    # so its determinant is 0: the 2x2 solve refuses it, with the Newton trace
+    real = shoot._ImageCache.F
+    monkeypatch.setattr(shoot._ImageCache, "F", lambda self, c, b: real(self, c, p7.b0))
+    with pytest.raises(shoot.SearchError, match="^singular mismatch Jacobian$") as info:
+        shoot._newton_refine(2.0, 0.69, shoot._ImageCache(p7, 0.5, tol))
+    assert [c for c, _ in info.value.trace] == [2.0]
+
+
 def test_curve_grids_are_numpys_linspace():
     # the curves' grids on floats: start + i step, the last point set to stop,
     # as numpy's linspace computes them, bit for bit
