@@ -363,8 +363,8 @@ class _DenseOutput:
         x = (q - np.take(self._t, seg)) / np.take(self._h, seg)
         y = np.zeros((len(self._y), len(q)))
         steps, at = np.unique(seg, return_inverse=True)   # each step's coefficients once
-        F = np.array([self.coefficients(i) for i in steps.tolist()])[at].reshape(
-            len(q), len(self._y), 7).T   # (7, n, points)
+        F = np.frombuffer(b"".join([self.coefficients(i) for i in steps.tolist()]))
+        F = F.reshape(len(steps), len(self._y), 7)[at].T   # (7, n, points)
         for i, f in enumerate(F[::-1]):
             y += f
             y *= x if i % 2 == 0 else 1 - x
@@ -390,12 +390,13 @@ class _Joined(_DenseOutput):
         head = _in_mu([c[:k] for c in run._y], mu)
         self._y = tuple(a + b for a, b in zip(head, tail._y))
 
-    def coefficients(self, i: int) -> list:
+    def coefficients(self, i: int) -> array:
         run, mu, k, tail = self._parts
         if i >= k:
             return tail.coefficients(i - k)
         F = run.coefficients(i)
-        return [a for f in _in_mu([F[j:j + 7] for j in range(0, len(F), 7)], mu) for a in f]
+        return array("d", [a for f in _in_mu([F[j:j + 7] for j in range(0, len(F), 7)], mu)
+                           for a in f])
 
     @functools.cached_property
     def _h(self) -> list:
