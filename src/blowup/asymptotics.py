@@ -13,8 +13,8 @@ produces the geometric laws for the solution family,
 
 plus an amplitude relation A0 c^{(5-p)/4} = +-A1 (b - b_inf)/b_inf tying
 the limit-equation ringdown amplitude A0 to the cone-linearization
-amplitude A1.  This module samples U0 off the run large-c center shots start
-from, integrates the cone linearization, and extracts (amplitude, phase) by
+amplitude A1.  This module samples U0 off the kept run whose V0 center shots
+start from, integrates the cone linearization, and extracts (amplitude, phase) by
 linear least squares and (frequency, decay) by variable projection; the
 check command compares the fitted frequency and decay with omega and
 (p-5)/(2(p-1)).
@@ -74,17 +74,18 @@ def integrate_limit_equation(x_max: float, params: ModelParams,
                              tol: Tolerances = Tolerances()):
     """Arrays (x, U, U') of the limit solution U0 from its center to x_max, on
     a grid uniform in tau = ln x (the ringdown's variable), dense enough for
-    the fits; read off full steps of integrate._limit_run, so they do not
-    depend on what ran before.  An x_max past U0's reach is a ValueError."""
+    the fits; read off full steps of the K = 0 integrate._limit_run (the
+    center shots' V0 to the bit), so they do not depend on what ran before.
+    An x_max past U0's reach is a ValueError."""
     import numpy as np
     if x_max <= 1.0:
         raise ValueError("x_max must exceed 1")
-    run = _limit_run(x_max, params, tol, f"x_max {x_max:g}")
+    run = _limit_run(x_max, params, tol, f"x_max {x_max:g}", K=0)
     x0 = run.t[0]
     period = 2.0 * math.pi / params.omega
     n = max(64, int((math.log(x_max) - math.log(x0)) / period * SAMPLES_PER_PERIOD))
     x = np.exp(np.linspace(math.log(x0), math.log(x_max), n))
-    U, dU = run.dense(x)[:2]
+    U, dU = run.dense(x)
     return x, U, dU
 
 

@@ -2,25 +2,25 @@
 
 The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as
 scipy 1.17.1 steps it, on Python floats for the systems (u, u') every caller
-integrates (and the limit run below), in one step loop generated on first use
+integrates (and the kept run below), in one step loop generated on first use
 from the module's tableau, with the chart equation in its stages.  Runs hold
 their nodes in lists of floats; numpy is imported only to evaluate dense output
 or sample a trajectory on arrays.  Step budget, minimum step size and
 termination reasons are explicit.  Dense output, built one step at a time from
-the kept stages, is scipy's to the bit given its coefficients.
+the step's stages, is scipy's to the bit given its coefficients.
 
 Every trajectory lives in one chart family: (U, U') in x = rho c^{(p-1)/2}
-with u = c U.  The plain equation in rho is the member c = 1; large center
-amplitudes use their own c, where the plain chart is ill-conditioned; the
-limit equation is stored with c = 1 as well.  Conversions are exact, and
-scaling by 1 leaves every digit of the plain chart unchanged.
+with u = c U.  The plain equation in rho is the member c = 1; center shots
+past the kept run's launch use their own c, where the plain chart is
+ill-conditioned for large c; the kept run is stored with c = 1 as well.
+Conversions are exact, and scaling by 1 leaves every digit of the plain chart
+unchanged.
 
-Large center shots share their inner part: in the chart of c a shot is
-U0 + mu U1 + mu^2 U2, the limit solution and its first two corrections, up to
-terms of order (mu x^2)^3 = rho^6.  All three are integrated once per
-(params, tol), in one run of (U0, U0', U1, U1', U2, U2') with steps controlled
-on U0, and each shot integrates only from rho_s = rtol^{1/6}.  Outer runs
-read atol in units of u.  The asymptotic fits read U0 off the same kept run.
+Center shots share their inner part u/c = sum_k rho^{2k} V_k(x) (odecore):
+V_0..V_K, K = CENTER_K, are integrated once per (params, tol) in one kept run
+with steps controlled on V_0 = U_0, and each shot integrates only from
+rho_s = rtol^{1/(2K+2)}.  Outer runs read atol in units of u.  The asymptotic
+fits read U_0 off the K = 0 run, the same to the bit.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from array import array
 from dataclasses import dataclass
 
 from .model import ModelParams, ProfileState
-from .odecore import (_CHART_U2, _limit_correction, center_launch, chart_rhs, lightcone_launch,
-                      limit_launch)
+from .odecore import (_CHART_U2, CENTER_K, chart_rhs, lightcone_launch, mu_series_launch,
+                      mu_series_values, series_rhs)
 
 __all__ = [
     "Tolerances",
@@ -56,11 +56,12 @@ TERM_REACHED_END = "reached_end"
 TERM_BLEW_UP = "blew_up"
 TERM_STEP_UNDERFLOW = "step_underflow"
 TERM_STEP_LIMIT = "step_limit"
-_TERM_RANGE_END = "left_float_range"   # an uncontrolled component left the floats
 
 MAX_STEPS = 200_000       # accepted steps before an integration stops (step_limit)
 H_MIN = 1e-15             # step size below which it stops (step_underflow)
-LIMIT_REACH = 1e17        # end of the first U0 run; its last full step passes 1e16
+LIMIT_REACH = 1e17        # end of the first kept run; its last full step passes 1e16
+LIMIT_FAR = 1e100         # end of the longest kept run: short of where U0^p leaves the
+                          # normal floats and its steps collapse (x ~ 1e128 at p = 6)
 _RTOL_MIN = 100.0 * sys.float_info.epsilon
 
 
@@ -163,15 +164,19 @@ def _sum(row, k: str) -> str:
 
 
 def _stage_lines(rows, first: int, n: int, chart: bool) -> list[str]:
-    """Source of the stages first, first + 1, ...: a call of rhs on the stage's
-    state or, for the chart equation, that equation written in."""
+    """Source of the stages first, first + 1, ..., each at ti = t + c h."""
     lines = []
     for i, (c, row) in enumerate(rows, first):
         y = [f"y{m} + ({_sum(row, f'k{m}_')}) * h" for m in range(n)]
-        lines += ([f"ti = t + {c!r} * h", f"u = {y[0]}", f"k0_{i} = du = {y[1]}",
-                   f"k1_{i} = {_CHART_U2.format(t='ti')}"] if chart else
-                  [f"{_ks(n, i)} = rhs(t + {c!r} * h, ({', '.join(y)},))"])
+        lines += [f"ti = t + {c!r} * h", *_stage(i, "ti", y, chart)]
     return lines
+
+
+def _stage(i: int, t: str, y: list, chart: bool) -> list[str]:
+    """Source of stage i at time t and state y: a call of rhs or, for the chart
+    equation, that equation written in."""
+    return ([f"u = {y[0]}", f"k0_{i} = du = {y[1]}", f"k1_{i} = {_CHART_U2.format(t=t)}"] if chart
+            else [f"{_ks(len(y), i)} = rhs({t}, ({', '.join(y)},))"])
 
 
 def _ks(n: int, j) -> str:
@@ -179,8 +184,9 @@ def _ks(n: int, j) -> str:
 
 
 # drive_ode's loop of accepted steps, each sized as scipy's DOP853 _step sizes
-# it, and one step's interpolant coefficients; _kernel fills in the stages
-_LOOP = """\
+# it; a step's 13 stages rebuilt from its first node by the loop's own lines;
+# and its interpolant coefficients.  _kernel fills in the stages
+_SOURCES = {"_loop": """\
 def _loop(rhs, t, y, f, h_abs, t_end, direction, rtol, atol, blow_cap, stages, h_min, max_steps):
     {head}
     {y}, = y
@@ -200,8 +206,6 @@ def _loop(rhs, t, y, f, h_abs, t_end, direction, rtol, atol, blow_cap, stages, h
             h_abs = abs(h)
             try:
 {stages}
-            except _RangeEnd:
-                return ts, ys, _TERM_RANGE_END
             except OverflowError:
                 # u**p left the float range: scipy's error norm rejects by the smallest factor
                 h_abs *= _MIN_FACTOR
@@ -235,8 +239,14 @@ def _loop(rhs, t, y, f, h_abs, t_end, direction, rtol, atol, blow_cap, stages, h
         if h_abs < h_min and direction * (t - t_end) < 0:
             return ts, ys, TERM_STEP_UNDERFLOW
     return ts, ys, TERM_REACHED_END
-
-
+""", "_stages": """\
+def _stages(rhs, t, t_new, y):
+    {head}
+    {y}, = y
+    h = t_new - t
+{stages}
+    return {kept}
+""", "_coeffs": """\
 def _coeffs(rhs, t, y, yn, h, K):
     {head}
     {y}, = y
@@ -248,28 +258,29 @@ def _coeffs(rhs, t, y, yn, h, K):
         {extra_ks} = inf
     {d} = {dy}
     return {F}
-"""
+"""}
 
 
 @functools.cache
-def _kernel(n: int, chart: bool):
-    """_LOOP for n components, generated from the tableau on first use (as
-    namedtuple builds its class): no per-term loop and no Python call but rhs's,
-    each sum adding its row's nonzero terms left to right in repr literals; with
-    chart, the stages compute odecore.chart_rhs's equation in place instead;
-    _coeffs gives a step's Dop853DenseOutput F0..F6 of each component in turn,
-    D's rows so summed."""
-    y, yn = ", ".join(f"y{m}" for m in range(n)), ", ".join(f"yn{m}" for m in range(n))
-    rows = [", ".join(f"k{m}_{j}" for j in range(_STAGES + 1)) for m in range(n)]
-    last = ["u = yn0", "k0_12 = du = yn1", f"k1_12 = {_CHART_U2.format(t='t_new')}"] if chart \
-        else [f"{_ks(n, _STAGES)} = rhs(t_new, ({yn},))"]
-    stages = [*_stage_lines(_MAIN, 1, n, chart),
-              *(f"yn{m} = y{m} + h * ({_sum(_B, f'k{m}_')})" for m in range(n)), *last]
-    src = _LOOP.format(
-        head="mu, aa1, tt, p = rhs.chart" if chart else "", y=y, yn=yn, k0=_ks(n, 0),
-        k12=_ks(n, _STAGES), stages="\n".join(" " * 16 + line for line in stages),
-        kept=", ".join(rows), d=", ".join(f"d{m}" for m in range(n)),
-        dy=", ".join(f"yn{m} - y{m}" for m in range(n)),
+def _kernel(n: int, chart: bool, name: str = "_loop"):
+    """_SOURCES[name] for n components, generated from the tableau on first use
+    (as namedtuple builds its class), each on its own to bound the compiler's
+    memory: no per-term loop and no Python call but rhs's, each sum adding its
+    row's nonzero terms left to right in repr literals; with chart, the stages
+    compute odecore.chart_rhs's equation in place instead.  _stages rebuilds a
+    step's stages, stage 0 from its first node; _coeffs gives a step's
+    Dop853DenseOutput F0..F6 of each component in turn, D's rows so summed."""
+    y, yn = [f"y{m}" for m in range(n)], [f"yn{m}" for m in range(n)]
+    stages = [*_stage(0, "t", y, chart)] * (name == "_stages") + [
+        *_stage_lines(_MAIN, 1, n, chart),
+        *(f"yn{m} = y{m} + h * ({_sum(_B, f'k{m}_')})" for m in range(n)),
+        *_stage(_STAGES, "t_new", yn, chart)]
+    src = _SOURCES[name].format(
+        head="mu, aa1, tt, p = rhs.chart" if chart else "", y=", ".join(y), yn=", ".join(yn),
+        k0=_ks(n, 0), k12=_ks(n, _STAGES),
+        stages="\n".join(" " * (16 if name == "_loop" else 4) + line for line in stages),
+        kept=", ".join(", ".join(f"k{m}_{j}" for j in range(_STAGES + 1)) for m in range(n)),
+        d=", ".join(f"d{m}" for m in range(n)), dy=", ".join(f"yn{m} - y{m}" for m in range(n)),
         F=", ".join(f"d{m}, h * k{m}_0 - d{m}, 2.0 * d{m} - h * (k{m}_12 + k{m}_0), "
                     + ", ".join(f"h * ({_sum(row, f'k{m}_')})" for row in _D)
                     for m in range(n)),
@@ -278,8 +289,8 @@ def _kernel(n: int, chart: bool):
         extra_ks=" = ".join(f"k{m}_{j}" for m in range(n) for j in range(_STAGES + 1, 16)))
     ns = dict(globals(), nextafter=math.nextafter, inf=math.inf, sqrt=math.sqrt,
               pack=struct.Struct(f"{n * (_STAGES + 1)}d").pack)
-    exec(compile(src, f"<DOP853 loop, {n} components{', chart' if chart else ''}>", "exec"), ns)
-    return ns["_loop"], ns["_coeffs"]
+    exec(compile(src, f"<DOP853 {name}, {n} components{', chart' if chart else ''}>", "exec"), ns)
+    return ns[name]
 
 
 def _initial_step(rhs, t, y, f, t_end, direction, rtol, atol) -> float:
@@ -303,30 +314,29 @@ def _initial_step(rhs, t, y, f, t_end, direction, rtol, atol) -> float:
     return min(100.0 * h0, (0.01 / max(d1, d2)) ** (1.0 / 8.0), span)
 
 
-class _RangeEnd(OverflowError):
-    """An uncontrolled component left the float range: no step helps."""
-
-
 class _DenseOutput:
     """DOP853's interpolant on every step of one drive_ode run.  Step i's
     coefficients, F0..F6 of each component in turn, are built on its first read
-    from its 13 kept stages and 3 interpolant stages (RHS calls made after
-    drive_ode returned) by the generated _coeffs, and kept as doubles; a float t
-    and an array read the same ones.  Each point's step is chosen as in scipy's
+    from its 13 stages, kept in one array('d') or (stages None) rebuilt from its
+    first node, and 3 interpolant stages (RHS calls made after drive_ode
+    returned) by the generated _coeffs, and kept as doubles; a float t and an
+    array read the same ones.  Each point's step is chosen as in scipy's
     OdeSolution and summed in the order of its Dop853DenseOutput, so values are
     scipy's to the bit given the coefficients: a tuple of n floats for a float
     t, shape (n, m) for m points ((n,) for a 0-d array), which imports numpy."""
 
-    def __init__(self, rhs, t: list, y: tuple, stages: array):
+    def __init__(self, rhs, t: list, y: tuple, stages: array | None):
         self._rhs, self._t, self._y, self._stages, self._F = rhs, t, y, stages, {}
 
     def coefficients(self, i: int) -> array:
         F = self._F.get(i)
         if F is None:
-            t, y, w = self._t, self._y, len(self._y) * (_STAGES + 1)
-            F = self._F[i] = array("d", _kernel(len(y), hasattr(self._rhs, "chart"))[1](
-                self._rhs, t[i], [c[i] for c in y], [c[i + 1] for c in y], t[i + 1] - t[i],
-                self._stages[i * w:(i + 1) * w]))
+            rhs, t, n = self._rhs, self._t, len(self._y)
+            y, w, chart = [c[i] for c in self._y], n * (_STAGES + 1), hasattr(rhs, "chart")
+            K = (_kernel(n, chart, "_stages")(rhs, t[i], t[i + 1], y) if self._stages is None
+                 else self._stages[i * w:(i + 1) * w])
+            F = self._F[i] = array("d", _kernel(n, chart, "_coeffs")(
+                rhs, t[i], y, [c[i + 1] for c in self._y], t[i + 1] - t[i], K))
         return F
 
     @functools.cached_property
@@ -372,57 +382,26 @@ class _DenseOutput:
         return y[:, 0] if np.ndim(tq) == 0 else y
 
 
-def _in_mu(a, mu: float) -> tuple:
-    """a0 + mu a1 + mu^2 a2 of the limit run's (U0, U0', U1, U1', U2, U2'),
-    elementwise over six sequences: its nodes, a step's coefficients, a point."""
-    mm = mu * mu
-    return tuple([u + mu * v + mm * w for u, v, w in zip(*a[m::2])] for m in (0, 1))
-
-
-class _Joined(_DenseOutput):
-    """U0 + mu U1 + mu^2 U2 on the first k steps of the limit run, nodes
-    y0 + mu y1 + mu^2 y2 and coefficients F0 + mu F1 + mu^2 F2, the last step
-    cut where an outer run starts, then all of the outer run's; each run builds
-    and keeps its own coefficients."""
-
-    def __init__(self, run: _DenseOutput, mu: float, k: int, tail: _DenseOutput):
-        self._parts, self._t = (run, mu, k, tail), run._t[:k] + tail._t
-        head = _in_mu([c[:k] for c in run._y], mu)
-        self._y = tuple(a + b for a, b in zip(head, tail._y))
-
-    def coefficients(self, i: int) -> array:
-        run, mu, k, tail = self._parts
-        if i >= k:
-            return tail.coefficients(i - k)
-        F = run.coefficients(i)
-        return array("d", [a for f in _in_mu([F[j:j + 7] for j in range(0, len(F), 7)], mu)
-                           for a in f])
-
-    @functools.cached_property
-    def _h(self) -> list:
-        run, _, k, tail = self._parts
-        return run._h[:k] + tail._h
-
-
 def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
               blow_cap: float | None = None, store_dense: bool = True, h0=None):
     """Step rhs from t0 to t_end; returns (t, y, dense, termination).
 
-    y0 holds (u, u') or the limit run's 6 components, steps controlled on the
-    first two; rhs(t, y) gets a tuple of floats and returns their derivatives.
+    y0 holds pairs (u, u'), two or a kept run's 2K + 2 components, steps
+    controlled on the first two; rhs(t, y) gets a tuple of floats and returns
+    their derivatives.
     The first step tried is h0 or scipy's.  t is the accepted-step grid
     (monotone) as a list, y a tuple of len(y0) lists of the components on it,
     dense a _DenseOutput (callable on t, scipy-free) holding the 13 stages of
     every step in one array('d'), or None without store_dense or a step.
-    Stops early on |y[0]| > blow_cap, a step below H_MIN, MAX_STEPS accepted
-    steps, or an uncontrolled component leaving the floats.  Every step runs in
+    Stops early on |y[0]| > blow_cap, a step below H_MIN or MAX_STEPS accepted
+    steps.  Every step runs in
     the loop _kernel generates, with the chart equation in its stages when rhs
     is odecore.chart_rhs's, else a call of rhs per stage.
     """
     if t_end == t0:
         raise ValueError("empty integration span")
-    if len(y0) not in (2, 6):
-        raise ValueError(f"drive_ode integrates 2 or 6 components, got {len(y0)}")
+    if len(y0) < 2 or len(y0) % 2:
+        raise ValueError(f"drive_ode integrates pairs (u, u'), got {len(y0)} components")
     t, y = float(t0), tuple(float(v) for v in y0)
     direction = 1.0 if t_end > t0 else -1.0
     try:
@@ -431,7 +410,7 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
         return [t], tuple([v] for v in y), None, TERM_STEP_UNDERFLOW
     h_abs = h0 or _initial_step(rhs, t, y, f, t_end, direction, tol.rtol, tol.atol)
     stages = array("d") if store_dense else None
-    ts, ys, termination = _kernel(len(y), hasattr(rhs, "chart"))[0](
+    ts, ys, termination = _kernel(len(y), hasattr(rhs, "chart"))(
         rhs, t, y, f, h_abs, t_end, direction, tol.rtol, tol.atol, blow_cap, stages,
         H_MIN, MAX_STEPS)
     y = tuple(ys[m::len(y0)] for m in range(len(y0)))
@@ -563,47 +542,18 @@ def integrate_limit(x_start: float, U: float, dU: float, x_end: float,
 
     The trajectory is stored with unit scale, so the deviation helpers
     compare against the limit equation's own singular solution.  Unused by the
-    package; a test pins _limit_run's U0 to it, perfbench/tracing.py spans it."""
+    package; a test pins the kept runs' V0 to it, perfbench/tracing.py spans it."""
     if x_start <= 0.0 or x_end <= 0.0:
         raise ValueError("limit chart needs x > 0")
     return _trajectory(params, 0.0, 1.0, x_start, (U, dU), x_end, tol, 1.0e3)
 
 
-def _past_center_launch(rho_end: float, stretch: float, x0: float) -> float:
-    """rho_end in the chart of `stretch`, checked to lie past the launch at x0."""
-    if not rho_end * stretch > x0:
-        raise ValueError(f"rho_end {rho_end:g} must exceed the center launch radius "
-                         f"{x0 / stretch:g}")
-    return rho_end * stretch
-
-
-_LIMIT_RUNS: dict = {}   # (params, tol) -> (the limit run, its reach, why)
-
-
-def _limit_rhs(params: ModelParams):
-    """The limit equation and those of its corrections (odecore._limit_correction),
-    U1'' = aa1 U0 + 2 alpha x U0' - x^2 U0^p - 2U1'/x - p U0^{p-1} U1,
-    U2'' = x^2 U1'' + aa1 U1 + (2+2alpha) x U1' - 2U2'/x - p U0^{p-1} U2
-           - p(p-1)/2 U0^{p-2} U1^2."""
-    p, aa1, two_al, limit = params.p, params.aa1, 2.0 * params.alpha, chart_rhs(params, 0.0)
-    tt, half = 2.0 + two_al, 0.5 * p * (p - 1)
-
-    def rhs(t, y):
-        u, du, v, dv, w, dw = y
-        upm2 = u ** (p - 2)
-        upm = upm2 * u
-        d2v = aa1 * u + two_al * t * du - t * t * upm * u - 2.0 * dv / t - p * upm * v
-        d2w = (t * t * d2v + aa1 * v + tt * t * dv - 2.0 * dw / t - p * upm * w
-               - half * upm2 * v * v)
-        if not math.isfinite(d2w):
-            raise _RangeEnd("U1 or U2 left the float range")
-        return (*limit(t, (u, du)), dv, d2v, dw, d2w)
-    return rhs
+_LIMIT_RUNS: dict = {}   # (params, tol, K) -> (the kept run, its reach, why)
 
 
 def _limit_tol(params: ModelParams, tol: Tolerances) -> Tolerances:
     """rtol, and an atol that holds every shot's atol in units of u where it reads
-    U0: the outer run of amplitude c holds (U, U') to atol/c, and c is at most
+    V0: the outer run of amplitude c holds (U, U') to atol/c, and c is at most
     2^{1074/(p-1)}, where mu = c^{-(p-1)} leaves the floats.  An atol whose
     scaled value underflows to 0 is a ValueError naming p's floor."""
     scale = 2.0 ** (-1074 / (params.p - 1))
@@ -613,64 +563,126 @@ def _limit_tol(params: ModelParams, tol: Tolerances) -> Tolerances:
     return Tolerances(tol.rtol, tol.atol * scale)
 
 
-def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str) -> Trajectory:
-    """The kept run of U0 from limit_launch and of U1 and U2 from their series
-    at the same x0, with steps controlled on U0 (so they are integrate_limit's
-    at _limit_tol), for a center shot or fit that reads it up to x.  The first
-    run ends at LIMIT_REACH; one whose last full step ends before x is replaced
-    by one to max(x^2, LIMIT_REACH), or to where U1 or U2 would leave the
-    floats.  Only the last step is cut to a run's end, so what is read does not
-    depend on the order of the calls.  Past the run's reach, its last full step
-    or last node before U0 turns nonpositive (the true U0 never does), x raises
-    a ValueError naming subject."""
-    run, reach, why = _LIMIT_RUNS.get((params, tol), (None, 0.0, ""))
-    while run is None or (run.t[-2] < x and run.termination == TERM_REACHED_END):
-        x0, U, dU, _ = limit_launch(params, tol.rtol, tol.atol)
-        t, y, dense, term = drive_ode(_limit_rhs(params), x0,
-                                      (U, dU, *_limit_correction(x0, params)),
-                                      max(x * x, LIMIT_REACH) if run else LIMIT_REACH,
-                                      _limit_tol(params, tol), 1.0e3)
-        run = Trajectory(params, 1.0, t, y, dense, term)
+def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str,
+               K: int = CENTER_K) -> Trajectory:
+    """The kept run of (V_0, V_0', ..., V_K, V_K') from odecore.mu_series_launch
+    for a center shot (K = CENTER_K) or fit (K = 0) that reads it up to x,
+    steps controlled on V_0 at _limit_tol (so V_0 is the same for every K); it
+    keeps no stages.  The first run ends at LIMIT_REACH; one whose last full
+    step ends before x is replaced by one to max(x^2, LIMIT_REACH), at most
+    LIMIT_FAR.  Only the last step is cut to a run's end, so what is read does
+    not depend on the order of the calls.  Past the run's reach, its last full
+    step or last node before U0 turns nonpositive (the true U0 never does), x
+    raises a ValueError naming subject."""
+    run, reach, why = _LIMIT_RUNS.get((params, tol, K), (None, 0.0, ""))
+    while run is None or (run.t[-2] < x and run.t[-1] < LIMIT_FAR
+                          and run.termination == TERM_REACHED_END):
+        x0, V = mu_series_launch(params, tol.rtol, tol.atol)
+        rhs = series_rhs(params, K)
+        t, y, _, term = drive_ode(rhs, x0, V[:2 * K + 2],
+                                  min(max(x * x, LIMIT_REACH), LIMIT_FAR) if run else LIMIT_REACH,
+                                  _limit_tol(params, tol), 1.0e3, store_dense=False)
+        run = Trajectory(params, 1.0, t, y, _DenseOutput(rhs, t, y, None), term)
         bad = next((i for i, u in enumerate(y[0][:-1]) if u <= 0.0), None)
         reach = t[-2] if bad is None else t[bad - 1]
         why = f"full step ({term})" if bad is None else "positive node"
-        _LIMIT_RUNS[params, tol] = run, reach, why
+        _LIMIT_RUNS[params, tol, K] = run, reach, why
     if x > reach:
         raise ValueError(f"{subject} needs the limit solution at x = {x:.3g}, "
                          f"past its last {why} at {reach:.3g}")
     return run
 
 
+@functools.cache
+def _sum_kernel(K: int):
+    """(point, nodes): u/c = sum_k s^k V_k and its x derivative
+    sum_k s^k (V_k' + 2k V_k/x), s = mu x^2, as straight-line Horner sums
+    generated on first use, at one x (floats or arrays) and node by node."""
+    v = ", ".join(f"v{k}, d{k}" for k in range(K + 1))
+    sums = ("v0" + "".join(f" + s * (v{k}" for k in range(1, K + 1)) + ")" * K + ", d0"
+            + "".join(f" + s * (d{k} + {2 * k}.0 * v{k} / x" for k in range(1, K + 1)) + ")" * K)
+    ns = {}
+    exec(compile(f"def point(mu, x, {v}):\n    s = mu * x * x\n    return {sums}\n\n"
+                 f"def nodes(mu, t, y):\n    U, dU = [], []\n    for x, {v} in zip(t, *y):\n"
+                 f"        s = mu * x * x\n        u, du = {sums}\n        U.append(u)\n"
+                 "        dU.append(du)\n    return U, dU", f"<series in rho^2, K = {K}>", "exec"),
+         ns)
+    return ns["point"], ns["nodes"]
+
+
+class _CenterShot(Trajectory):
+    """A center shot in the chart of c: below the outer run's start x_s, sum_k
+    (mu x^2)^k V_k on the kept run's first k nodes and, pointwise, of its dense
+    output (x^{2k} V_k is no polynomial on a step); then the outer run.  It is
+    its own dense output.  Newton's trials read only the endpoint, the outer
+    run's; the head's nodes are combined when t or y is first read."""
+
+    def __init__(self, c: float, run: Trajectory, mu: float, k: int, outer: Trajectory):
+        self.__dict__.update(params=outer.params, c_scale=c, termination=outer.termination,
+                             _run=run.dense, _mu=mu, _k=k, _outer=outer)
+
+    dense = property(lambda self: self)
+    __repr__ = object.__repr__
+
+    @functools.cached_property
+    def t(self) -> list:
+        return self._run._t[:self._k] + self._outer.t
+
+    @functools.cached_property
+    def y(self) -> tuple:
+        head = _sum_kernel(CENTER_K)[1](self._mu, self._run._t[:self._k],
+                                        [c[:self._k] for c in self._run._y])
+        return tuple(a + b for a, b in zip(head, self._outer.y))
+
+    def endpoint(self) -> ProfileState:
+        return self._outer.endpoint()
+
+    def __call__(self, tq):
+        x_s, point, outer = self._outer.t[0], _sum_kernel(CENTER_K)[0], self._outer.dense
+        if isinstance(tq, float):
+            return outer(tq) if tq >= x_s else point(self._mu, tq, *self._run(tq))
+        import numpy as np
+        q = np.ravel(tq)
+        head, y = q < x_s, np.empty((2, len(q)))
+        y[:, ~head] = outer(q[~head])
+        y[:, head] = point(self._mu, q[head], *self._run(q[head]))
+        return y[:, 0] if np.ndim(tq) == 0 else y
+
+
 def center_trajectory(c: float, rho_end: float, params: ModelParams,
                       tol: Tolerances = Tolerances()) -> Trajectory:
-    """The center shot u(0) = c out to rho_end: a series launch in rho or, once
-    x_s = rho_s c^{(p-1)/2} lies past the launch of the limit solution U0 (c >
-    0.46 for p = 7 at the default rtol), U0 + mu U1 + mu^2 U2 on U0's grid up
-    to x_s, read in the chart of c, then the exact rescaled equation from there,
-    first trying the limit run's step.  rho_s = rtol^{1/6}, where the first term
-    left out, ~rho^6, is ~rtol, moves in to rho_end/2 but not below rtol^{1/4}."""
+    """The center shot u(0) = c out to rho_end: u/c = sum_{k<=K} rho^{2k} V_k(x),
+    K = CENTER_K, up to x_s = rho_s c^{(p-1)/2}, read off the kept run's nodes
+    and dense output in the chart of c, then the exact rescaled equation from
+    x_s, first trying the kept run's step there; or, with x_s below the kept
+    run's launch, read off the series and continued in the plain chart.
+    rho_s = rtol^{1/(2K+2)}, where the first term left out, ~rho^{2K+2}, is
+    ~rtol, moves in to rho_end/2 but not below rtol^{1/4}."""
     if c <= 0.0:
         raise ValueError("center launches need c > 0")
     if not 0.0 < rho_end < 1.0:
         raise ValueError("rho_end must lie strictly inside the cone")
-    if c > 1.0 and float(c) ** (-(params.p - 1)) == 0.0:  # the x-chart's mu underflows
+    try:
+        mu = float(c) ** (-(params.p - 1))
+    except OverflowError:      # a tiny c: mu past the floats, as a huge c's underflows
+        mu = 0.0
+    if mu == 0.0:
         raise ValueError(f"center amplitude c={c:g} is beyond the float range of the "
                          "rescaled chart")
     stretch = float(c) ** ((params.p - 1) / 2.0)
-    x_s = min(tol.rtol ** (1.0 / 6.0), max(tol.rtol ** 0.25, 0.5 * rho_end)) * stretch
+    rho_s = min(tol.rtol ** (1.0 / (2 * CENTER_K + 2)), max(tol.rtol ** 0.25, 0.5 * rho_end))
+    if not rho_end * stretch > rho_s * stretch:
+        raise ValueError(f"rho_end {rho_end:g} must exceed the center launch radius {rho_s:g}")
+    x_s, point = rho_s * stretch, _sum_kernel(CENTER_K)[0]
+    if x_s <= mu_series_launch(params, tol.rtol, tol.atol)[0]:
+        U, dU = point(mu, x_s, *mu_series_values(x_s, params))
+        return integrate(ProfileState(rho_s, c * U, c * stretch * dU), rho_end, params, tol)
     run = _limit_run(x_s, params, tol, f"center amplitude c={c:g}")
-    if x_s <= run.t[0]:
-        rho0, u, du, _ = center_launch(c, params, tol.rtol, tol.atol)
-        return integrate(ProfileState(rho0, u, du), _past_center_launch(rho_end, 1.0, rho0),
-                         params, tol)
-    x_end = _past_center_launch(rho_end, stretch, x_s)
-    mu = float(c) ** (-(params.p - 1))
     k = bisect.bisect_left(run.t, x_s)
-    (U,), (dU,) = _in_mu([(v,) for v in run.dense(x_s)], mu)
-    h0 = run.t[k] - run.t[k - 1]   # the limit run's step at x_s
-    outer = integrate_rescaled(c, x_s, U, dU, x_end, params, tol, h0)
-    dense = _Joined(run.dense, mu, k, outer.dense)
-    return Trajectory(params, float(c), dense._t, dense._y, dense, outer.termination)
+    U, dU = point(mu, x_s, *run.dense(x_s))
+    outer = integrate_rescaled(c, x_s, U, dU, rho_end * stretch, params, tol,
+                               run.t[k] - run.t[k - 1])   # the kept run's step at x_s
+    return _CenterShot(float(c), run, mu, k, outer)
 
 
 def lightcone_trajectory(b: float, rho_end: float, params: ModelParams,

@@ -14,11 +14,15 @@ recurrence (multiply the equation by rho and collect powers)
 where N_k are the coefficients of u^p and mu selects the chart: mu = 1 is
 the plain equation, mu = c^{-(p-1)} the exact large-amplitude rescaling
 x = rho c^{(p-1)/2}, U = u/c, and mu = 0 its limit equation
-U'' + (2/x) U' + U^p = 0.  Center shots launch from the series at mu = 1
-(center_launch) or, for large c, start from U0 + mu U1 + mu^2 U2: the limit
-solution U0 that limit_launch starts and its mu and mu^2 corrections, whose
-series _limit_correction sums (see integrate.center_trajectory).  The
-coefficients of u^p come from J. C. P. Miller's recurrence (_pow_next).
+U'' + (2/x) U' + U^p = 0.  In the chart of c a center shot is
+u/c = sum_k rho^{2k} V_k(x), V_k = U_k x^{-2k} with U_k its mu^k coefficient:
+one solution for every c, V_0 = U_0 the limit solution.  With tt = 2 + 2 alpha
+and P_k the rho^{2k} coefficient of (sum_j rho^{2j} V_j)^p (series_rhs),
+    V_k'' = V_{k-1}'' + (4(k-1) + tt) V_{k-1}'/x - (4k+2) V_k'/x - P_k
+            + ((2(k-1)(2k-3) + 2(k-1) tt + aa1) V_{k-1} - 2k(2k+1) V_k)/x^2,
+launched from the center recurrence with coefficients polynomial in mu
+(mu_series_launch).  The coefficients of u^p and P_k come from J. C. P.
+Miller's recurrence (_pow_next).
 
 Light-cone chart.  With s = rho - 1 the analytic branch at the cone is
 u = b + b1 s + ..., indicial exponents 0 and (p-3)/(p-1), and the
@@ -47,9 +51,13 @@ __all__ = [
     "center_launch",
     "lightcone_launch",
     "limit_launch",
+    "mu_series_launch",
+    "mu_series_values",
+    "series_rhs",
 ]
 
 SERIES_ORDER = 6  # truncation of every series launch
+CENTER_K = 6      # center shots sum rho^{2k} V_k for k = 0..CENTER_K
 
 
 class SeriesRangeError(ValueError):
@@ -186,13 +194,9 @@ def _center_launch(amp: float, mu: float, t0: float, params: ModelParams, rtol: 
 def center_launch(c: float, params: ModelParams, rtol: float = 1e-12,
                   atol: float = 1e-14) -> tuple[float, float, float, float]:
     """Launch data (rho0, u, du, trunc_est) of the plain-chart center series
-    u(0) = c, at a validated offset rho0.
-
-    trunc_est is the first omitted series term at rho0.  The series converges only out to roughly sqrt(6) c^{-(p-1)/2} (where the
-    quadratic term overtakes c), so the 1e-3 default offset is capped by
-    0.02 c^{-(p-1)/2} for large amplitudes and halved until the truncation
-    estimate drops below the integration tolerance.
-    """
+    u(0) = c at a validated offset rho0, at most 1e-3 and 0.02 c^{-(p-1)/2}
+    (the series converges out to roughly sqrt(6) c^{-(p-1)/2}); no shot starts
+    here, perfbench/tracing.py spans it."""
     scale = max(abs(c), 1.0) ** (-(params.p - 1) / 2.0)
     rho_cap = min(1.0e-3, 0.02 * scale)
     return _center_launch(c, 1.0, rho_cap, params, rtol, atol)
@@ -224,33 +228,67 @@ def lightcone_launch(b: float, params: ModelParams, rtol: float = 1e-12, atol: f
 def center_launch_rescaled(c: float, params: ModelParams, rtol: float = 1e-12,
                            atol: float = 1e-14) -> tuple[float, float, float, float]:
     """Launch data (x0, U, dU, trunc_est) in the rescaled chart U(0) = 1; no
-    shot starts here (large c start from U0), perfbench/tracing.py spans it."""
+    shot starts here, perfbench/tracing.py spans it."""
     return _center_launch(1.0, float(c) ** (-(params.p - 1)), 1.0e-3, params, rtol, atol)
 
 
 def limit_launch(params: ModelParams, rtol: float = 1e-12,
                  atol: float = 1e-14) -> tuple[float, float, float, float]:
     """Launch data (x0, U, dU, trunc_est) for the infinite-amplitude limit
-    equation U'' + (2/x)U' + U^p = 0, normalized to U(0) = 1."""
+    equation U'' + (2/x)U' + U^p = 0, normalized to U(0) = 1; no run starts
+    here (kept runs start from mu_series_launch), perfbench/tracing.py spans it."""
     return _center_launch(1.0, 0.0, 1.0e-3, params, rtol, atol)
 
 
-def _limit_correction(x: float, params: ModelParams) -> tuple[float, float, float, float]:
-    """(U1, U1', U2, U2') at x in U = U0 + mu U1 + mu^2 U2 + ...: the mu and mu^2
-    coefficients of the center recurrence at U(0) = 1, whose nonlinear terms are
-    p (U0^{p-1} U1)_k and p (U0^{p-1} U2)_k + p(p-1)/2 (U0^{p-2} U1^2)_k;
-    U1 = (aa1/6) x^2 + O(x^4) and U2 = O(x^4)."""
-    p, tt = params.p, 2.0 + 2.0 * params.alpha
-    a = _center_coeffs(1.0, params, SERIES_ORDER, mu=0.0)
-    q = []                                                   # U0^{p-2}
-    while len(q) <= SERIES_ORDER:
-        q.append(_pow_next(a, q, p - 2))
-    r = [_cauchy(q, a, k) for k in range(SERIES_ORDER + 1)]  # U0^{p-1}
-    b, c = [0.0] * (SERIES_ORDER + 1), [0.0] * (SERIES_ORDER + 1)
-    for m in range(1, SERIES_ORDER, 2):
-        k, lin, den = m - 1, (m - 1) * (m - 2) + tt * (m - 1) + params.aa1, (m + 1) * (m + 2)
-        bb = [_cauchy(b, b, j) for j in range(k + 1)]
-        b[m + 1] = (lin * a[k] - p * _cauchy(r, b, k)) / den
-        c[m + 1] = (lin * b[k] - p * _cauchy(r, c, k)
-                    - 0.5 * p * (p - 1) * _cauchy(q, bb, k)) / den
-    return (*_eval_poly(b, x), *_eval_poly(c, x))
+@functools.cache
+def series_rhs(params: ModelParams, K: int):
+    """rhs(x, (V_0, V_0', ..., V_K, V_K')) -> their derivatives, compiled on first
+    use for each (params, K) as straight-line code, Miller's recurrence unrolled."""
+    p, aa1, tt = params.p, params.aa1, 2.0 + 2.0 * params.alpha
+    lines = [f"{', '.join(f'v{k}, d{k}' for k in range(K + 1))}, = y", f"P0 = v0**{p}",
+             "e0 = -2.0 * d0 / t - P0"]
+    for k in range(1, K + 1):
+        miller = " + ".join(f"{((p + 1) * j - k) / k!r} * v{j} * P{k - j}"
+                            for j in range(1, k + 1))
+        a, b = 4 * (k - 1) + tt, 2 * (k - 1) * (2 * k - 3) + 2 * (k - 1) * tt + aa1
+        lines += [f"P{k} = ({miller}) / v0", f"e{k} = (e{k - 1} + ({a!r} * d{k - 1} - "
+                  f"{4 * k + 2}.0 * d{k}) / t - P{k} + ({b!r} * v{k - 1} - {2 * k * (2 * k + 1)}.0"
+                  f" * v{k}) / (t * t))"]
+    ns = {}
+    exec(compile("def rhs(t, y):\n" + "".join(f"    {line}\n" for line in lines)
+                 + f"    return {', '.join(f'd{k}, e{k}' for k in range(K + 1))}",
+                 f"<series in rho^2, p = {p}, K = {K}>", "exec"), ns)
+    return ns["rhs"]
+
+
+@functools.cache
+def _mu_series(params: ModelParams) -> tuple:
+    """The series in x of V_0..V_CENTER_K to x^{2 SERIES_ORDER + 2}: the center
+    recurrence at U(0) = 1 in X = x^2 with coefficients polynomial in mu,
+    truncated at mu^CENTER_K, whose mu^k parts from X^k on are V_k's."""
+    p, tt, K, J = params.p, 2.0 + 2.0 * params.alpha, CENTER_K, SERIES_ORDER + 1
+    A, N = [[1.0] + [0.0] * K], []   # A[j][k]: the mu^k coefficient of X^j in U
+    for j in range(K + J):
+        # the X^j coefficient of U^p, by Miller's recurrence with A_0 = 1
+        N.append([sum(((p + 1) * i - j) * _cauchy(A[i], N[j - i], k) for i in range(1, j + 1))
+                  / j for k in range(K + 1)] if j else A[0])
+        lin = 2 * j * (2 * j - 1) + 2 * j * tt + params.aa1
+        A.append([((lin * A[j][k - 1] if k else 0.0) - N[j][k]) / ((2 * j + 2) * (2 * j + 3))
+                  for k in range(K + 1)])
+    return tuple([a for i in range(J + 1) for a in (A[k + i][k], 0.0)][:-1] for k in range(K + 1))
+
+
+def mu_series_values(x: float, params: ModelParams) -> tuple:
+    """(V_0, V_0', ..., V_K, V_K') at x from their series, K = CENTER_K."""
+    return tuple(v for a in _mu_series(params) for v in _series_eval(a, x, 2 * SERIES_ORDER)[:2])
+
+
+@functools.cache
+def mu_series_launch(params: ModelParams, rtol: float = 1e-12,
+                     atol: float = 1e-14) -> tuple[float, tuple]:
+    """(x0, (V_0, V_0', ..., V_K, V_K')) at x0 = 0.05, halved until every series
+    is valid there; the same for every kept run, whatever its K.  Cached: each
+    center shot reads x0."""
+    x0 = min(_shrink_until_valid(a, 0.05, 2 * SERIES_ORDER, rtol, atol, 1.0, 1.0)[0]
+             for a in _mu_series(params))
+    return x0, mu_series_values(x0, params)

@@ -23,9 +23,9 @@ the family by one rule: starting at the exact constant solution
 (n, c, b) = (0, b0, b0), row n+1 is seeded by extrapolating the chain's
 own quotients c_{k+1}/c_k and (b_{k+1}-b_inf)/(b_inf-b_k) towards their
 limits ratio_c and ratio_b, and that seed gets exactly one Newton solve.
-Center shots with large c start from the limit solution U0, shared by all
-of them, and integrate only their outer part in the exact rescaled chart,
-which keeps the curve data well conditioned up to the reach of U0.
+Center shots start from a series in rho^2 whose coefficients one kept run
+shares among all of them, and integrate only their outer part in the exact
+rescaled chart, which keeps the curve data well conditioned up to its reach.
 
 Solutions are classified by their nodal index: the number of zeros of
 w = u/u_singular - 1, counted by sign changes on the integration nodes and

@@ -7,6 +7,7 @@ from scipy.optimize import least_squares
 from blowup.integrate import Tolerances, center_trajectory, drive_ode, lightcone_trajectory
 from blowup.model import derive_constants
 from blowup.odecore import chart_rhs
+from blowup import odecore
 from blowup import asymptotics as asym, cli, integrate as integrate_module
 
 
@@ -29,7 +30,7 @@ def test_limit_solution_settles(limit_samples, p7):
     # amplitude envelope at x = 1e16 is ~ A0 b_inf x^{-1/6} ~ 3e-4
     xs, Us, _ = limit_samples
     assert abs(xs[-1] ** p7.alpha * Us[-1] - p7.b_inf) < 1e-3
-    assert xs[0] < 1e-2
+    assert xs[0] == pytest.approx(odecore.mu_series_launch(p7)[0], rel=1e-15)
     assert np.all(Us > 0)
 
 
@@ -264,23 +265,24 @@ def test_fit_that_does_not_converge_is_a_compute_error(p7, monkeypatch, capsys):
 
 
 def test_limit_samples_do_not_depend_on_what_ran_before(p7, tol, monkeypatch):
-    # the samples are read off the run the large-c center shots start from,
-    # on its full steps only: whether a limit request or a center shot builds
-    # it (to LIMIT_REACH, whose last full step covers DEFAULT_X_MAX, so
-    # neither regrows it), and after a c = 1e16 shot regrows it to where U2
-    # leaves the float range (x = 2.8e86), they are the same to the bit
+    # the samples are read off the kept K = 0 run, whose U0 is the center
+    # shots' V0 to the bit, on its full steps only: built to LIMIT_REACH
+    # (whose last full step covers DEFAULT_X_MAX, so it does not regrow), by a
+    # limit request before or after center shots, and after a request to
+    # x_max = 1e40 regrows it to 1e80, they are the same to the bit
     runs = {}
     monkeypatch.setattr(integrate_module, "_LIMIT_RUNS", runs)
     first = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
-    run = runs[p7, tol][0]
+    run = runs[p7, tol, 0][0]
     assert run.t[-1] == integrate_module.LIMIT_REACH and run.t[-2] > asym.DEFAULT_X_MAX
     runs.clear()
     center_trajectory(1e3, 0.5, p7, tol)
-    assert runs[p7, tol][0].t[-1] == integrate_module.LIMIT_REACH
+    assert list(runs) == [(p7, tol, odecore.CENTER_K)]
     again = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
-    assert runs[p7, tol][0].t[-1] == integrate_module.LIMIT_REACH
-    center_trajectory(1e16, 0.5, p7, tol)
-    assert runs[p7, tol][0].termination == integrate_module._TERM_RANGE_END
+    assert runs[p7, tol, 0][0].t[-1] == integrate_module.LIMIT_REACH
+    assert runs[p7, tol, 0][0].y == runs[p7, tol, odecore.CENTER_K][0].y[:2]
+    asym.integrate_limit_equation(1e40, p7, tol)
+    assert runs[p7, tol, 0][0].t[-1] == pytest.approx(1e80)
     regrown = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
     assert len(first) == 3
     for a, b, c in zip(first, again, regrown):

@@ -103,22 +103,22 @@ def test_invalid_exponent_is_usage_error(tmp_path):
              "center amplitude c=1e+300 is beyond the float range of the rescaled chart"),
             (("curves", "--c-lo", "1e100", "--c-hi", "1e200", "--n-c", "2", "--n-b", "2"),
              "center amplitude c=1e+100 is beyond the float range of the rescaled chart"),
-            # past the reach of the limit solution large-c shots start from:
-            # its run stops where U1 or U2 leaves the float range, after its
-            # last full step at x = 2.8e86
-            (("curves", "--c-lo", "2", "--c-hi", "1e30", "--n-c", "2", "--n-b", "2"),
-             "center amplitude c=1e+30 needs the limit solution at x = 1e+88, past its "
-             "last full step (left_float_range) at 2.8e+86"),
-            (("curves", "--c-lo", "2", "--c-hi", "5e29", "--n-c", "2", "--n-b", "2"),
-             "center amplitude c=5e+29 needs the limit solution at x = 1.25e+87, past its "
-             "last full step (left_float_range) at 2.8e+86"),
+            # past the reach of the kept run large-c shots start from: it ends
+            # at LIMIT_FAR = 1e100, short of where U0^p leaves the normal
+            # floats, after its last full step at x = 9.93e99
+            (("curves", "--c-lo", "2", "--c-hi", "1e34", "--n-c", "2", "--n-b", "2"),
+             "center amplitude c=1e+34 needs the limit solution at x = 5e+100, past its "
+             "last full step (reached_end) at 9.93e+99"),
+            (("curves", "--c-lo", "2", "--c-hi", "6e33", "--n-c", "2", "--n-b", "2"),
+             "center amplitude c=6e+33 needs the limit solution at x = 1.08e+100, past its "
+             "last full step (reached_end) at 9.93e+99"),
             # the limit fit reads the same U0 under the same reach
-            (("limit", "--x-max", "1e87"),
-             "x_max 1e+87 needs the limit solution at x = 1e+87, past its last full step "
-             "(left_float_range) at 2.8e+86"),
             (("limit", "--x-max", "1e100"),
              "x_max 1e+100 needs the limit solution at x = 1e+100, past its last full step "
-             "(left_float_range) at 2.8e+86"),
+             "(reached_end) at 9.93e+99"),
+            (("limit", "--x-max", "1e120"),
+             "x_max 1e+120 needs the limit solution at x = 1e+120, past its last full step "
+             "(reached_end) at 9.93e+99"),
             (("curves", "--b-lo", "1", "--b-hi", "1e3", "--n-c", "2", "--n-b", "2"),
              "cone amplitude b=1000 has no validated series launch offset off rho = 1"),
             (("curves", "--b-lo", "1", "--b-hi", "1e10", "--n-c", "2", "--n-b", "2"),
@@ -341,6 +341,27 @@ def test_shooting_commands_run_without_numpy():
     result = json.loads(proc.stdout)
     assert result["loaded"] == ["blowup.asymptotics", "blowup.diagnostics"]
     assert result["numpy"] and result["codes"] == [0] * 8
+
+
+SET_UP_SCRIPT = """
+import json
+import blowup.cli
+from blowup import integrate, odecore
+from blowup.model import derive_constants
+derive_constants(7)
+print(json.dumps([f.cache_info().currsize for f in (
+    integrate._kernel, integrate._sum_kernel, odecore._chart_closure, odecore.series_rhs,
+    odecore._mu_series, odecore.mu_series_launch)] + [len(integrate._LIMIT_RUNS)]))
+"""
+
+
+def test_set_up_generates_no_kernel_and_builds_no_kept_run():
+    # importing blowup.cli and deriving p = 7's constants, perfbench's set-up,
+    # generates no code and integrates nothing: the step loops, dense output,
+    # series sums and launch, equations and kept runs wait for the first request
+    proc = subprocess.run([sys.executable, "-c", SET_UP_SCRIPT], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * 7
 
 
 def test_output_file_writing(tmp_path):

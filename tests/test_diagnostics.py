@@ -175,10 +175,12 @@ def test_phase_anchor_and_cone_value_constant_solution(p7, tol):
     rho, _, _, theta = diag.phase_trajectory(res.trajectory, p7)
     # u is identically b0, so the anchor is exact arithmetic: the deviation
     # sits at (x - 1, alpha x) with x = (b0/b_inf) rho^alpha, second quadrant,
-    # tending to pi as the launch radius shrinks
+    # at the kept run's launch rho = 0.05 b0^{-3} = 0.075 (2.85; it tends to
+    # pi as the launch radius shrinks)
+    assert rho[0] == pytest.approx(0.05 / p7.b0 ** 3, rel=1e-15)
     x = (p7.b0 / p7.b_inf) * rho[0] ** p7.alpha
     assert theta[0] == pytest.approx(math.atan2(p7.alpha * x, x - 1.0), rel=1e-9)
-    assert 3.0 < theta[0] < math.pi
+    assert math.pi / 2.0 < theta[0] < math.pi
     # at the cone: w = b0/b_inf - 1, rw = alpha b0/b_inf, pure arithmetic
     ratio = p7.b0 / p7.b_inf
     theta1 = math.atan2(p7.alpha * ratio, ratio - 1.0)

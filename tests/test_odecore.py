@@ -134,23 +134,22 @@ def test_limit_launch_curvature(p7):
 
 
 def test_limit_corrections_are_the_mu_coefficients_of_the_center_series(p7):
-    # U = U0 + mu U1 + mu^2 U2 + ...: through x^6 each coefficient of the
-    # center series at U(0) = 1 is a polynomial of degree <= 3 in mu, so the
-    # central second difference in mu is its mu^2 coefficient exactly, and
-    # the first difference at steps h and 2h combine into its mu coefficient
-    def series(mu):
-        return np.array(odecore._center_coeffs(1.0, p7, odecore.SERIES_ORDER, mu=mu))
-
-    def first(h):
-        return (series(h) - series(-h)) / (2.0 * h)
-
-    h = 0.5
-    mu1 = (4.0 * first(h) - first(2.0 * h)) / 3.0
-    mu2 = (series(h) - 2.0 * series(0.0) + series(-h)) / (2.0 * h * h)
-    for x in (1e-3, 0.1, 0.5):
-        U1, dU1, U2, dU2 = odecore._limit_correction(x, p7)
-        assert (U1, dU1) == pytest.approx(odecore._eval_poly(mu1, x), rel=1e-13)
-        assert (U2, dU2) == pytest.approx(odecore._eval_poly(mu2, x), rel=1e-13)
+    # U = sum_k mu^k x^{2k} V_k: each coefficient a_{2j} of the center series
+    # at U(0) = 1 is a polynomial of degree <= j in mu, whose mu^k coefficient
+    # is V_k's x^{2(j-k)} coefficient; fitted exactly through j + 1 values of
+    # mu, for every V_k the launch sums
+    J = odecore.SERIES_ORDER + odecore.CENTER_K + 1
+    mus = np.linspace(-1.0, 1.0, 2 * odecore.CENTER_K + 3)
+    series = np.array([odecore._center_coeffs(1.0, p7, 2 * J, mu=mu)[::2] for mu in mus])
+    V = odecore._mu_series(p7)
+    assert len(V) == odecore.CENTER_K + 1 and V[0][:3] == [1.0, 0.0, -1.0 / 6.0]
+    assert all(len(a) == 2 * odecore.SERIES_ORDER + 3 and a[1::2] == [0.0] * (len(a) // 2)
+               for a in V)
+    for j in range(1, J + 1):
+        fit = np.polynomial.polynomial.polyfit(mus, series[:, j], j)
+        for k in range(min(j, odecore.CENTER_K) + 1):
+            if 2 * (j - k) < len(V[k]):
+                assert V[k][2 * (j - k)] == pytest.approx(fit[k], rel=1e-9, abs=1e-13), (j, k)
 
 
 def test_series_powers_match_repeated_products(p7):

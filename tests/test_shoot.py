@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blowup import integrate as integrate_module
+from blowup import integrate as integrate_module, odecore
 from blowup.diagnostics import w_zero_locations
 from blowup.integrate import Tolerances, center_trajectory, lightcone_trajectory
 from blowup.model import derive_constants, du_singular
@@ -89,9 +89,9 @@ def test_matching_radius_independence(p7, tol, u1):
 
 @pytest.mark.parametrize("rho_mid", [0.0011, 0.005])
 def test_matching_radius_near_the_center_solves(rho_mid, p7, tol, u1):
-    # the centre shot starts from the limit solution at rho_s = rtol^{1/6} =
-    # 1e-2, moved in to rho_mid/2 but not below rtol^{1/4} = 1e-3: a rho_mid
-    # just past 1e-3, or between there and 2e-2, still gives row 1
+    # the centre shot starts from the series in rho^2 at rho_s = rtol^{1/14}
+    # = 0.139, moved in to rho_mid/2 but not below rtol^{1/4} = 1e-3: a
+    # rho_mid just past 1e-3, or between there and 0.28, still gives row 1
     row = find_solution(1, p7, tol, rho_mid=rho_mid)
     assert row.zeros == 2
     assert row.c == pytest.approx(u1.c, rel=1e-9)
@@ -291,9 +291,9 @@ def test_quotient_seed_needs_few_centre_shots(p7, tol, monkeypatch):
 
 def test_large_c_centre_shots_take_a_flat_step_budget(p7, tol, monkeypatch):
     # a centre shot that starts from the limit solution and its
-    # corrections integrates only from x_s = rtol^{1/6} c^3 to rho_mid c^3, so
-    # its steps stop growing with ln c (a series launch at x = 1e-3 takes 423
-    # steps to rho_mid at n = 12)
+    # corrections integrates only from x_s = rtol^{1/14} c^3 to rho_mid c^3,
+    # so its steps stop growing with ln c (a series launch at x = 1e-3 takes
+    # 423 steps to rho_mid at n = 12)
     outer = {}
     rescaled = integrate_module.integrate_rescaled
 
@@ -311,15 +311,38 @@ def test_large_c_centre_shots_take_a_flat_step_budget(p7, tol, monkeypatch):
 
 @pytest.mark.parametrize("p", range(7, 32, 2))
 def test_loose_tolerance_rows_from_the_limit_solution(p, tol):
-    # at rtol 1e-8 centre shots with c^{(p-1)/2} > 0.02 start from U0 + mu U1
-    # + mu^2 U2 at rho_s = rtol^{1/6} = 0.046; rows n <= 6 keep their zero
-    # counts and c_n
+    # at rtol 1e-8 centre shots start from the series in rho^2 through V6 at
+    # rho_s = rtol^{1/14} = 0.268; rows n <= 6 keep their zero counts and c_n
     params = derive_constants(p)
     loose = shoot.spectrum(6, params, Tolerances(rtol=1e-8, atol=1e-10)).rows
     tight = shoot.spectrum(6, params, tol).rows
     assert [r.zeros for r in loose] == [n + 2 for n in range(6)]
     for lo, hi in zip(loose, tight):
         assert lo.c == pytest.approx(hi.c, rel=5e-7), f"c at n={lo.n}"
+
+
+def test_newton_trials_combine_no_head(p7, tol, monkeypatch):
+    # a centre shot's nodes below x_s, sum (mu x^2)^k V_k on the kept run's
+    # nodes, are combined when the nodal count first reads them: Newton's
+    # trials read only the endpoint, so each row combines one head, its
+    # accepted shot's
+    point, nodes = integrate_module._sum_kernel(odecore.CENTER_K)
+    combined, shots = [], []
+
+    def counted(mu, t, y):
+        combined.append(mu)
+        return nodes(mu, t, y)
+
+    def recorded(c, *args):
+        shots.append(c)
+        return center(c, *args)
+
+    center = shoot.center_trajectory
+    monkeypatch.setattr(integrate_module, "_sum_kernel", lambda K: (point, counted))
+    monkeypatch.setattr(shoot, "center_trajectory", recorded)
+    rows = list(shoot.iter_rows(3, p7, tol))
+    assert len(shots) > 3 * len(rows)
+    assert combined == [r.c ** -(p7.p - 1) for r in rows]
 
 
 def test_root_with_wrong_zero_count_is_rejected(p7, tol, monkeypatch):
