@@ -4,10 +4,11 @@ The stepper is DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as
 scipy 1.17.1 steps it, on Python floats for the systems (u, u') every caller
 integrates (and the kept run below), in one step loop generated on first use
 from the module's tableau, with the chart equation in its stages.  Runs hold
-their nodes in lists of floats; numpy is imported only to evaluate dense output
-or sample a trajectory on arrays.  Step budget, minimum step size and
-termination reasons are explicit.  Dense output, built one step at a time from
-the step's stages, is scipy's to the bit given its coefficients.
+their nodes in lists of floats, and a run is its nodes: no step keeps its
+stages.  numpy is imported only to evaluate dense output or sample a trajectory
+on arrays.  Step budget, minimum step size and termination reasons are
+explicit.  Dense output, built one step at a time from the stages rebuilt off
+the step's first node, is scipy's to the bit given its coefficients.
 
 Every trajectory lives in one chart family: (U, U') in x = rho c^{(p-1)/2}
 with u = c U.  The plain equation in rho is the member c = 1; center shots
@@ -18,9 +19,10 @@ unchanged.
 
 Center shots share their inner part u/c = sum_k rho^{2k} V_k(x) (odecore):
 V_0..V_K, K = CENTER_K, are integrated once per (params, tol) in one kept run
-with steps controlled on V_0 = U_0, and each shot integrates only from
-rho_s = rtol^{1/(2K+2)}.  Outer runs read atol in units of u.  The asymptotic
-fits read U_0 off the K = 0 run, the same to the bit.
+with steps controlled on V_0 = U_0, at an rtol no looser than the default, and
+each shot integrates only from rho_s = rtol^{1/(2K+2)}.  Outer runs read atol
+in units of u.  The asymptotic fits read U_0 off the K = 0 run, the same to
+the bit.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import struct
 import sys
 from array import array
 from dataclasses import dataclass
@@ -187,7 +188,7 @@ def _ks(n: int, j) -> str:
 # it; a step's 13 stages rebuilt from its first node by the loop's own lines;
 # and its interpolant coefficients.  _kernel fills in the stages
 _SOURCES = {"_loop": """\
-def _loop(rhs, t, y, f, h_abs, t_end, direction, rtol, atol, blow_cap, stages, h_min, max_steps):
+def _loop(rhs, t, y, f, h_abs, t_end, direction, rtol, atol, blow_cap, h_min, max_steps):
     {head}
     {y}, = y
     {k0}, = f
@@ -226,8 +227,6 @@ def _loop(rhs, t, y, f, h_abs, t_end, direction, rtol, atol, blow_cap, stages, h
             rejected = True
         else:
             return ts, ys, TERM_STEP_UNDERFLOW
-        if stages is not None:
-            stages.frombytes(pack({kept}))
         t, {y} = t_new, {yn}
         {k0} = {k12}
         ts.append(t)
@@ -287,8 +286,7 @@ def _kernel(n: int, chart: bool, name: str = "_loop"):
         **{f"e{o}_{m}": _sum(row, f"k{m}_") for o, row in ((5, _E5), (3, _E3)) for m in (0, 1)},
         extra="\n".join(" " * 8 + line for line in _stage_lines(_EXTRA, _STAGES + 1, n, chart)),
         extra_ks=" = ".join(f"k{m}_{j}" for m in range(n) for j in range(_STAGES + 1, 16)))
-    ns = dict(globals(), nextafter=math.nextafter, inf=math.inf, sqrt=math.sqrt,
-              pack=struct.Struct(f"{n * (_STAGES + 1)}d").pack)
+    ns = dict(globals(), nextafter=math.nextafter, inf=math.inf, sqrt=math.sqrt)
     exec(compile(src, f"<DOP853 {name}, {n} components{', chart' if chart else ''}>", "exec"), ns)
     return ns[name]
 
@@ -315,26 +313,26 @@ def _initial_step(rhs, t, y, f, t_end, direction, rtol, atol) -> float:
 
 
 class _DenseOutput:
-    """DOP853's interpolant on every step of one drive_ode run.  Step i's
-    coefficients, F0..F6 of each component in turn, are built on its first read
-    from its 13 stages, kept in one array('d') or (stages None) rebuilt from its
-    first node, and 3 interpolant stages (RHS calls made after drive_ode
-    returned) by the generated _coeffs, and kept as doubles; a float t and an
-    array read the same ones.  Each point's step is chosen as in scipy's
-    OdeSolution and summed in the order of its Dop853DenseOutput, so values are
-    scipy's to the bit given the coefficients: a tuple of n floats for a float
-    t, shape (n, m) for m points ((n,) for a 0-d array), which imports numpy."""
+    """DOP853's interpolant on every step of one drive_ode run, which is its
+    nodes.  Step i's coefficients, F0..F6 of each component in turn, are built
+    on its first read: the generated _stages rebuilds its 13 stages from its
+    first node, the loop's own lines, and _coeffs adds the 3 interpolant stages
+    (16 RHS calls made after drive_ode returned); they are kept as doubles, and
+    a float t and an array read the same ones.  Each point's step is chosen as
+    in scipy's OdeSolution and summed in the order of its Dop853DenseOutput, so
+    values are scipy's to the bit given the coefficients: a tuple of n floats
+    for a float t, shape (n, m) for m points ((n,) for a 0-d array), which
+    imports numpy."""
 
-    def __init__(self, rhs, t: list, y: tuple, stages: array | None):
-        self._rhs, self._t, self._y, self._stages, self._F = rhs, t, y, stages, {}
+    def __init__(self, rhs, t: list, y: tuple):
+        self._rhs, self._t, self._y, self._F = rhs, t, y, {}
 
     def coefficients(self, i: int) -> array:
         F = self._F.get(i)
         if F is None:
-            rhs, t, n = self._rhs, self._t, len(self._y)
-            y, w, chart = [c[i] for c in self._y], n * (_STAGES + 1), hasattr(rhs, "chart")
-            K = (_kernel(n, chart, "_stages")(rhs, t[i], t[i + 1], y) if self._stages is None
-                 else self._stages[i * w:(i + 1) * w])
+            rhs, t, y = self._rhs, self._t, [c[i] for c in self._y]
+            n, chart = len(y), hasattr(rhs, "chart")
+            K = _kernel(n, chart, "_stages")(rhs, t[i], t[i + 1], y)
             F = self._F[i] = array("d", _kernel(n, chart, "_coeffs")(
                 rhs, t[i], y, [c[i + 1] for c in self._y], t[i + 1] - t[i], K))
         return F
@@ -391,12 +389,11 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
     their derivatives.
     The first step tried is h0 or scipy's.  t is the accepted-step grid
     (monotone) as a list, y a tuple of len(y0) lists of the components on it,
-    dense a _DenseOutput (callable on t, scipy-free) holding the 13 stages of
-    every step in one array('d'), or None without store_dense or a step.
-    Stops early on |y[0]| > blow_cap, a step below H_MIN or MAX_STEPS accepted
-    steps.  Every step runs in
-    the loop _kernel generates, with the chart equation in its stages when rhs
-    is odecore.chart_rhs's, else a call of rhs per stage.
+    dense a _DenseOutput (callable on t, scipy-free) over those nodes, or None
+    without store_dense or a step; no stage outlives its step.  Stops early on
+    |y[0]| > blow_cap, a step below H_MIN or MAX_STEPS accepted steps.  Every
+    step runs in the loop _kernel generates, with the chart equation in its
+    stages when rhs is odecore.chart_rhs's, else a call of rhs per stage.
     """
     if t_end == t0:
         raise ValueError("empty integration span")
@@ -409,12 +406,10 @@ def drive_ode(rhs, t0: float, y0, t_end: float, tol: Tolerances,
     except OverflowError:      # the start is past the float range: no step
         return [t], tuple([v] for v in y), None, TERM_STEP_UNDERFLOW
     h_abs = h0 or _initial_step(rhs, t, y, f, t_end, direction, tol.rtol, tol.atol)
-    stages = array("d") if store_dense else None
     ts, ys, termination = _kernel(len(y), hasattr(rhs, "chart"))(
-        rhs, t, y, f, h_abs, t_end, direction, tol.rtol, tol.atol, blow_cap, stages,
-        H_MIN, MAX_STEPS)
+        rhs, t, y, f, h_abs, t_end, direction, tol.rtol, tol.atol, blow_cap, H_MIN, MAX_STEPS)
     y = tuple(ys[m::len(y0)] for m in range(len(y0)))
-    return ts, y, _DenseOutput(rhs, ts, y, stages) if stages else None, termination
+    return ts, y, _DenseOutput(rhs, ts, y) if store_dense and len(ts) > 1 else None, termination
 
 
 @dataclass(frozen=True, eq=False)
@@ -552,25 +547,27 @@ _LIMIT_RUNS: dict = {}   # (params, tol, K) -> (the kept run, its reach, why)
 
 
 def _limit_tol(params: ModelParams, tol: Tolerances) -> Tolerances:
-    """rtol, and an atol that holds every shot's atol in units of u where it reads
-    V0: the outer run of amplitude c holds (U, U') to atol/c, and c is at most
+    """rtol, never looser than the default (steps sized on V0 at rtol 1e-7 let
+    the stiff -2k(2k+1)/x^2 modes of V_5 and V_6 grow, V_6 by 16 at x = 2.16),
+    and an atol that holds every shot's atol in units of u where it reads V0:
+    the outer run of amplitude c holds (U, U') to atol/c, and c is at most
     2^{1074/(p-1)}, where mu = c^{-(p-1)} leaves the floats.  An atol whose
     scaled value underflows to 0 is a ValueError naming p's floor."""
     scale = 2.0 ** (-1074 / (params.p - 1))
     if tol.atol * scale == 0.0:
         raise ValueError(f"atol {tol.atol!r} is under p = {params.p}'s floor ~"
                          f"{math.ulp(0.0) / scale / 2:.3g}, where the limit run's atol underflows")
-    return Tolerances(tol.rtol, tol.atol * scale)
+    return Tolerances(min(tol.rtol, Tolerances.rtol), tol.atol * scale)
 
 
 def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str,
                K: int = CENTER_K) -> Trajectory:
     """The kept run of (V_0, V_0', ..., V_K, V_K') from odecore.mu_series_launch
     for a center shot (K = CENTER_K) or fit (K = 0) that reads it up to x,
-    steps controlled on V_0 at _limit_tol (so V_0 is the same for every K); it
-    keeps no stages.  The first run ends at LIMIT_REACH; one whose last full
-    step ends before x is replaced by one to max(x^2, LIMIT_REACH), at most
-    LIMIT_FAR.  Only the last step is cut to a run's end, so what is read does
+    steps controlled on V_0 at _limit_tol (so V_0 is the same for every K),
+    with drive_ode's dense output like every run.  The first run ends at
+    LIMIT_REACH; one whose last full step ends before x is replaced by one to
+    max(x^2, LIMIT_REACH), at most LIMIT_FAR.  Only the last step is cut to a run's end, so what is read does
     not depend on the order of the calls.  Past the run's reach, its last full
     step or last node before U0 turns nonpositive (the true U0 never does), x
     raises a ValueError naming subject."""
@@ -578,14 +575,12 @@ def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str,
     while run is None or (run.t[-2] < x and run.t[-1] < LIMIT_FAR
                           and run.termination == TERM_REACHED_END):
         x0, V = mu_series_launch(params, tol.rtol, tol.atol)
-        rhs = series_rhs(params, K)
-        t, y, _, term = drive_ode(rhs, x0, V[:2 * K + 2],
-                                  min(max(x * x, LIMIT_REACH), LIMIT_FAR) if run else LIMIT_REACH,
-                                  _limit_tol(params, tol), 1.0e3, store_dense=False)
-        run = Trajectory(params, 1.0, t, y, _DenseOutput(rhs, t, y, None), term)
-        bad = next((i for i, u in enumerate(y[0][:-1]) if u <= 0.0), None)
-        reach = t[-2] if bad is None else t[bad - 1]
-        why = f"full step ({term})" if bad is None else "positive node"
+        end = min(max(x * x, LIMIT_REACH), LIMIT_FAR) if run else LIMIT_REACH
+        run = Trajectory(params, 1.0, *drive_ode(series_rhs(params, K), x0, V[:2 * K + 2], end,
+                                                 _limit_tol(params, tol), 1.0e3))
+        bad = next((i for i, u in enumerate(run.y[0][:-1]) if u <= 0.0), None)
+        reach = run.t[-2] if bad is None else run.t[bad - 1]
+        why = f"full step ({run.termination})" if bad is None else "positive node"
         _LIMIT_RUNS[params, tol, K] = run, reach, why
     if x > reach:
         raise ValueError(f"{subject} needs the limit solution at x = {x:.3g}, "

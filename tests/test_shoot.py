@@ -321,6 +321,22 @@ def test_loose_tolerance_rows_from_the_limit_solution(p, tol):
         assert lo.c == pytest.approx(hi.c, rel=5e-7), f"c at n={lo.n}"
 
 
+@pytest.mark.parametrize("p", [7, 9])
+@pytest.mark.parametrize("rtol", [1e-6, 1e-7])
+def test_loosest_tolerances_keep_the_kept_run_at_the_default_rtol(p, rtol, tol):
+    # stepped on V0 alone at rtol 1e-7, the stiff -2k(2k+1)/x^2 modes of V5
+    # and V6 grow (V6 off by 16 at x = 2.16) and row 1 stalls or drifts; the
+    # kept run is never looser than the default rtol, so every row lies within
+    # 10 rtol of the default rows
+    params = derive_constants(p)
+    loose = shoot.spectrum(4, params, Tolerances(rtol)).rows
+    tight = shoot.spectrum(4, params, tol).rows
+    assert [r.n for r in loose] == [1, 2, 3, 4]
+    for lo, hi in zip(loose, tight):
+        assert lo.c == pytest.approx(hi.c, rel=10 * rtol), f"c at n={lo.n}"
+        assert lo.b == pytest.approx(hi.b, rel=10 * rtol), f"b at n={lo.n}"
+
+
 def test_newton_trials_combine_no_head(p7, tol, monkeypatch):
     # a centre shot's nodes below x_s, sum (mu x^2)^k V_k on the kept run's
     # nodes, are combined when the nodal count first reads them: Newton's
