@@ -401,7 +401,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         drift = 0.0
         ok = True
         for c in 0.3 + 2.2 * rng.random(10):
-            traj = center_trajectory(float(c), 0.999, P5, tol)
+            traj = center_trajectory(float(c), 0.999, P5, tol.capped())
             if traj.termination != TERM_REACHED_END:
                 ok = False
                 continue

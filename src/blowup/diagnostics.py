@@ -194,13 +194,13 @@ def _refine(pts, piece, k, t_a, th_a, t_b, w_b, rw_b, depth=0) -> float:
     return _refine(pts, piece, k, t_m, th_m, t_b, w_b, rw_b, depth + 1)
 
 
-def phase_trajectory(traj, params: ModelParams) -> tuple[tuple, ...]:
+def phase_trajectory(traj, params: ModelParams, _chains=None) -> tuple[tuple, ...]:
     """(rho, w, rho w', theta) of the unwrapped deviation phase along rho, as tuples
-    of floats; a step wider than PHASE_MAX_STEP goes through _refine."""
+    of floats; a step wider than PHASE_MAX_STEP goes through _refine.  _chains
+    are the pieces' _piece_chain, when the caller has built them."""
     pts, theta = [], None
     atan2, hypot, pi, tau = math.atan2, math.hypot, math.pi, 2.0 * math.pi
-    for piece in traj.pieces:
-        t, w, rw, k = _piece_chain(piece)
+    for piece, (t, w, rw, k) in zip(traj.pieces, _chains or map(_piece_chain, traj.pieces)):
         start = atan2(rw[0], w[0])
         if theta is None:
             theta = _push(pts, t[0] * k, w[0], rw[0], start)
@@ -284,10 +284,10 @@ def w_zero_locations(traj, params: ModelParams) -> list:
     return out
 
 
-def phase_zero_count(traj, params: ModelParams) -> int:
+def phase_zero_count(traj, params: ModelParams, _chains=None) -> int:
     """Zeros of w counted as gross crossings of the levels pi/2 - k pi."""
     levels = [math.floor((th - 0.5 * math.pi) / math.pi)
-              for th in phase_trajectory(traj, params)[3]]
+              for th in phase_trajectory(traj, params, _chains)[3]]
     return sum(abs(b - a) for a, b in zip(levels, levels[1:]))
 
 

@@ -18,11 +18,11 @@ Conversions are exact, and scaling by 1 leaves every digit of the plain chart
 unchanged.
 
 Center shots share their inner part u/c = sum_k rho^{2k} V_k(x) (odecore):
-V_0..V_K, K = CENTER_K, are integrated once per (params, tol) in one kept run
-with steps controlled on V_0 = U_0, at an rtol no looser than the default, and
-each shot integrates only from rho_s = rtol^{1/(2K+2)}.  Outer runs read atol
-in units of u.  The asymptotic fits read U_0 off the K = 0 run, the same to
-the bit.
+V_0..V_K, K = CENTER_K, are integrated once per (params, tolerances they step
+at) in one kept run with steps controlled on V_0 = U_0, at an rtol no looser
+than the default, and each shot integrates only from rho_s =
+rtol^{1/(2K+2)}.  Outer runs read atol in units of u.  The asymptotic fits
+read U_0 off the K = 0 run, the same to the bit.
 """
 
 from __future__ import annotations
@@ -82,6 +82,10 @@ class Tolerances:
         # unchecked steps; this bound also rejects nan and inf
         if not (0.0 < self.atol <= 1e-6):
             raise ValueError(f"atol must be in (0, 1e-6], got {self.atol}")
+
+    def capped(self) -> Tolerances:
+        """rtol no looser than the default, as kept runs and the cone curve step."""
+        return Tolerances(min(self.rtol, Tolerances.rtol), self.atol)
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as scipy 1.17.1's doubles in shortest
@@ -543,7 +547,7 @@ def integrate_limit(x_start: float, U: float, dU: float, x_end: float,
     return _trajectory(params, 0.0, 1.0, x_start, (U, dU), x_end, tol, 1.0e3)
 
 
-_LIMIT_RUNS: dict = {}   # (params, tol, K) -> (the kept run, its reach, why)
+_LIMIT_RUNS: dict = {}   # (params, _limit_tol, K) -> (the kept run, its reach, why)
 
 
 def _limit_tol(params: ModelParams, tol: Tolerances) -> Tolerances:
@@ -557,7 +561,7 @@ def _limit_tol(params: ModelParams, tol: Tolerances) -> Tolerances:
     if tol.atol * scale == 0.0:
         raise ValueError(f"atol {tol.atol!r} is under p = {params.p}'s floor ~"
                          f"{math.ulp(0.0) / scale / 2:.3g}, where the limit run's atol underflows")
-    return Tolerances(min(tol.rtol, Tolerances.rtol), tol.atol * scale)
+    return Tolerances(tol.capped().rtol, tol.atol * scale)
 
 
 def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str,
@@ -571,13 +575,14 @@ def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str,
     not depend on the order of the calls.  Past the run's reach, its last full
     step or last node before U0 turns nonpositive (the true U0 never does), x
     raises a ValueError naming subject."""
+    tol = _limit_tol(params, tol)
     run, reach, why = _LIMIT_RUNS.get((params, tol, K), (None, 0.0, ""))
     while run is None or (run.t[-2] < x and run.t[-1] < LIMIT_FAR
                           and run.termination == TERM_REACHED_END):
         x0, V = mu_series_launch(params, tol.rtol, tol.atol)
         end = min(max(x * x, LIMIT_REACH), LIMIT_FAR) if run else LIMIT_REACH
         run = Trajectory(params, 1.0, *drive_ode(series_rhs(params, K), x0, V[:2 * K + 2], end,
-                                                 _limit_tol(params, tol), 1.0e3))
+                                                 tol, 1.0e3))
         bad = next((i for i, u in enumerate(run.y[0][:-1]) if u <= 0.0), None)
         reach = run.t[-2] if bad is None else run.t[bad - 1]
         why = f"full step ({run.termination})" if bad is None else "positive node"
@@ -668,8 +673,8 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
     rho_s = min(tol.rtol ** (1.0 / (2 * CENTER_K + 2)), max(tol.rtol ** 0.25, 0.5 * rho_end))
     if not rho_end * stretch > rho_s * stretch:
         raise ValueError(f"rho_end {rho_end:g} must exceed the center launch radius {rho_s:g}")
-    x_s, point = rho_s * stretch, _sum_kernel(CENTER_K)[0]
-    if x_s <= mu_series_launch(params, tol.rtol, tol.atol)[0]:
+    x_s, point, kept = rho_s * stretch, _sum_kernel(CENTER_K)[0], _limit_tol(params, tol)
+    if x_s <= mu_series_launch(params, kept.rtol, kept.atol)[0]:
         U, dU = point(mu, x_s, *mu_series_values(x_s, params))
         return integrate(ProfileState(rho_s, c * U, c * stretch * dU), rho_end, params, tol)
     run = _limit_run(x_s, params, tol, f"center amplitude c={c:g}")

@@ -18,14 +18,17 @@ midpoint mismatch
 
     F(c, b) = ( u_C0 - u_C1,  (u'_C0 - u'_C1) / |u_singular'(rho_mid)| )
 
-with a forward-difference Jacobian in (ln c, b).  Every entry point builds
-the family by one rule: starting at the exact constant solution
-(n, c, b) = (0, b0, b0), row n+1 is seeded by extrapolating the chain's
-own quotients c_{k+1}/c_k and (b_{k+1}-b_inf)/(b_inf-b_k) towards their
-limits ratio_c and ratio_b, and that seed gets exactly one Newton solve.
-Center shots start from a series in rho^2 whose coefficients one kept run
-shares among all of them, and integrate only their outer part in the exact
-rescaled chart, which keeps the curve data well conditioned up to its reach.
+whose Jacobian's ln c column is a forward difference and b column exact:
+C1 is read off one kept Chebyshev interpolant per (p, cone tolerances,
+rho_mid), and the accepted pair's cone piece is integrated at assembly,
+where its real gap must pass.  Every entry point builds the family by one
+rule: starting at the exact constant solution (n, c, b) = (0, b0, b0), row
+n+1 is seeded by extrapolating the chain's own quotients c_{k+1}/c_k and
+(b_{k+1}-b_inf)/(b_inf-b_k) towards their limits ratio_c and ratio_b, and
+that seed gets exactly one Newton solve.  Center shots start from a series
+in rho^2 whose coefficients one kept run shares among all of them, and
+integrate only their outer part in the exact rescaled chart, which keeps
+the curve data well conditioned up to its reach.
 
 Solutions are classified by their nodal index: the number of zeros of
 w = u/u_singular - 1, counted by sign changes on the integration nodes and
@@ -35,6 +38,7 @@ exactly n + 1 zeros.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,6 +68,9 @@ __all__ = [
 
 MISMATCH_ACCEPT = 1e-9     # scaled norm below which a root is accepted
 NEWTON_MAX_ITER = 30       # Newton iterations before a root search gives up
+CURVE_M = (16, 128)        # first and last Chebyshev degree M of the cone curve
+CURVE_TAIL = 4.0           # cone rtols its last three coefficients must be below
+_CONE_CURVES: dict = {}    # (params, cone tolerances, rho_mid) -> coefficients, or None
 
 
 class ShootingError(RuntimeError):
@@ -73,8 +80,9 @@ class ShootingError(RuntimeError):
 class SearchError(ShootingError):
     """Refinement failed or refined to the wrong row.
 
-    trace holds the (c, |F|) of every Newton iterate when refinement stalls,
-    and is empty when the refined root has the wrong zero count.
+    trace holds the (c, |F|) of every Newton iterate, F read off the cone
+    curve, when refinement stalls, and is empty when the refined root's real
+    shots miss or have the wrong zero count.
     """
 
     def __init__(self, message: str, trace=None):
@@ -169,29 +177,78 @@ def _shot(side: str, param: float, rho_mid: float, params: ModelParams,
 
 
 class _ImageCache:
-    """Memoized center shots u(0) = c and cone shots u(1) = b to rho_mid.
-
-    An instance lives for one Newton solve, so _assemble reads the accepted
-    pair back from it, dense output and all, instead of integrating it again.
-    """
+    """Center shots u(0) = c to rho_mid, memoized for one Newton solve and read
+    back by _assemble, dense output and all; and C1 at tol.capped(), as the kept
+    center run steps, read off the kept cone curve, or direct shots if None."""
 
     def __init__(self, params: ModelParams, rho_mid: float, tol: Tolerances):
         self.params = params
         self.rho_mid = rho_mid
-        self.tol = tol
+        self.tol, self.cone_tol = tol, tol.capped()
         self.dscale = abs(du_singular(params, rho_mid))
+        self.span = (params.b_inf - 1.1 * (params.b0 - params.b_inf), params.b0)
         self._memo: dict[tuple[str, float], Trajectory] = {}
 
     def shot(self, side: str, param: float) -> Trajectory:
         key = (side, param)
         if key not in self._memo:
-            self._memo[key] = _shot(side, param, self.rho_mid, self.params, self.tol)
+            tol = self.tol if side == "center" else self.cone_tol
+            self._memo[key] = _shot(side, param, self.rho_mid, self.params, tol)
         return self._memo[key]
 
+    @functools.cached_property
+    def curve(self):
+        """Chebyshev coefficients in b on span of C1's (u, u'/dscale) and of their
+        b-derivatives, from cone shots at M + 1 Lobatto nodes; M doubles from 16,
+        reusing every shot, while one of the last three exceeds CURVE_TAIL cone
+        rtols.  Kept per (params, cone_tol, rho_mid); None past CURVE_M."""
+        key = (self.params, self.cone_tol, self.rho_mid)
+        (lo, hi), m = self.span, CURVE_M[0]
+        while key not in _CONE_CURVES:
+            # node j of M is node 2j of 2M, the same b, so self.shot reuses its shot
+            cos = [math.cos(math.pi * i / m) for i in range(2 * m)]
+            f = [self.shot("lightcone", lo + 0.5 * (hi - lo) * (1.0 + x)).endpoint()
+                 for x in cos[:m + 1]]
+            # a DCT-I: a_k = (2/M) h_k sum_j h_j f_j cos(pi j k/M), h halving j, k = 0, M
+            h = [0.5, *[1.0] * (m - 1), 0.5]
+            series = [[2.0 / m * h[k] * sum(h[j] * v * cos[j * k % (2 * m)]
+                                            for j, v in enumerate(g)) for k in range(m + 1)]
+                      for g in ([st.u for st in f], [st.du / self.dscale for st in f])]
+            if max(abs(v) for a in series for v in a[-3:]) <= CURVE_TAIL * self.cone_tol.rtol:
+                # T_j' = 2j (T_{j-1} + T_{j-3} + ...), the T_0 term halved
+                _CONE_CURVES[key] = series + [
+                    [sum(4.0 * j * a[j] for j in range(k + 1, m + 1, 2)) / (hi - lo)
+                     / (1 + (k == 0)) for k in range(m)] for a in series]
+            elif m == CURVE_M[1]:
+                _CONE_CURVES[key] = None
+            m *= 2
+        return _CONE_CURVES[key]
+
+    def cone(self, b: float, d: int = 0) -> tuple[float, float]:
+        """(u, u'/dscale)(rho_mid) on C1 at b for d = 0, their b-derivatives for
+        d = 1, by a 1e-9 forward difference of direct shots if curve is None."""
+        if self.curve is None:
+            st = self.shot("lightcone", b).endpoint()
+            v = (st.u, st.du / self.dscale)
+            return v if d == 0 else tuple((w - x) / 1e-9 for w, x in zip(self.cone(b + 1e-9), v))
+        x = (2.0 * b - sum(self.span)) / (self.span[1] - self.span[0])
+        out = []
+        for a in self.curve[2 * d:2 * d + 2]:   # Clenshaw's sum of a_k T_k(x)
+            b1 = b2 = 0.0
+            for ak in a[:0:-1]:
+                b1, b2 = ak + 2.0 * x * b1 - b2, b1
+            out.append(a[0] + x * b1 - b2)
+        return tuple(out)
+
     def F(self, c: float, b: float) -> tuple[float, float]:
-        """Scaled two-component gap between the center and cone images."""
+        """Scaled two-component gap between the center image and C1."""
         ic = self.shot("center", c).endpoint()
-        il = self.shot("lightcone", b).endpoint()
+        u, du = self.cone(b)
+        return ic.u - u, ic.du / self.dscale - du
+
+    def gap(self, c: float, b: float) -> tuple[float, float]:
+        """F between the real shots: the center shot and a cone shot integrated at b."""
+        ic, il = self.shot("center", c).endpoint(), self.shot("lightcone", b).endpoint()
         return ic.u - il.u, (ic.du - il.du) / self.dscale
 
 
@@ -199,7 +256,8 @@ class _ImageCache:
 
 
 def _newton_refine(c0, b0, shots: _ImageCache):
-    """Damped Newton on F(ln c, b); returns (c, b, |F|) or raises SearchError."""
+    """Damped Newton on F(ln c, b), b kept in shots.span; returns (c, b) or
+    raises SearchError."""
     # a loose rtol may stop Newton early, but never short of what is accepted
     target = min(MISMATCH_ACCEPT, max(1e-11, 20.0 * shots.tol.rtol))
     s = math.log(c0)
@@ -211,15 +269,11 @@ def _newton_refine(c0, b0, shots: _ImageCache):
         if norm < target:
             break
         c = math.exp(s)
-        # forward differences; the ln c step grows with c because the spiral
-        # amplitude, and with it |dF/d ln c|, decays like c^{-(p-5)/4}
+        # J: dF/d ln c by a forward difference, its step growing with c as |dF/d ln c| decays
+        # like c^{-(p-5)/4}, and dF/db = -dC1/db off the curve; J^{-1} F by Cramer's rule
         ds = 1e-7 * max(1.0, (c / 100.0) ** 0.5)
-        db = 1e-9
-        Fc = shots.F(math.exp(s + ds), b)
-        Fb = shots.F(c, b + db)
-        # J's columns are dF/d ln c and dF/db; the step J^{-1} F by Cramer's rule
-        (j00, j10), (j01, j11) = ([(x - f) / d for x, f in zip(Fd, F)]
-                                  for Fd, d in ((Fc, ds), (Fb, db)))
+        j00, j10 = ((x - f) / ds for x, f in zip(shots.F(math.exp(s + ds), b), F))
+        j01, j11 = (-v for v in shots.cone(b, 1))
         det = j00 * j11 - j01 * j10
         if det == 0.0:
             raise SearchError("singular mismatch Jacobian", trace)
@@ -229,7 +283,7 @@ def _newton_refine(c0, b0, shots: _ImageCache):
         while lam >= 1.0 / 512.0:
             s_t = s - lam * step[0]
             b_t = b - lam * step[1]
-            if b_t > 1e-5 and abs(s_t - s) < 2.0:
+            if shots.span[0] <= b_t <= shots.span[1] and abs(s_t - s) < 2.0:
                 Ft = shots.F(math.exp(s_t), b_t)
                 nt = math.hypot(*Ft)
                 if nt < norm:
@@ -243,7 +297,7 @@ def _newton_refine(c0, b0, shots: _ImageCache):
     if norm > MISMATCH_ACCEPT:
         raise SearchError(
             f"Newton stalled at scaled mismatch {norm:.3e} from seed c={c0:g}", trace)
-    return math.exp(s), b, norm
+    return math.exp(s), b
 
 
 # -- nodal classification ----------------------------------------------------
@@ -253,11 +307,11 @@ def nodal_index(traj: MergedTrajectory, params: ModelParams) -> int:
     """Number of zeros of w: its sign changes on the center nodes, then on the
     cone nodes past rho_mid, so a zero at the junction counts once; no zero is
     located.  Cross-checked by phase winding."""
-    (_, wc, _, _), (t, wl, _, k) = (_diag._piece_chain(piece) for piece in traj.pieces)
+    (_, wc, _, _), (t, wl, _, k) = chains = [_diag._piece_chain(piece) for piece in traj.pieces]
     past = [w for ti, w in zip(t, wl) if ti * k > traj.rho_mid]
     s = [w > 0.0 for w in (*wc, *past) if w]   # the signs of the nonzero values
     n_sign = sum(a != b for a, b in zip(s, s[1:]))
-    n_phase = _diag.phase_zero_count(traj, params)
+    n_phase = _diag.phase_zero_count(traj, params, chains)
     if n_sign != n_phase:
         raise ShootingError(
             f"zero counts disagree (sign changes {n_sign}, phase winding {n_phase}); "
@@ -268,12 +322,15 @@ def nodal_index(traj: MergedTrajectory, params: ModelParams) -> int:
 # -- assembly ----------------------------------------------------------------
 
 
-def _assemble(n_label, c, b, norm, shots: _ImageCache) -> ShootingResult:
-    """Row n_label from the shots of the accepted pair (c, b), read back
-    from `shots`; the nodal count builds their dense output."""
+def _assemble(n_label, c, b, shots: _ImageCache) -> ShootingResult:
+    """Row n_label from the real shots of (c, b), the center one read back from
+    `shots`: their gap is its mismatch, and the nodal count builds their dense output."""
     merged = MergedTrajectory(center=shots.shot("center", c),
                               lightcone=shots.shot("lightcone", b),
                               rho_mid=shots.rho_mid)
+    norm = math.hypot(*shots.gap(c, b))
+    if norm > MISMATCH_ACCEPT:
+        raise SearchError(f"refined root (c={c:.6g}, b={b:.6g}) has shot mismatch {norm:.3e}")
     zeros = nodal_index(merged, shots.params)
     if zeros != n_label + 1:
         raise SearchError(
@@ -286,9 +343,7 @@ def _assemble(n_label, c, b, norm, shots: _ImageCache) -> ShootingResult:
 def constant_solution_result(params: ModelParams, tol: Tolerances = Tolerances(),
                              rho_mid: float = 0.5) -> ShootingResult:
     """The n = 0 member, u = b0, pushed through the standard pipeline."""
-    b0 = params.b0
-    shots = _ImageCache(params, rho_mid, tol)
-    return _assemble(0, b0, b0, math.hypot(*shots.F(b0, b0)), shots)
+    return _assemble(0, params.b0, params.b0, _ImageCache(params, rho_mid, tol))
 
 
 def _next_row(history, params, tol, rho_mid) -> ShootingResult:
@@ -310,9 +365,9 @@ def _next_row(history, params, tol, rho_mid) -> ShootingResult:
         e_c, e_b = (q * e0 for e0 in e[0]) if e else (0.0, 0.0)
     c, b = history[-1]
     shots = _ImageCache(params, rho_mid, tol)
-    c, b, norm = _newton_refine(c * (params.ratio_c + e_c),
-                                bi - (params.ratio_b + e_b) * (b - bi), shots)
-    return _assemble(len(history), c, b, norm, shots)
+    c, b = _newton_refine(c * (params.ratio_c + e_c),
+                          bi - (params.ratio_b + e_b) * (b - bi), shots)
+    return _assemble(len(history), c, b, shots)
 
 
 def iter_rows(n_max: int, params: ModelParams, tol: Tolerances = Tolerances(),

@@ -270,19 +270,19 @@ def test_limit_samples_do_not_depend_on_what_ran_before(p7, tol, monkeypatch):
     # (whose last full step covers DEFAULT_X_MAX, so it does not regrow), by a
     # limit request before or after center shots, and after a request to
     # x_max = 1e40 regrows it to 1e80, they are the same to the bit
-    runs = {}
+    runs, kept = {}, integrate_module._limit_tol(p7, tol)   # the tolerances the runs step at
     monkeypatch.setattr(integrate_module, "_LIMIT_RUNS", runs)
     first = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
-    run = runs[p7, tol, 0][0]
+    run = runs[p7, kept, 0][0]
     assert run.t[-1] == integrate_module.LIMIT_REACH and run.t[-2] > asym.DEFAULT_X_MAX
     runs.clear()
     center_trajectory(1e3, 0.5, p7, tol)
-    assert list(runs) == [(p7, tol, odecore.CENTER_K)]
+    assert list(runs) == [(p7, kept, odecore.CENTER_K)]
     again = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
-    assert runs[p7, tol, 0][0].t[-1] == integrate_module.LIMIT_REACH
-    assert runs[p7, tol, 0][0].y == runs[p7, tol, odecore.CENTER_K][0].y[:2]
+    assert runs[p7, kept, 0][0].t[-1] == integrate_module.LIMIT_REACH
+    assert runs[p7, kept, 0][0].y == runs[p7, kept, odecore.CENTER_K][0].y[:2]
     asym.integrate_limit_equation(1e40, p7, tol)
-    assert runs[p7, tol, 0][0].t[-1] == pytest.approx(1e80)
+    assert runs[p7, kept, 0][0].t[-1] == pytest.approx(1e80)
     regrown = asym.integrate_limit_equation(asym.DEFAULT_X_MAX, p7, tol)
     assert len(first) == 3
     for a, b, c in zip(first, again, regrown):

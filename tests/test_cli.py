@@ -418,6 +418,16 @@ def test_check_reports_a_missing_constant_solution_zero(monkeypatch, capsys):
     assert all(r[1] == "true" for r in rows if r[0] != "constant_solution_zero")
 
 
+def test_check_at_a_loose_rtol_passes_the_critical_case(capsys):
+    # the ten p = 5 shots step at rtol no looser than the default, as the kept
+    # run does, so their first integral holds its fixed 1e-9 bound at any rtol
+    # the CLI accepts (drift 3.3e-9 at rtol 1e-7 when they stepped at it)
+    assert cli.main(["check", "--rtol", "1e-7"]) == 0
+    _, rows = rows_of(capsys.readouterr().out)
+    assert all(r[1] == "true" for r in rows)
+    assert "critical_case_first_integral" in [r[0] for r in rows]
+
+
 def test_check_runs_every_invariant_past_a_raising_report(monkeypatch, capsys):
     monkeypatch.setattr(diagnostics, "first_crossing_report",
                         _fail_on_call(diagnostics.first_crossing_report, 1))

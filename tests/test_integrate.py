@@ -137,7 +137,8 @@ def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsy
     runs = []
 
     def kept_run():
-        return integrate_module._LIMIT_RUNS[p7, tol, odecore.CENTER_K][0]
+        return integrate_module._LIMIT_RUNS[p7, integrate_module._limit_tol(p7, tol),
+                                            odecore.CENTER_K][0]
 
     def shots():
         read = []
@@ -169,6 +170,16 @@ def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsy
     alone = integrate_module.integrate_limit(x0, V[0], V[1], run.t[-1], p7,
                                              integrate_module._limit_tol(p7, tol))
     assert alone.t == run.t and alone.y == run.y[:2]
+
+
+def test_loose_rtols_read_one_kept_run(p7, monkeypatch):
+    # the kept run steps at rtol no looser than the default and is kept by the
+    # tolerances it steps at, so requests that differ only in a loose rtol
+    # read the run the first one built
+    monkeypatch.setattr(integrate_module, "_LIMIT_RUNS", {})
+    run = integrate_module._limit_run(1e3, p7, Tolerances(rtol=1e-7), "")
+    assert integrate_module._limit_run(1e3, p7, Tolerances(rtol=1e-8), "") is run
+    assert len(integrate_module._LIMIT_RUNS) == 1
 
 
 def test_limit_fits_read_the_center_shots_V0_to_the_bit(p7, tol, monkeypatch):

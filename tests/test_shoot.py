@@ -16,6 +16,12 @@ from blowup.shoot import (
 )
 from reference_values import FAMILY_TABLE, ORACLES
 
+# measured: the kept cone curve lies within 2.9e-11 of direct cone shots
+# (p = 15, rho_mid 0.9) at odd p 7...31 and rho_mid 0.1, 0.3, 0.5 and 0.9, and
+# within 5.2e-13 at p = 7, rho_mid 0.5; at p >= 11 the direct shots' own
+# scatter at rtol 1e-12, not the interpolant, sets that distance
+CURVE_BOUND = 1e-10
+
 
 def test_mismatch_at_tabulated_first_root(p7, tol):
     # the truncated reference values already sit on the matching curve
@@ -24,10 +30,114 @@ def test_mismatch_at_tabulated_first_root(p7, tol):
     il = lightcone_trajectory(b1, 0.5, p7, tol).endpoint()
     F = (ic.u - il.u, (ic.du - il.du) / abs(du_singular(p7, 0.5)))
     assert np.hypot(*F) < 1e-5
-    # the production gap Newton drives to zero carries the same scaling
-    F_newton = shoot._ImageCache(p7, 0.5, tol).F(c1, b1)
-    assert np.hypot(*F_newton) < 1e-5
-    assert F_newton == pytest.approx(F, rel=1e-12, abs=1e-15)
+    # the real-shot gap a row is accepted on carries the same scaling, and
+    # the gap Newton drives to zero reads the kept cone curve in its place
+    shots = shoot._ImageCache(p7, 0.5, tol)
+    F_real = shots.gap(c1, b1)
+    assert np.hypot(*F_real) < 1e-5
+    assert F_real == pytest.approx(F, rel=1e-12, abs=1e-15)
+    assert math.dist(shots.F(c1, b1), F_real) <= CURVE_BOUND
+
+
+def _direct(shots, b):
+    """C1 at b from a direct cone shot, scaled as the curve is."""
+    st = lightcone_trajectory(b, shots.rho_mid, shots.params, shots.cone_tol).endpoint()
+    return st.u, st.du / shots.dscale
+
+
+@pytest.mark.parametrize("p", range(7, 32, 2))
+def test_cone_curve_lies_on_direct_shots(p, tol):
+    params = derive_constants(p)
+    rng = np.random.default_rng(p)
+    for rho_mid in (0.1, 0.3, 0.5, 0.9):
+        shots = shoot._ImageCache(params, rho_mid, tol)
+        assert shots.curve is not None
+        for b in rng.uniform(*shots.span, 30).tolist():
+            assert math.dist(shots.cone(b), _direct(shots, b)) <= CURVE_BOUND, (rho_mid, b)
+
+
+@pytest.mark.parametrize("p", [7, 9, 15, 31])
+@pytest.mark.parametrize("rho_mid", [0.1, 0.5, 0.9])
+def test_cone_curve_slope_is_a_central_difference_of_direct_shots(p, rho_mid, tol):
+    # Richardson's extrapolation of central differences at h and h/2, h a
+    # thousandth of the span, agrees with the curve's slope to <= 3e-10
+    # relative (measured); the 1e-9 forward difference Newton took before
+    # the curve carried the shots' scatter, ~1e-3 relative
+    shots = shoot._ImageCache(derive_constants(p), rho_mid, tol)
+    lo, hi = shots.span
+    h = 1e-3 * (hi - lo)
+    for b in np.random.default_rng(p).uniform(lo + h, hi - h, 5).tolist():
+        d1, d2 = ([(x - y) / (2 * s) for x, y in zip(_direct(shots, b + s), _direct(shots, b - s))]
+                  for s in (h, h / 2))
+        slope = shots.cone(b, 1)
+        assert math.dist(slope, [(4 * y - x) / 3 for x, y in zip(d1, d2)]) <= (
+            1e-8 * math.hypot(*slope)), b
+
+
+def _counted_cone_shots(monkeypatch) -> list:
+    """The b of every cone shot shoot integrates from now on."""
+    bs, real = [], shoot.lightcone_trajectory
+
+    def counted(b, *args):
+        bs.append(b)
+        return real(b, *args)
+
+    monkeypatch.setattr(shoot, "lightcone_trajectory", counted)
+    return bs
+
+
+def test_doubling_the_curve_degree_reuses_every_node(p7, tol, monkeypatch):
+    # at rho_mid 0.1 the last coefficients are ~1e-7 at M = 16 and ~4e-13 at
+    # M = 32; the Lobatto nodes of 16 are every other node of 32, so M = 32
+    # integrates only its 16 new ones
+    monkeypatch.setattr(shoot, "_CONE_CURVES", {})
+    bs = _counted_cone_shots(monkeypatch)
+    curve = shoot._ImageCache(p7, 0.1, tol).curve
+    assert [len(a) for a in curve] == [33, 33, 32, 32]
+    assert len(bs) == len(set(bs)) == 17 + 16
+    assert shoot._ImageCache(p7, 0.1, tol).curve is curve   # kept
+    assert len(bs) == 33
+
+
+def test_a_tail_that_never_converges_reads_direct_shots(p7, tol, u1, monkeypatch):
+    # no tail is below 0 cone rtols: past M = 128 the curve is None, and C1
+    # and its slope come from direct shots at b and b + 1e-9, the same row
+    monkeypatch.setattr(shoot, "_CONE_CURVES", {})
+    monkeypatch.setattr(shoot, "CURVE_TAIL", 0.0)
+    shots = shoot._ImageCache(p7, 0.5, tol)
+    assert shots.curve is None
+    assert shots.cone(0.7) == _direct(shots, 0.7)
+    assert shots.cone(0.7, 1) == tuple((x - y) / 1e-9 for x, y in
+                                       zip(_direct(shots, 0.7 + 1e-9), _direct(shots, 0.7)))
+    bs = _counted_cone_shots(monkeypatch)
+    row = find_solution(1, p7, tol)
+    assert len(bs) > 2
+    assert row.c == pytest.approx(u1.c, rel=1e-9)
+    assert row.b == pytest.approx(u1.b, rel=1e-9)
+    assert row.mismatch <= MISMATCH_ACCEPT
+
+
+def test_a_warm_chain_integrates_one_cone_shot_per_row(p7, tol, monkeypatch):
+    # the kept curve serves every Newton iterate and its b-column; each row
+    # integrates only its accepted cone shot
+    shoot.spectrum(12, p7, tol)
+    bs = _counted_cone_shots(monkeypatch)
+    rows = shoot.spectrum(12, p7, tol).rows
+    assert bs == [r.b for r in rows]
+
+
+def test_a_root_of_a_wrong_curve_is_refused_by_its_real_shots(p7, tol, monkeypatch):
+    # Newton converges on a curve shifted by 1e-6 in u; the real shots of
+    # that root miss by as much, so the row is refused, not returned
+    real = shoot._ImageCache.cone
+
+    def shifted(self, b, d=0):
+        u, du = real(self, b, d)
+        return u + (1e-6 if d == 0 else 0.0), du
+
+    monkeypatch.setattr(shoot._ImageCache, "cone", shifted)
+    with pytest.raises(shoot.SearchError, match="has shot mismatch 1.0"):
+        find_solution(1, p7, tol)
 
 
 def test_constant_solution_through_pipeline(p7, tol):
@@ -139,10 +249,11 @@ def test_sample_curves_includes_limit_amplitude(p7):
 
 
 def test_singular_jacobian_is_a_search_error(p7, tol, monkeypatch):
-    # a mismatch that does not move with b leaves J's second column exactly 0,
+    # a cone curve whose b-derivative is 0 leaves J's second column exactly 0,
     # so its determinant is 0: the 2x2 solve refuses it, with the Newton trace
-    real = shoot._ImageCache.F
-    monkeypatch.setattr(shoot._ImageCache, "F", lambda self, c, b: real(self, c, p7.b0))
+    real = shoot._ImageCache.cone
+    monkeypatch.setattr(shoot._ImageCache, "cone",
+                        lambda self, b, d=0: (0.0, 0.0) if d else real(self, b))
     with pytest.raises(shoot.SearchError, match="^singular mismatch Jacobian$") as info:
         shoot._newton_refine(2.0, 0.69, shoot._ImageCache(p7, 0.5, tol))
     assert [c for c, _ in info.value.trace] == [2.0]
@@ -369,11 +480,14 @@ def test_root_with_wrong_zero_count_is_rejected(p7, tol, monkeypatch):
 
 
 def test_each_shot_is_integrated_once(p7, tol, monkeypatch):
-    # every row assembles its accepted pair from the shots Newton already
-    # integrated, so the rows integrate exactly the distinct shots read; the
-    # limit solution large-c shots start from is integrated on first use, so
-    # it is warmed first and the count does not depend on the test order
+    # every row assembles its accepted centre shot from the shots Newton
+    # already integrated and integrates its one cone shot, so the rows
+    # integrate exactly the distinct centre shots read plus one cone shot
+    # each; the limit solution large-c shots start from and the kept cone
+    # curve are built on first use, so both are warmed first and the count
+    # does not depend on the test order
     center_trajectory(1e3, 0.5, p7, tol)
+    assert shoot._ImageCache(p7, 0.5, tol).curve is not None
     integrations = []
     drive = integrate_module.drive_ode
 
@@ -381,18 +495,17 @@ def test_each_shot_is_integrated_once(p7, tol, monkeypatch):
         integrations.append(1)
         return drive(*args, **kwargs)
 
-    shots = set()
+    centre = set()
     read = shoot._ImageCache.F
 
     def recorded(cache, c, b):
-        shots.add((cache, "center", c))
-        shots.add((cache, "lightcone", b))
+        centre.add((cache, c))
         return read(cache, c, b)
 
     monkeypatch.setattr(integrate_module, "drive_ode", counted)
     monkeypatch.setattr(shoot._ImageCache, "F", recorded)
     assert find_solution(3, p7, tol).zeros == 4
-    assert len(integrations) == len(shots) > 0
+    assert len(integrations) == len(centre) + 3 > 3
     integrations.clear()
     assert constant_solution_result(p7, tol).zeros == 1
     assert len(integrations) == 2
