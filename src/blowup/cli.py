@@ -59,7 +59,7 @@ class RunConfig:
     def from_args(args) -> "RunConfig":
         params = derive_constants(args.p)
         tol = Tolerances(rtol=args.rtol, atol=args.atol)
-        rho_mid = getattr(args, "rho_mid", 0.5)
+        rho_mid = args.rho_mid
         if not 0.0 < rho_mid < 1.0:
             raise ValueError(f"--rho-mid must lie in (0, 1), got {rho_mid:g}")
         if not os.path.isdir(os.path.dirname(args.out) or "."):
@@ -152,7 +152,7 @@ def cmd_spectrum(cfg: RunConfig, args) -> int:
     if args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
     P = cfg.params
-    spec = shoot.SpectrumResult(rows=[], params=P, rho_mid=cfg.rho_mid)
+    spec = shoot.SpectrumResult(rows=[], params=P)
     failed = False
     try:
         for res in shoot.iter_rows(args.n_max, P, cfg.tol, cfg.rho_mid):
@@ -195,7 +195,7 @@ def cmd_profile(cfg: RunConfig, args) -> int:
     rho = np.linspace(lo, hi, args.samples)
     u, du = traj.eval(rho)
     w = rho ** P.alpha * u / P.b_inf - 1.0
-    theta = diag.phase_at(traj, P, rho)
+    theta = diag.phase_at(traj, rho)
     H = diag.eval_energy(rho, u, du, P)
     Q = diag.eval_virial(rho, u, du, P)
     cols = zip(rho, u, du, w, theta, H, Q)
@@ -318,7 +318,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         worst = 0.0
         ok = True
         for r in spec().rows:
-            rep = diag.monotonicity_report(r.trajectory, P)
+            rep = diag.monotonicity_report(r.trajectory)
             ok = ok and rep.passed
             worst = max(worst, max(c.max_rise_scaled for c in rep.checks.values()))
         return ok, "max scaled rise %.3g" % worst
@@ -343,7 +343,7 @@ def _run_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
 
     def constant_solution_zero():
         res0 = shoot.constant_solution_result(P, tol, cfg.rho_mid)
-        zs = diag.w_zero_locations(res0.trajectory, P)
+        zs = diag.w_zero_locations(res0.trajectory)
         target = math.sqrt((P.p - 3.0) / (P.p + 1.0))
         if len(zs) != 1:
             return False, "%d zeros, expected one at %.12f" % (len(zs), target)

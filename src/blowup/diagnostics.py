@@ -4,8 +4,8 @@ Everything here checks a claim the solver's output is supposed to satisfy:
 monotone functionals along the radius, the winding of the deviation phase,
 first-crossing bounds for large center amplitudes, negativity of the
 crossing discriminant, and decay of the continuation beyond the cone.
-The checks consume trajectories (single pieces or center/cone merges) and
-never run the shooting iteration themselves.
+The checks consume trajectories (single pieces or center/cone merges), read
+the exponent off them, and never run the shooting iteration themselves.
 
 Deviation phase.  With w = u/u_singular - 1 the pair (w, rho w') traces a
 spiral around the origin; Theta = atan2(rho w', w) unwrapped along the
@@ -114,14 +114,12 @@ _FUNCTIONALS = {
 
 @dataclass(frozen=True)
 class MonotoneCheck:
-    name: str
-    n_samples: int
+    """One functional along increasing rho; MonotonicityReport.checks keys it by name."""
+
     initial: float
     final: float
     max_rise_scaled: float       # max (v[i+1]-v[i]) / (1+|v[i]|), < 0 if strictly falling
     max_drift_scaled: float      # max |v[i]-v[0]| / (1+|v[0]|), conservation metric
-    min_value: float
-    max_value: float
     passed: bool
 
 
@@ -134,24 +132,22 @@ class MonotonicityReport:
         return all(c.passed for c in self.checks.values())
 
 
-def monotonicity_report(traj, params: ModelParams) -> MonotonicityReport:
-    """Evaluate energy, virial and deviation energy along increasing rho and
-    flag any rise above DRIFT_TOL * (1 + |value|)."""
+def monotonicity_report(traj) -> MonotonicityReport:
+    """Evaluate energy, virial and deviation energy along increasing rho, at
+    the trajectory's own exponent, and flag any rise above DRIFT_TOL * (1 + |value|)."""
     rho, u, du = traj.profile_samples()
     order = rho.argsort()
     rho, u, du = rho[order], u[order], du[order]
     checks = {}
     for name, functional in _FUNCTIONALS.items():
-        vals = functional(rho, u, du, params)
+        vals = functional(rho, u, du, traj.params)
         rises = (vals[1:] - vals[:-1]) / (1.0 + abs(vals[:-1]))
         drift = abs(vals - vals[0]) / (1.0 + abs(float(vals[0])))
         max_rise = float(rises.max()) if len(rises) else 0.0
         checks[name] = MonotoneCheck(
-            name=name, n_samples=len(vals),
             initial=float(vals[0]), final=float(vals[-1]),
             max_rise_scaled=max_rise,
             max_drift_scaled=float(drift.max()),
-            min_value=float(vals.min()), max_value=float(vals.max()),
             passed=max_rise <= DRIFT_TOL)
     return MonotonicityReport(checks=checks)
 
@@ -194,7 +190,7 @@ def _refine(pts, piece, k, t_a, th_a, t_b, w_b, rw_b, depth=0) -> float:
     return _refine(pts, piece, k, t_m, th_m, t_b, w_b, rw_b, depth + 1)
 
 
-def phase_trajectory(traj, params: ModelParams, _chains=None) -> tuple[tuple, ...]:
+def phase_trajectory(traj, _chains=None) -> tuple[tuple, ...]:
     """(rho, w, rho w', theta) of the unwrapped deviation phase along rho, as tuples
     of floats; a step wider than PHASE_MAX_STEP goes through _refine.  _chains
     are the pieces' _piece_chain, when the caller has built them."""
@@ -259,7 +255,7 @@ def _brentq(f, xa: float, xb: float) -> float:
     raise RuntimeError("Failed to converge after 100 iterations.")
 
 
-def w_zero_locations(traj, params: ModelParams) -> list:
+def w_zero_locations(traj) -> list:
     """Zeros of w = u/u_singular - 1 in rho, refined through dense output."""
     zeros = []
     for piece in traj.pieces:
@@ -284,19 +280,21 @@ def w_zero_locations(traj, params: ModelParams) -> list:
     return out
 
 
-def phase_zero_count(traj, params: ModelParams, _chains=None) -> int:
+def phase_zero_count(traj, _chains=None) -> int:
     """Zeros of w counted as gross crossings of the levels pi/2 - k pi."""
     levels = [math.floor((th - 0.5 * math.pi) / math.pi)
-              for th in phase_trajectory(traj, params, _chains)[3]]
+              for th in phase_trajectory(traj, _chains)[3]]
     return sum(abs(b - a) for a, b in zip(levels, levels[1:]))
 
 
-def phase_at(traj, params: ModelParams, rho):
+def phase_at(traj, rho):
     """Unwrapped phase at radii inside the trajectory span: the exact
-    atan2(rho w', w) from dense output, on the branch of the interpolated
-    phase trajectory.  A scalar rho gives a float, an array an array."""
+    atan2(rho w', w) from dense output at the trajectory's own exponent, on the
+    branch of the interpolated phase trajectory.  A scalar rho gives a float,
+    an array an array."""
     import numpy as np
-    rhos, _, _, thetas = phase_trajectory(traj, params)
+    params = traj.params
+    rhos, _, _, thetas = phase_trajectory(traj)
     r = np.asarray(rho, dtype=float)
     if not (rhos[0] <= r.min() and r.max() <= rhos[-1]):
         raise ValueError(f"rho in [{r.min():g}, {r.max():g}] outside sampled span "
@@ -314,9 +312,7 @@ def phase_at(traj, params: ModelParams, rho):
 
 @dataclass(frozen=True)
 class FirstCrossingReport:
-    c: float
-    shrink: float            # d = (p-1)/p
-    crossing_bound: float    # (b_inf/(d c))^{(p-1)/2}
+    crossing_bound: float    # (b_inf/(d c))^{(p-1)/2}, d = (p-1)/p
     rho_first: float
     rw_first: float
     min_w_after: float
@@ -338,21 +334,21 @@ def first_crossing_report(c: float, params: ModelParams,
         raise RuntimeError(f"center trajectory c={c:g} stopped early "
                            f"({traj.termination})")
     # w -> -1 at the center, so the first zero is the first upward crossing
-    zs = w_zero_locations(traj, params)
+    zs = w_zero_locations(traj)
     if len(zs) == 0:
         raise RuntimeError(f"no crossing of the singular solution below "
                            f"rho={CROSSING_RHO_END} for c={c:g}")
     rho1 = float(zs[0])
     rw1 = float(traj.w_of_t(rho1 / traj.rho_per_t())[1])
-    rho, w = phase_trajectory(traj, params)[:2]
+    rho, w = phase_trajectory(traj)[:2]
     after = [wi for ri, wi in zip(rho, w) if ri > rho1]
     min_w = min(after) if after else float("nan")
     floor = -2.0 * params.alpha
     passed = (rho1 < bound * (1.0 + 1e-6)
               and 0.0 < rw1 < params.alpha
               and min_w > floor)
-    return FirstCrossingReport(c=c, shrink=d, crossing_bound=bound, rho_first=rho1,
-                        rw_first=rw1, min_w_after=min_w, floor=floor, passed=passed)
+    return FirstCrossingReport(crossing_bound=bound, rho_first=rho1, rw_first=rw1,
+                               min_w_after=min_w, floor=floor, passed=passed)
 
 
 # -- crossing discriminant ---------------------------------------------------
@@ -371,9 +367,7 @@ def crossing_discriminant(v, params: ModelParams):
 
 @dataclass(frozen=True)
 class DiscriminantReport:
-    p: int
-    v_star: float
-    value_at_v_star: float
+    value_at_v_star: float   # v* = (p-5)/(p-1)
     closed_form: float
     all_negative: bool
     decreasing: bool
@@ -390,7 +384,6 @@ def discriminant_report(params: ModelParams) -> DiscriminantReport:
     grid = np.linspace(v_star, 1.0, DISCRIMINANT_GRID)
     vals = crossing_discriminant(grid, params)
     return DiscriminantReport(
-        p=p, v_star=v_star,
         value_at_v_star=float(vals[0]),
         closed_form=float(closed),
         all_negative=bool(np.all(vals < 0.0)),

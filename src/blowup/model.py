@@ -72,8 +72,6 @@ class ModelParams:
     ratio_b : float
         Predicted limit of (b_{n+1}-b_inf)/(b_inf-b_n), in absolute value,
         with alternating sign built into the family.
-    experimental : bool
-        True for even p, where no existence claims are made.
     """
 
     p: int
@@ -83,12 +81,16 @@ class ModelParams:
     omega: float
     ratio_c: float
     ratio_b: float
-    experimental: bool = False
 
     @property
     def aa1(self) -> float:
         """alpha*(alpha+1), the coefficient of the linear term; equals b0^(p-1)."""
         return self.alpha * (self.alpha + 1.0)
+
+    @property
+    def experimental(self) -> bool:
+        """True for even p, where no existence claims are made."""
+        return self.p % 2 == 0
 
 
 def _derive_unchecked(p: int) -> ModelParams:
@@ -108,15 +110,14 @@ def _derive_unchecked(p: int) -> ModelParams:
         omega=omega,
         ratio_c=ratio_c,
         ratio_b=ratio_b,
-        experimental=(p % 2 == 0),
     )
 
 
 def derive_constants(p: int) -> ModelParams:
     """Build ModelParams for integer p >= 6.
 
-    Odd p >= 7 is the supported regime; even p >= 6 is returned with
-    experimental=True.  Non-integer or p < 6 raises ValueError.
+    Odd p >= 7 is the supported regime; even p >= 6 is returned, its
+    experimental property True.  Non-integer or p < 6 raises ValueError.
     """
     if isinstance(p, bool) or not isinstance(p, int):
         raise ValueError(f"exponent p must be an integer, got {p!r}")

@@ -92,7 +92,8 @@ class SearchError(ShootingError):
 
 @dataclass(eq=False)
 class MergedTrajectory:
-    """Center piece on [rho0, rho_mid] glued to the light-cone piece on [rho_mid, ~1]."""
+    """Center piece on [rho0, rho_mid] glued to the light-cone piece on [rho_mid, ~1];
+    its params are the center piece's."""
 
     center: Trajectory
     lightcone: Trajectory
@@ -102,13 +103,19 @@ class MergedTrajectory:
     def pieces(self) -> tuple[Trajectory, Trajectory]:
         return (self.center, self.lightcone)
 
+    @property
+    def params(self) -> ModelParams:
+        return self.center.params
+
     def profile_samples(self):
+        """(rho, u, du) on the center nodes, then on the cone nodes past rho_mid:
+        one sample per radius, as nodal_index and eval split the pieces."""
         import numpy as np
         rc, uc, dc = self.center.profile_samples()
         rl, ul, dl = self.lightcone.profile_samples()
         if rl[0] > rl[-1]:  # integrated downward from the cone
             rl, ul, dl = rl[::-1], ul[::-1], dl[::-1]
-        keep = rl > rc[-1]
+        keep = rl > self.rho_mid
         return (np.concatenate([rc, rl[keep]]),
                 np.concatenate([uc, ul[keep]]),
                 np.concatenate([dc, dl[keep]]))
@@ -131,14 +138,13 @@ class MergedTrajectory:
 
 @dataclass(eq=False)
 class ShootingResult:
-    """One row of the profile family."""
+    """One row of the profile family; its matching radius is trajectory.rho_mid."""
 
     n: int
     c: float
     b: float
     mismatch: float
     zeros: int
-    rho_mid: float
     trajectory: MergedTrajectory
 
 
@@ -146,7 +152,6 @@ class ShootingResult:
 class SpectrumResult:
     rows: list[ShootingResult]
     params: ModelParams
-    rho_mid: float
 
     def delta_c(self, n: int) -> float:
         """c_{n+1}/c_n; defined while row n+1 exists."""
@@ -303,7 +308,7 @@ def _newton_refine(c0, b0, shots: _ImageCache):
 # -- nodal classification ----------------------------------------------------
 
 
-def nodal_index(traj: MergedTrajectory, params: ModelParams) -> int:
+def nodal_index(traj: MergedTrajectory) -> int:
     """Number of zeros of w: its sign changes on the center nodes, then on the
     cone nodes past rho_mid, so a zero at the junction counts once; no zero is
     located.  Cross-checked by phase winding."""
@@ -311,7 +316,7 @@ def nodal_index(traj: MergedTrajectory, params: ModelParams) -> int:
     past = [w for ti, w in zip(t, wl) if ti * k > traj.rho_mid]
     s = [w > 0.0 for w in (*wc, *past) if w]   # the signs of the nonzero values
     n_sign = sum(a != b for a, b in zip(s, s[1:]))
-    n_phase = _diag.phase_zero_count(traj, params, chains)
+    n_phase = _diag.phase_zero_count(traj, chains)
     if n_sign != n_phase:
         raise ShootingError(
             f"zero counts disagree (sign changes {n_sign}, phase winding {n_phase}); "
@@ -331,13 +336,12 @@ def _assemble(n_label, c, b, shots: _ImageCache) -> ShootingResult:
     norm = math.hypot(*shots.gap(c, b))
     if norm > MISMATCH_ACCEPT:
         raise SearchError(f"refined root (c={c:.6g}, b={b:.6g}) has shot mismatch {norm:.3e}")
-    zeros = nodal_index(merged, shots.params)
+    zeros = nodal_index(merged)
     if zeros != n_label + 1:
         raise SearchError(
             f"refined root (c={c:.6g}, b={b:.6g}) has {zeros} zeros, "
             f"wanted {n_label + 1}")
-    return ShootingResult(n=zeros - 1, c=c, b=b, mismatch=norm, zeros=zeros,
-                          rho_mid=shots.rho_mid, trajectory=merged)
+    return ShootingResult(n=zeros - 1, c=c, b=b, mismatch=norm, zeros=zeros, trajectory=merged)
 
 
 def constant_solution_result(params: ModelParams, tol: Tolerances = Tolerances(),
@@ -402,8 +406,7 @@ def find_solution(n: int, params: ModelParams, tol: Tolerances = Tolerances(),
 def spectrum(n_max: int, params: ModelParams, tol: Tolerances = Tolerances(),
              rho_mid: float = 0.5) -> SpectrumResult:
     """Rows n = 1..n_max of the family (see iter_rows)."""
-    return SpectrumResult(rows=list(iter_rows(n_max, params, tol, rho_mid)),
-                          params=params, rho_mid=rho_mid)
+    return SpectrumResult(rows=list(iter_rows(n_max, params, tol, rho_mid)), params=params)
 
 
 def _linspace(start: float, stop: float, num: int) -> list:

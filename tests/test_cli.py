@@ -404,10 +404,10 @@ def test_check_reports_a_missing_constant_solution_zero(monkeypatch, capsys):
     real = diagnostics.w_zero_locations
     calls = []
 
-    def first_call_empty(traj, params):
+    def first_call_empty(traj):
         # the first call is the constant solution's; later ones pass through
         calls.append(1)
-        return np.array([]) if len(calls) == 1 else real(traj, params)
+        return np.array([]) if len(calls) == 1 else real(traj)
 
     monkeypatch.setattr(diagnostics, "w_zero_locations", first_call_empty)
     assert cli.main(["check"]) == 1

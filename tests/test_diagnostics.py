@@ -52,16 +52,16 @@ def test_deviation_energy_floor_on_profiles(family, p7):
         assert np.all(vals >= floor - 1e-12)
 
 
-def test_monotonicity_on_family(family, p7):
+def test_monotonicity_on_family(family):
     for row in family.rows[:8]:
-        rep = diag.monotonicity_report(row.trajectory, p7)
+        rep = diag.monotonicity_report(row.trajectory)
         assert rep.passed, (row.n, {k: v.max_rise_scaled for k, v in rep.checks.items()})
         assert set(rep.checks) == {"energy", "virial", "deviation_energy"}
 
 
 def test_monotonicity_on_constant_solution(p7, tol):
     res = shoot.constant_solution_result(p7, tol)
-    rep = diag.monotonicity_report(res.trajectory, p7)
+    rep = diag.monotonicity_report(res.trajectory)
     assert rep.passed
     # H is exactly constant there; Q strictly decreases
     assert rep.checks["energy"].max_drift_scaled < 1e-12
@@ -96,10 +96,10 @@ def test_critical_exponent_conserves_virial():
         assert drift < 1e-9
 
 
-def test_phase_count_agrees_with_sign_count(family, p7):
+def test_phase_count_agrees_with_sign_count(family):
     for row in family.rows:
-        zs = diag.w_zero_locations(row.trajectory, p7)
-        assert len(zs) == diag.phase_zero_count(row.trajectory, p7) == row.n + 1
+        zs = diag.w_zero_locations(row.trajectory)
+        assert len(zs) == diag.phase_zero_count(row.trajectory) == row.n + 1
 
 
 def _recursive_phase_walk(traj):
@@ -150,9 +150,9 @@ def _level_crossings(pts):
 def test_phase_walk_on_floats_is_the_recursive_walk_bit_for_bit(family, p7, monkeypatch):
     def same(traj, n):
         ref = _recursive_phase_walk(traj)
-        ours = diag.phase_trajectory(traj, p7)
+        ours = diag.phase_trajectory(traj)
         assert all(np.array_equal(a, b) for a, b in zip(ours, np.array(ref).T))
-        assert diag.phase_zero_count(traj, p7) == _level_crossings(ref) == n + 1
+        assert diag.phase_zero_count(traj) == _level_crossings(ref) == n + 1
         return len(ref)
 
     for row in family.rows:
@@ -167,12 +167,12 @@ def test_phase_walk_on_floats_is_the_recursive_walk_bit_for_bit(family, p7, monk
     with pytest.raises(diag.DegenerateTrajectoryError) as ref:
         _recursive_phase_walk(traj)
     with pytest.raises(diag.DegenerateTrajectoryError, match=re.escape(str(ref.value))):
-        diag.phase_trajectory(traj, p7)
+        diag.phase_trajectory(traj)
 
 
 def test_phase_anchor_and_cone_value_constant_solution(p7, tol):
     res = shoot.constant_solution_result(p7, tol)
-    rho, _, _, theta = diag.phase_trajectory(res.trajectory, p7)
+    rho, _, _, theta = diag.phase_trajectory(res.trajectory)
     # u is identically b0, so the anchor is exact arithmetic: the deviation
     # sits at (x - 1, alpha x) with x = (b0/b_inf) rho^alpha, second quadrant,
     # at the kept run's launch rho = 0.05 b0^{-3} = 0.075 (2.85; it tends to
@@ -185,14 +185,14 @@ def test_phase_anchor_and_cone_value_constant_solution(p7, tol):
     ratio = p7.b0 / p7.b_inf
     theta1 = math.atan2(p7.alpha * ratio, ratio - 1.0)
     assert theta1 == pytest.approx(ORACLES["theta1_const"], rel=1e-12)
-    assert diag.phase_at(res.trajectory, p7, rho[-1]) == pytest.approx(
+    assert diag.phase_at(res.trajectory, rho[-1]) == pytest.approx(
         theta1, abs=5e-3)
 
 
-def test_phase_drops_by_pi_per_family_index(family, p7):
+def test_phase_drops_by_pi_per_family_index(family):
     # each successive profile makes one extra half-turn by any fixed radius
     # inside; the drop approaches exactly pi as the window fills in
-    thetas = [diag.phase_at(row.trajectory, p7, 0.1) for row in family.rows]
+    thetas = [diag.phase_at(row.trajectory, 0.1) for row in family.rows]
     drops = [a - b for a, b in zip(thetas[:-1], thetas[1:])]
     for k, d in enumerate(drops, start=1):
         if k >= 6:
@@ -205,7 +205,7 @@ def test_degenerate_deviation_raises(p7, tol):
     # w = rw = 0 identically: no phase is defined there
     traj = lightcone_trajectory(p7.b_inf, 0.5, p7, tol)
     with pytest.raises(diag.DegenerateTrajectoryError):
-        diag.phase_trajectory(traj, p7)
+        diag.phase_trajectory(traj)
 
 
 def test_first_crossing_bounds(p7, tol):

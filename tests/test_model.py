@@ -86,8 +86,11 @@ def test_domain_validation():
         derive_constants(7.0)
     with pytest.raises(ValueError):
         derive_constants(True)
-    assert derive_constants(6).experimental
-    assert not derive_constants(7).experimental
+
+
+def test_experimental_is_the_parity_of_p():
+    # derived, so no caller can set it against p
+    assert [derive_constants(p).experimental for p in (6, 7, 8, 9)] == [True, False, True, False]
 
 
 def test_singular_solution_closed_form(p7):

@@ -136,3 +136,51 @@ def test_traced_request_counts_its_integrations(capsys):
     counts, _, _ = tracer.summary()
     assert counts["integrate.calls"] > 0
     assert counts["integrate.steps"] > 0 and counts["integrate.rhs_calls"] > 0
+
+
+def _functions(path: Path):
+    """Every def and lambda in one module, nested ones included."""
+    return [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))]
+
+
+def _unread_parameters(fn) -> list[str]:
+    """Parameters of fn that no Name in its body loads, self and cls aside."""
+    a = fn.args
+    params = [x.arg for x in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if x]
+    body = fn.body if isinstance(fn.body, list) else [fn.body]
+    loaded = {n.id for stmt in body for n in ast.walk(stmt)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [p for p in params if p not in loaded and p not in ("self", "cls")]
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is a value a caller sets for nothing; the
+    # subcommand handlers share one (cfg, args) signature, whatever they read
+    unread = [f"{path.stem}.{getattr(fn, 'name', 'lambda')}({p})"
+              for path in MODULES for fn in _functions(path)
+              if not getattr(fn, "name", "").startswith("cmd_")
+              for p in _unread_parameters(fn)]
+    assert unread == [], f"parameters no body reads: {unread}"
+
+
+def _dataclass_fields(path: Path):
+    """(class, field) of every dataclass field in one module."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list):
+            yield from ((node.name, s.target.id) for s in node.body
+                        if isinstance(s, ast.AnnAssign))
+
+
+def test_every_dataclass_field_is_read():
+    # a field nothing reads is written for nobody; matched by attribute name
+    # alone, whatever the object, over the package and its tests (a local
+    # variable of the same name does not count, as in _referenced_names it would)
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    read = {node.attr for path in MODULES + tests
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{cls}.{name}" for path in MODULES
+              for cls, name in _dataclass_fields(path) if name not in read]
+    assert unread == [], f"dataclass fields nothing reads: {unread}"

@@ -145,7 +145,7 @@ def test_constant_solution_through_pipeline(p7, tol):
     assert res.n == 0
     assert res.zeros == 1
     assert res.mismatch < 1e-12
-    zs = w_zero_locations(res.trajectory, p7)
+    zs = w_zero_locations(res.trajectory)
     assert len(zs) == 1
     assert zs[0] == pytest.approx(2.0 ** -0.5, abs=1e-9)
 
@@ -155,7 +155,7 @@ def test_zero_at_the_junction_counts_once(p7, tol):
     # ends on the zero and the cone shot starts on it, and the sign count
     # reads the cone's nodes only past rho_mid
     res = constant_solution_result(p7, tol, rho_mid=2.0 ** -0.5)
-    assert res.zeros == shoot.nodal_index(res.trajectory, p7) == 1
+    assert res.zeros == shoot.nodal_index(res.trajectory) == 1
 
 
 def test_family_matches_reference_table(family):
@@ -279,6 +279,22 @@ def test_merged_trajectory_is_continuous(u1, p7):
     u_hi, du_hi = traj.eval(traj.rho_mid + eps)
     assert float(u_lo) == pytest.approx(float(u_hi), rel=1e-8)
     assert float(du_lo) == pytest.approx(float(du_hi), rel=1e-7)
+
+
+@pytest.mark.parametrize("rho_mid", [0.4269, 0.4476, 0.47])
+def test_glued_samples_hold_one_value_per_radius(p7, tol, rho_mid):
+    # at these rho_mid a row's centre piece ends, back from the chart of c,
+    # 5.6e-17 below rho_mid; cutting the cone's nodes at rho_mid itself keeps
+    # the cone's node there from sitting beside it.  Steps at rtol 1e-12 are
+    # wider than 1e-4 rho, so a gap under 1e-9 rho is one radius read twice
+    for row in shoot.iter_rows(6, p7, tol, rho_mid):
+        rho = row.trajectory.profile_samples()[0]
+        assert (np.diff(rho) > 1e-9 * rho[1:]).all(), row.n
+
+
+def test_merged_trajectory_reads_its_centre_exponent(u1):
+    traj = u1.trajectory
+    assert traj.params is traj.center.params is traj.lightcone.params
 
 
 def test_find_solution_rejects_index_zero(p7, tol):
@@ -474,7 +490,7 @@ def test_newton_trials_combine_no_head(p7, tol, monkeypatch):
 
 def test_root_with_wrong_zero_count_is_rejected(p7, tol, monkeypatch):
     # row 1 wants n + 1 = 2 zeros; the stub counts n + 2
-    monkeypatch.setattr(shoot, "nodal_index", lambda traj, params: 3)
+    monkeypatch.setattr(shoot, "nodal_index", lambda traj: 3)
     with pytest.raises(shoot.SearchError, match="has 3 zeros, wanted 2"):
         find_solution(1, p7, tol)
 
