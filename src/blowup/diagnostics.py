@@ -159,9 +159,10 @@ def _principal(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _piece_chain(piece: Trajectory):
-    """(t ascending in rho, w, rw, k) with k the rho-per-t factor; sequences of floats."""
-    t, w, rw = piece.w_samples()
+def _piece_chain(piece: Trajectory, start: int = 0):
+    """(t ascending in rho, w, rw, k) with k the rho-per-t factor; sequences of floats,
+    from the piece's node start on."""
+    t, w, rw = piece.w_samples(start)
     if len(t) > 1 and t[0] > t[-1]:
         t, w, rw = t[::-1], w[::-1], rw[::-1]
     return t, w, rw, piece.rho_per_t()
@@ -190,16 +191,18 @@ def _refine(pts, piece, k, t_a, th_a, t_b, w_b, rw_b, depth=0) -> float:
     return _refine(pts, piece, k, t_m, th_m, t_b, w_b, rw_b, depth + 1)
 
 
-def phase_trajectory(traj, _chains=None) -> tuple[tuple, ...]:
+def phase_trajectory(traj, _chains=None, _theta=None) -> tuple[tuple, ...]:
     """(rho, w, rho w', theta) of the unwrapped deviation phase along rho, as tuples
     of floats; a step wider than PHASE_MAX_STEP goes through _refine.  _chains
-    are the pieces' _piece_chain, when the caller has built them."""
-    pts, theta = [], None
+    are the pieces' _piece_chain, when the caller has built them; a given _theta
+    is a phase whose branch the first node's is put on, as at a junction."""
+    pts, theta = [], _theta
     atan2, hypot, pi, tau = math.atan2, math.hypot, math.pi, 2.0 * math.pi
     for piece, (t, w, rw, k) in zip(traj.pieces, _chains or map(_piece_chain, traj.pieces)):
         start = atan2(rw[0], w[0])
-        if theta is None:
-            theta = _push(pts, t[0] * k, w[0], rw[0], start)
+        if not pts:
+            theta = _push(pts, t[0] * k, w[0], rw[0],
+                          start if theta is None else theta + _principal(start - theta))
         else:
             # junction: same geometric point up to the matching mismatch
             theta = theta + _principal(start - theta)
@@ -280,11 +283,14 @@ def w_zero_locations(traj) -> list:
     return out
 
 
-def phase_zero_count(traj, _chains=None) -> int:
-    """Zeros of w counted as gross crossings of the levels pi/2 - k pi."""
+def phase_zero_count(traj, _chains=None, _start=(None, 0)) -> int:
+    """Zeros of w counted as gross crossings of the levels pi/2 - k pi.  A walk
+    from a phase and a count, _start = (theta, zeros), puts its first node on
+    theta's branch and adds the zeros below it."""
+    theta, zeros = _start
     levels = [math.floor((th - 0.5 * math.pi) / math.pi)
-              for th in phase_trajectory(traj, _chains)[3]]
-    return sum(abs(b - a) for a, b in zip(levels, levels[1:]))
+              for th in phase_trajectory(traj, _chains, theta)[3]]
+    return zeros + sum(abs(b - a) for a, b in zip(levels, levels[1:]))
 
 
 def phase_at(traj, rho):

@@ -22,7 +22,9 @@ V_0..V_K, K = CENTER_K, are integrated once per (params, tolerances they step
 at) in one kept run with steps controlled on V_0 = U_0, at an rtol no looser
 than the default, and each shot integrates only from rho_s =
 rtol^{1/(2K+2)}.  Outer runs read atol in units of u.  The asymptotic fits
-read U_0 off the K = 0 run, the same to the bit.
+read U_0 off the K = 0 run, the same to the bit.  A nodal count reads a
+shot's head below its cut off one _HeadTable per kept run: V_0's deviation
+phase and zero count, and the bound on what V_1..V_K add to them.
 """
 
 from __future__ import annotations
@@ -480,13 +482,21 @@ class Trajectory:
         rw = ta * (t * du + al * u) / self.params.b_inf
         return w, rw
 
-    def w_samples(self):
-        """(t_grid, w, rho*w') on the accepted-step grid (chart coordinates), as
-        lists: _w_expr node by node."""
+    def w_samples(self, start: int = 0):
+        """(t_grid, w, rho*w') on the accepted-step grid (chart coordinates) from
+        node start on, as lists: _w_expr node by node."""
+        return self._w_lists(self.t[start:], self.y[0][start:], self.y[1][start:])
+
+    def _w_lists(self, ts: list, us: list, dus: list):
         al, bi = self.params.alpha, self.params.b_inf
-        ta = [t ** al for t in self.t]
-        return (self.t, [a * u / bi - 1.0 for a, u in zip(ta, self.y[0])],
-                [a * (t * du + al * u) / bi for a, t, u, du in zip(ta, self.t, *self.y[:2])])
+        ta = [t ** al for t in ts]
+        return (ts, [a * u / bi - 1.0 for a, u in zip(ta, us)],
+                [a * (t * du + al * u) / bi for a, t, u, du in zip(ta, ts, us, dus)])
+
+    def nodal_start(self) -> tuple[int, float | None, int]:
+        """(i, theta, zeros): a nodal count walks from node i, its phase there put
+        on theta's branch, after zeros zeros below it; (0, None, 0), all of it."""
+        return 0, None, 0
 
     def w_of_t(self, tq):
         """(w, rho*w') at arbitrary chart coordinate tq via dense output."""
@@ -593,6 +603,64 @@ def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str,
     return run
 
 
+HEAD_FRACTION = 0.5       # largest E/m below a row's cut: its phase is within pi/6 of V0's
+_HEAD_TABLES: dict = {}   # (params, _limit_tol, K) -> (a kept run, its _HeadTable)
+
+
+class _HeadTable:
+    """V0's deviation w0 = x^alpha V0/b_inf - 1 on a kept run's nodes 0..n-1: its
+    unwrapped phase theta and zero count there, sign and phase counts agreeing on
+    every node; m, the running minimum of its phase radius R0 = |(w0, x w0')|; and
+    M[k-1], k = 1..K, the running maximum of x^alpha |(V_k, x V_k' + (2k+alpha) V_k)|
+    / b_inf.  So a head's (w, rho w') lies within E = sum_k (mu x^2)^k M_k of
+    (w0, x w0') on every node up to x.  A plain class: no dataclass to build at
+    import."""
+
+    __slots__ = ("theta", "zeros", "w", "m", "M")
+
+    def __init__(self, K: int):
+        self.theta, self.zeros, self.w, self.m = array("d"), array("q"), array("d"), array("d")
+        self.M = tuple(array("d") for _ in range(K))
+
+
+def _head_table(run: Trajectory) -> _HeadTable:
+    """The _HeadTable of a kept run, walked on floats as diagnostics walks a phase.
+    It ends at the first node where the sign and phase counts disagree, where R0 <
+    R_DEGENERATE, or where a phase refinement stalls."""
+    from . import diagnostics as diag   # which imports this module
+    al, bi, K = run.params.alpha, run.params.b_inf, len(run.y) // 2 - 1
+    t, w, rw = run.w_samples()
+    table = _HeadTable(K)
+    theta = math.atan2(rw[0], w[0])
+    level = math.floor((theta - 0.5 * math.pi) / math.pi)
+    pts, n_phase, n_sign, sign, r_min, maxima = [], 0, 0, None, math.inf, [0.0] * K
+    for j, x in enumerate(t):
+        try:   # node 0 is pushed at its own phase, as the walk starts
+            theta = diag._refine(pts, run, 1.0, t[max(j - 1, 0)], theta, x, w[j], rw[j])
+        except diag.DegenerateTrajectoryError:
+            break
+        for q in pts:   # the node and the points its refinement pushed
+            new = math.floor((q[3] - 0.5 * math.pi) / math.pi)
+            n_phase, level = n_phase + abs(new - level), new
+        pts.clear()
+        if w[j]:
+            n_sign += sign is not None and (w[j] > 0.0) != sign
+            sign = w[j] > 0.0
+        if n_phase != n_sign:
+            break
+        r_min, xa = min(r_min, math.hypot(w[j], rw[j])), x ** al / bi
+        for k in range(1, K + 1):
+            v = run.y[2 * k][j]
+            maxima[k - 1] = max(maxima[k - 1], xa * math.hypot(v, x * run.y[2 * k + 1][j]
+                                                                + (2 * k + al) * v))
+            table.M[k - 1].append(maxima[k - 1])
+        table.theta.append(theta)
+        table.zeros.append(n_sign)
+        table.w.append(w[j])
+        table.m.append(r_min)
+    return table
+
+
 @functools.cache
 def _sum_kernel(K: int):
     """(point, nodes): u/c = sum_k s^k V_k and its x derivative
@@ -615,24 +683,70 @@ class _CenterShot(Trajectory):
     (mu x^2)^k V_k on the kept run's first k nodes and, pointwise, of its dense
     output (x^{2k} V_k is no polynomial on a step); then the outer run.  It is
     its own dense output.  Newton's trials read only the endpoint, the outer
-    run's; the head's nodes are combined when t or y is first read."""
+    run's; a nodal count combines only the head's nodes from its cut
+    (nodal_start), and the whole head is combined when t or y is first read."""
 
-    def __init__(self, c: float, run: Trajectory, mu: float, k: int, outer: Trajectory):
+    def __init__(self, c: float, run: Trajectory, key: tuple, mu: float, k: int,
+                 outer: Trajectory):
         self.__dict__.update(params=outer.params, c_scale=c, termination=outer.termination,
-                             _run=run.dense, _mu=mu, _k=k, _outer=outer)
+                             _run=run, _key=key, _mu=mu, _k=k, _outer=outer)
 
     dense = property(lambda self: self)
     __repr__ = object.__repr__
 
     @functools.cached_property
     def t(self) -> list:
-        return self._run._t[:self._k] + self._outer.t
+        return self._run.t[:self._k] + self._outer.t
 
     @functools.cached_property
     def y(self) -> tuple:
-        head = _sum_kernel(CENTER_K)[1](self._mu, self._run._t[:self._k],
-                                        [c[:self._k] for c in self._run._y])
-        return tuple(a + b for a, b in zip(head, self._outer.y))
+        return tuple(a + b for a, b in zip(self._head(0), self._outer.y))
+
+    def _head(self, start: int) -> tuple[list, list]:
+        """(U, U') on the head's nodes start..k-1."""
+        return _sum_kernel(CENTER_K)[1](self._mu, self._run.t[start:self._k],
+                                        [c[start:self._k] for c in self._run.y])
+
+    def w_samples(self, start: int = 0):
+        if not start:
+            return super().w_samples()
+        U, dU = self._head(start)
+        return self._w_lists(self._run.t[start:self._k] + self._outer.t,
+                             U + self._outer.y[0], dU + self._outer.y[1])
+
+    def nodal_start(self) -> tuple[int, float | None, int]:
+        """The cut: the last head node x where E <= HEAD_FRACTION m and m - E >=
+        R_DEGENERATE (_HeadTable; both fail from some node on), moved down to a
+        node where |w0| > E and the head's own w has w0's sign.  Below it the head
+        winds as V0 does, so the table's phase and count stand for the walk there;
+        (0, None, 0), the whole walk, if the cut is the first node."""
+        from .diagnostics import R_DEGENERATE   # which imports this module
+        run, mu = self._run, self._mu
+        kept, table = _HEAD_TABLES.get(self._key, (None, None))
+        if kept is not run:
+            table = _head_table(run)
+            _HEAD_TABLES[self._key] = run, table
+
+        def bound(j):   # E at node j, by Horner's rule in s = mu x^2
+            s, e = mu * run.t[j] * run.t[j], 0.0
+            for Mk in reversed(table.M):
+                e = (e + Mk[j]) * s
+            return e
+
+        lo, hi = 0, min(self._k, len(table.m))   # nodes below lo pass, from hi on fail
+        while lo < hi:
+            j = (lo + hi) // 2
+            e, m = bound(j), table.m[j]
+            lo, hi = (j + 1, hi) if e <= HEAD_FRACTION * m and m - e >= R_DEGENERATE else (lo, j)
+        al, bi, point = self.params.alpha, self.params.b_inf, _sum_kernel(CENTER_K)[0]
+        for i in range(lo - 1, 0, -1):
+            w0 = table.w[i]
+            if abs(w0) > bound(i):
+                x = run.t[i]
+                w = x ** al * point(mu, x, *(c[i] for c in run.y))[0] / bi - 1.0
+                if w and (w > 0.0) == (w0 > 0.0):
+                    return i, table.theta[i], table.zeros[i]
+        return 0, None, 0
 
     def endpoint(self) -> ProfileState:
         return self._outer.endpoint()
@@ -640,12 +754,12 @@ class _CenterShot(Trajectory):
     def __call__(self, tq):
         x_s, point, outer = self._outer.t[0], _sum_kernel(CENTER_K)[0], self._outer.dense
         if isinstance(tq, float):
-            return outer(tq) if tq >= x_s else point(self._mu, tq, *self._run(tq))
+            return outer(tq) if tq >= x_s else point(self._mu, tq, *self._run.dense(tq))
         import numpy as np
         q = np.ravel(tq)
         head, y = q < x_s, np.empty((2, len(q)))
         y[:, ~head] = outer(q[~head])
-        y[:, head] = point(self._mu, q[head], *self._run(q[head]))
+        y[:, head] = point(self._mu, q[head], *self._run.dense(q[head]))
         return y[:, 0] if np.ndim(tq) == 0 else y
 
 
@@ -682,7 +796,7 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
     U, dU = point(mu, x_s, *run.dense(x_s))
     outer = integrate_rescaled(c, x_s, U, dU, rho_end * stretch, params, tol,
                                run.t[k] - run.t[k - 1])   # the kept run's step at x_s
-    return _CenterShot(float(c), run, mu, k, outer)
+    return _CenterShot(float(c), run, (params, kept, CENTER_K), mu, k, outer)
 
 
 def lightcone_trajectory(b: float, rho_end: float, params: ModelParams,

@@ -33,7 +33,9 @@ the curve data well conditioned up to its reach.
 Solutions are classified by their nodal index: the number of zeros of
 w = u/u_singular - 1, counted by sign changes on the integration nodes and
 cross-checked against the winding of the phase (w, rho w'); profile n has
-exactly n + 1 zeros.
+exactly n + 1 zeros.  Below a center shot's cut its head winds as the kept
+run's V0 does, so both counts there are read off one table per kept run
+(integrate._HeadTable), and only the nodes from the cut on are walked.
 """
 
 from __future__ import annotations
@@ -311,12 +313,16 @@ def _newton_refine(c0, b0, shots: _ImageCache):
 def nodal_index(traj: MergedTrajectory) -> int:
     """Number of zeros of w: its sign changes on the center nodes, then on the
     cone nodes past rho_mid, so a zero at the junction counts once; no zero is
-    located.  Cross-checked by phase winding."""
-    (_, wc, _, _), (t, wl, _, k) = chains = [_diag._piece_chain(piece) for piece in traj.pieces]
+    located.  Cross-checked by phase winding.  Below a center shot's cut
+    (nodal_start) both counts are its kept run's table's, and the walk starts
+    there on the table's branch."""
+    i, theta, zeros = traj.center.nodal_start()
+    (_, wc, _, _), (t, wl, _, k) = chains = [_diag._piece_chain(traj.center, i),
+                                             _diag._piece_chain(traj.lightcone)]
     past = [w for ti, w in zip(t, wl) if ti * k > traj.rho_mid]
     s = [w > 0.0 for w in (*wc, *past) if w]   # the signs of the nonzero values
-    n_sign = sum(a != b for a, b in zip(s, s[1:]))
-    n_phase = _diag.phase_zero_count(traj, chains)
+    n_sign = zeros + sum(a != b for a, b in zip(s, s[1:]))
+    n_phase = _diag.phase_zero_count(traj, chains, (theta, zeros))
     if n_sign != n_phase:
         raise ShootingError(
             f"zero counts disagree (sign changes {n_sign}, phase winding {n_phase}); "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import blowup
-from blowup import asymptotics, cli, diagnostics, integrate, shoot
+from blowup import asymptotics, cli, diagnostics, integrate, odecore, shoot
 from blowup.integrate import Tolerances
 from blowup.model import derive_constants
 
@@ -343,6 +343,60 @@ def test_shooting_commands_run_without_numpy():
     assert result["numpy"] and result["codes"] == [0] * 8
 
 
+FRESH_SPECTRUM_SCRIPT = """
+import contextlib, io, json, sys
+from blowup import cli, integrate
+at_import = len(integrate._HEAD_TABLES)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["spectrum", "--n-max", "12"])
+print(json.dumps({"code": code, "csv": out.getvalue(), "at_import": at_import,
+                  "tables": len(integrate._HEAD_TABLES), "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_a_family_after_a_regrown_kept_run_prints_a_fresh_processs_csv(p7, tol, monkeypatch,
+                                                                       capsys):
+    # the kept run's head table is built on the first nodal count, none at
+    # import and without numpy, and again when a deeper row regrows the run:
+    # spectrum --n-max 12 before and after a spectrum to row 57 prints what a
+    # fresh process prints, byte for byte
+    monkeypatch.setattr(integrate, "_LIMIT_RUNS", {})
+    monkeypatch.setattr(integrate, "_HEAD_TABLES", {})
+    key = (p7, integrate._limit_tol(p7, tol), odecore.CENTER_K)
+    assert cli.main(["spectrum", "--n-max", "12"]) == 0
+    first = capsys.readouterr().out
+    reach = integrate._LIMIT_RUNS[key][0].t[-1]
+    assert integrate._HEAD_TABLES[key][0] is integrate._LIMIT_RUNS[key][0]
+    assert cli.main(["spectrum", "--n-max", "57"]) == 0
+    capsys.readouterr()
+    run = integrate._LIMIT_RUNS[key][0]
+    assert run.t[-1] > reach and integrate._HEAD_TABLES[key][0] is run
+    assert cli.main(["spectrum", "--n-max", "12"]) == 0
+    assert capsys.readouterr().out == first
+    proc = subprocess.run([sys.executable, "-c", FRESH_SPECTRUM_SCRIPT],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "csv": first, "at_import": 0, "tables": 1,
+                                       "numpy": False}
+
+
+def test_row_58_is_refused_at_its_degenerate_head_node(monkeypatch, capsys):
+    # row 58's phase radius falls below R_DEGENERATE at a node of its head
+    # (rho < rho_s = rtol^(1/14) = 0.139), past the end of the kept run's
+    # table, whose R0 falls below it there too; the cut's rules keep every
+    # node whose radius could be under R_DEGENERATE above the cut, so the
+    # walk reaches it and refuses the row.  The deep rows regrow the kept
+    # run, so they run on kept runs of their own
+    monkeypatch.setattr(integrate, "_LIMIT_RUNS", {})
+    monkeypatch.setattr(integrate, "_HEAD_TABLES", {})
+    assert cli.main(["spectrum", "--n-max", "58", "--rho-mid", "0.5"]) == 1
+    out, err = capsys.readouterr()
+    _, rows = rows_of(out)
+    assert [r[0] for r in rows[-3:]] == ["57", "58", "inf"] and rows[-2][1] == "FAIL"
+    assert "row 58 failed: phase radius 9.73e-13 at rho=0.0789826;" in err
+    assert 0.0789826 < Tolerances().rtol ** (1.0 / 14.0)
+
+
 SET_UP_SCRIPT = """
 import json
 import blowup.cli
@@ -351,17 +405,19 @@ from blowup.model import derive_constants
 derive_constants(7)
 print(json.dumps([f.cache_info().currsize for f in (
     integrate._kernel, integrate._sum_kernel, odecore._chart_closure, odecore.series_rhs,
-    odecore._mu_series, odecore.mu_series_launch)] + [len(integrate._LIMIT_RUNS)]))
+    odecore._mu_series, odecore.mu_series_launch)]
+                 + [len(integrate._LIMIT_RUNS), len(integrate._HEAD_TABLES)]))
 """
 
 
 def test_set_up_generates_no_kernel_and_builds_no_kept_run():
     # importing blowup.cli and deriving p = 7's constants, perfbench's set-up,
     # generates no code and integrates nothing: the step loops, dense output,
-    # series sums and launch, equations and kept runs wait for the first request
+    # series sums and launch, equations, kept runs and their head tables wait
+    # for the first request
     proc = subprocess.run([sys.executable, "-c", SET_UP_SCRIPT], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0] * 7
+    assert json.loads(proc.stdout) == [0] * 8
 
 
 def test_output_file_writing(tmp_path):

@@ -123,7 +123,7 @@ def test_center_trajectory_charts_agree(p7, tol):
 
 def _parts(traj):
     """(kept run, mu, k, outer run), the dense outputs behind a center shot."""
-    return traj._run, traj._mu, traj._k, traj._outer.dense
+    return traj._run.dense, traj._mu, traj._k, traj._outer.dense
 
 
 def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsys):

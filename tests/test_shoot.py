@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blowup import integrate as integrate_module, odecore
+from blowup import diagnostics as diag, integrate as integrate_module, odecore
 from blowup.diagnostics import w_zero_locations
 from blowup.integrate import Tolerances, center_trajectory, lightcone_trajectory
 from blowup.model import derive_constants, du_singular
@@ -466,14 +466,16 @@ def test_loosest_tolerances_keep_the_kept_run_at_the_default_rtol(p, rtol, tol):
 
 def test_newton_trials_combine_no_head(p7, tol, monkeypatch):
     # a centre shot's nodes below x_s, sum (mu x^2)^k V_k on the kept run's
-    # nodes, are combined when the nodal count first reads them: Newton's
-    # trials read only the endpoint, so each row combines one head, its
-    # accepted shot's
+    # nodes, are combined only where the nodal count reads them: Newton's
+    # trials read only the endpoint, and each row combines the head nodes of
+    # its accepted shot from its cut on, never the whole head; the kept run and
+    # its table are warmed first, so a warm chain is what is counted
+    center_trajectory(1e3, 0.5, p7, tol).nodal_start()
     point, nodes = integrate_module._sum_kernel(odecore.CENTER_K)
     combined, shots = [], []
 
     def counted(mu, t, y):
-        combined.append(mu)
+        combined.append((mu, len(t)))
         return nodes(mu, t, y)
 
     def recorded(c, *args):
@@ -485,7 +487,10 @@ def test_newton_trials_combine_no_head(p7, tol, monkeypatch):
     monkeypatch.setattr(shoot, "center_trajectory", recorded)
     rows = list(shoot.iter_rows(3, p7, tol))
     assert len(shots) > 3 * len(rows)
-    assert combined == [r.c ** -(p7.p - 1) for r in rows]
+    heads = [r.trajectory.center for r in rows]
+    assert all("y" not in h.__dict__ and 0 < h.nodal_start()[0] < h._k for h in heads)
+    assert combined == [(r.c ** -(p7.p - 1), h._k - h.nodal_start()[0])
+                        for r, h in zip(rows, heads)]
 
 
 def test_root_with_wrong_zero_count_is_rejected(p7, tol, monkeypatch):
@@ -525,3 +530,104 @@ def test_each_shot_is_integrated_once(p7, tol, monkeypatch):
     integrations.clear()
     assert constant_solution_result(p7, tol).zeros == 1
     assert len(integrations) == 2
+
+
+# -- nodal counts off the kept run's head table ----------------------------
+
+
+def _full_walk_count(traj):
+    """nodal_index as it ran before the kept run's head table, kept as its
+    reference: sign changes and phase winding on every node of both pieces."""
+    (_, wc, _, _), (t, wl, _, k) = chains = [diag._piece_chain(piece) for piece in traj.pieces]
+    past = [w for ti, w in zip(t, wl) if ti * k > traj.rho_mid]
+    s = [w > 0.0 for w in (*wc, *past) if w]
+    n_sign = sum(a != b for a, b in zip(s, s[1:]))
+    assert n_sign == diag.phase_zero_count(traj, chains)
+    return n_sign
+
+
+# rows each family reaches at rho_mid 0.5 (and p = 7 at 0.3 and 0.4269) before
+# a row is refused, the same with the table as with the full walk
+FAMILY_DEPTH = {7: 57, 9: 39, 11: 33, 13: 30, 15: 27, 17: 27, 19: 26, 21: 25, 23: 25,
+                25: 24, 27: 24, 29: 23, 31: 23}
+
+
+@pytest.mark.parametrize("p, rho_mid", [(7, 0.3), (7, 0.4269), *((p, 0.5) for p in FAMILY_DEPTH)])
+def test_nodal_counts_off_the_head_table_are_the_full_walks(p, rho_mid, tol, monkeypatch):
+    # below each row's cut its zeros are read off the kept run's table of V0:
+    # every row, as deep as the family goes, counts what a walk of every node
+    # counts, and each walks at most 15% of its head (measured: 5.2% of the
+    # head nodes at p = 7, 11% at p = 31).  The deep rows regrow the kept
+    # run, so they run on kept runs of their own
+    monkeypatch.setattr(integrate_module, "_LIMIT_RUNS", {})
+    monkeypatch.setattr(integrate_module, "_HEAD_TABLES", {})
+    params = derive_constants(p)
+    rows = walked = heads = 0
+    with pytest.raises((shoot.ShootingError, diag.DegenerateTrajectoryError)):
+        for row in shoot.iter_rows(80, params, tol, rho_mid):
+            center = row.trajectory.center
+            cut = center.nodal_start()[0]
+            assert 0 < cut < center._k
+            assert (shoot.nodal_index(row.trajectory) == _full_walk_count(row.trajectory)
+                    == row.n + 1)
+            rows, walked, heads = rows + 1, walked + center._k - cut, heads + center._k
+    assert rows == FAMILY_DEPTH[p]
+    assert walked < 0.15 * heads
+
+
+def test_the_head_table_is_the_phase_walk_of_v0_and_bounds_every_head(family):
+    # the table holds the walk of V0's deviation on the kept run's nodes, to the
+    # bit; on every head node below x a row's (w, rho w') lies within E(x) =
+    # sum_k (mu x^2)^k M_k(x) of V0's; and each row's cut is the last head node
+    # where E <= m/2, m - E >= R_DEGENERATE and |w0| > E
+    center = family.rows[0].trajectory.center
+    run = center._run
+    center.nodal_start()   # the table of this run, whatever ran before
+    table = integrate_module._HEAD_TABLES[center._key][1]
+    assert integrate_module._HEAD_TABLES[center._key][0] is run
+    n = len(table.m)
+    t, w0, rw0 = (v[:n] for v in run.w_samples())
+    pts, at_nodes = diag.phase_trajectory(run, [(t, w0, rw0, 1.0)]), set(t)
+    nodes = [j for j, rho in enumerate(pts[0]) if rho in at_nodes]
+    assert [pts[3][j] for j in nodes] == list(table.theta) and list(table.w) == w0
+    levels = [math.floor((th - 0.5 * math.pi) / math.pi) for th in pts[3]]
+    crossings = [sum(abs(b - a) for a, b in zip(levels[:j], levels[1:j + 1])) for j in nodes]
+    signs = [v > 0.0 for v in w0]
+    assert list(table.zeros) == crossings == [
+        sum(a != b for a, b in zip(signs[:j], signs[1:j + 1])) for j in range(n)]
+    assert list(table.m) == [min(map(math.hypot, w0[:j + 1], rw0[:j + 1])) for j in range(n)]
+    for row in family.rows:
+        head = row.trajectory.center
+        mu, k, cut = head._mu, head._k, head.nodal_start()[0]
+        _, w, rw = head.w_samples()
+        E = [sum((mu * x * x) ** (i + 1) * M[j] for i, M in enumerate(table.M))
+             for j, x in enumerate(t[:k])]
+        for j in range(min(k, n)):
+            assert math.hypot(w[j] - w0[j], rw[j] - rw0[j]) <= E[j] * (1 + 1e-12) + 1e-15
+        passes = [E[j] <= 0.5 * table.m[j] and table.m[j] - E[j] >= diag.R_DEGENERATE
+                  and abs(w0[j]) > E[j] for j in range(min(k, n))]
+        assert passes[cut] and not any(passes[cut + 1:])
+
+
+def test_a_head_whose_bound_fails_at_its_first_node_walks_it_all(p7, tol, family, monkeypatch):
+    # the constant solution's four head nodes take the table, and a plain-chart
+    # shot (c = 0.5, below the kept run's launch; or the constant solution at
+    # p = 31) has no head to take it for; with no room left for the k >= 1
+    # terms every cut is the first node, and every count walks the whole head
+    # and counts the same
+    plain = shoot.MergedTrajectory(center_trajectory(0.5, 0.5, p7, tol),
+                                   lightcone_trajectory(0.8, 0.5, p7, tol), 0.5)
+    constant = constant_solution_result(p7, tol).trajectory
+    trajs = [row.trajectory for row in family.rows] + [
+        constant, plain, constant_solution_result(derive_constants(31), tol).trajectory]
+    assert constant.center.nodal_start()[0] == 3 == constant.center._k - 1
+    for traj in trajs[-2:]:
+        assert not isinstance(traj.center, integrate_module._CenterShot)
+        assert traj.center.nodal_start() == (0, None, 0)
+    counts = [_full_walk_count(traj) for traj in trajs]
+    assert [shoot.nodal_index(traj) for traj in trajs] == counts
+    monkeypatch.setattr(integrate_module, "HEAD_FRACTION", 0.0)
+    for traj in trajs:
+        assert traj.center.nodal_start() == (0, None, 0)
+    assert [shoot.nodal_index(traj) for traj in trajs] == counts
+    assert counts == [row.n + 1 for row in family.rows] + [1, 1, 1]
