@@ -15,6 +15,7 @@ diffed across machines and the plots regenerated exactly.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import numbers
@@ -506,8 +507,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# one parser per process: building it takes ~1.7 ms and leaves ~500 objects in
+# reference cycles per call, which a long-lived caller's memory peak carries
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     args = ap.parse_args(argv)
     try:
         cfg = RunConfig.from_args(args)

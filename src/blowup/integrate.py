@@ -20,11 +20,12 @@ unchanged.
 Center shots share their inner part u/c = sum_k rho^{2k} V_k(x) (odecore):
 V_0..V_K, K = CENTER_K, are integrated once per (params, tolerances they step
 at) in one kept run with steps controlled on V_0 = U_0, at an rtol no looser
-than the default, and each shot integrates only from rho_s =
-rtol^{1/(2K+2)}.  Outer runs read atol in units of u.  The asymptotic fits
-read U_0 off the K = 0 run, the same to the bit.  A nodal count reads a
-shot's head below its cut off one _HeadTable per kept run: V_0's deviation
-phase and zero count, and the bound on what V_1..V_K add to them.
+than the default, and each shot integrates only from the run's last node at
+or below rho_s = rtol^{1/(2K+2)}, started from that node's values, not from
+the run's interpolant.  Outer runs read atol in units of u.  The
+asymptotic fits read U_0 off the K = 0 run, the same to the bit.  A nodal
+count reads a shot's head below its cut off one _HeadTable per kept run: V_0's
+deviation phase and zero count, and the bound on what V_1..V_K add to them.
 """
 
 from __future__ import annotations
@@ -562,11 +563,11 @@ _LIMIT_RUNS: dict = {}   # (params, _limit_tol, K) -> (the kept run, its reach, 
 
 def _limit_tol(params: ModelParams, tol: Tolerances) -> Tolerances:
     """rtol, never looser than the default (steps sized on V0 at rtol 1e-7 let
-    the stiff -2k(2k+1)/x^2 modes of V_5 and V_6 grow, V_6 by 16 at x = 2.16),
-    and an atol that holds every shot's atol in units of u where it reads V0:
-    the outer run of amplitude c holds (U, U') to atol/c, and c is at most
-    2^{1074/(p-1)}, where mu = c^{-(p-1)} leaves the floats.  An atol whose
-    scaled value underflows to 0 is a ValueError naming p's floor."""
+    the stiff -2k(2k+1)/x^2 modes of the last V_k grow; at K = 6, V_6 by 16 at
+    x = 2.16), and an atol that holds every shot's atol in units of u where it
+    reads V0: the outer run of amplitude c holds (U, U') to atol/c, and c is at
+    most 2^{1074/(p-1)}, where mu = c^{-(p-1)} leaves the floats.  An atol
+    whose scaled value underflows to 0 is a ValueError naming p's floor."""
     scale = 2.0 ** (-1074 / (params.p - 1))
     if tol.atol * scale == 0.0:
         raise ValueError(f"atol {tol.atol!r} is under p = {params.p}'s floor ~"
@@ -579,9 +580,10 @@ def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str,
     """The kept run of (V_0, V_0', ..., V_K, V_K') from odecore.mu_series_launch
     for a center shot (K = CENTER_K) or fit (K = 0) that reads it up to x,
     steps controlled on V_0 at _limit_tol (so V_0 is the same for every K),
-    with drive_ode's dense output like every run.  The first run ends at
-    LIMIT_REACH; one whose last full step ends before x is replaced by one to
-    max(x^2, LIMIT_REACH), at most LIMIT_FAR.  Only the last step is cut to a run's end, so what is read does
+    with drive_ode's dense output like every run and its components held as
+    arrays of doubles.  The first run ends at LIMIT_REACH; one whose last full
+    step ends before x is replaced by one to max(x^2, LIMIT_REACH), at most
+    LIMIT_FAR.  Only the last step is cut to a run's end, so what is read does
     not depend on the order of the calls.  Past the run's reach, its last full
     step or last node before U0 turns nonpositive (the true U0 never does), x
     raises a ValueError naming subject."""
@@ -591,8 +593,10 @@ def _limit_run(x: float, params: ModelParams, tol: Tolerances, subject: str,
                           and run.termination == TERM_REACHED_END):
         x0, V = mu_series_launch(params, tol.rtol, tol.atol)
         end = min(max(x * x, LIMIT_REACH), LIMIT_FAR) if run else LIMIT_REACH
-        run = Trajectory(params, 1.0, *drive_ode(series_rhs(params, K), x0, V[:2 * K + 2], end,
-                                                 tol, 1.0e3))
+        rhs = series_rhs(params, K)
+        t, y, _, term = drive_ode(rhs, x0, V[:2 * K + 2], end, tol, 1.0e3)
+        y = tuple(array("d", c) for c in y)   # a quarter of the memory of float objects
+        run = Trajectory(params, 1.0, t, y, _DenseOutput(rhs, t, y), term)
         bad = next((i for i, u in enumerate(run.y[0][:-1]) if u <= 0.0), None)
         reach = run.t[-2] if bad is None else run.t[bad - 1]
         why = f"full step ({run.termination})" if bad is None else "positive node"
@@ -679,12 +683,13 @@ def _sum_kernel(K: int):
 
 
 class _CenterShot(Trajectory):
-    """A center shot in the chart of c: below the outer run's start x_s, sum_k
-    (mu x^2)^k V_k on the kept run's first k nodes and, pointwise, of its dense
-    output (x^{2k} V_k is no polynomial on a step); then the outer run.  It is
-    its own dense output.  Newton's trials read only the endpoint, the outer
-    run's; a nodal count combines only the head's nodes from its cut
-    (nodal_start), and the whole head is combined when t or y is first read."""
+    """A center shot in the chart of c: below the outer run's start, the kept
+    run's node k, sum_k (mu x^2)^k V_k on the kept run's first k nodes and,
+    pointwise, of its dense output (x^{2k} V_k is no polynomial on a step);
+    then the outer run.  It is its own dense output.  Newton's trials read only
+    the endpoint, the outer run's; a nodal count combines only the head's nodes
+    from its cut (nodal_start), and the whole head is combined when t or y is
+    first read."""
 
     def __init__(self, c: float, run: Trajectory, key: tuple, mu: float, k: int,
                  outer: Trajectory):
@@ -766,10 +771,11 @@ class _CenterShot(Trajectory):
 def center_trajectory(c: float, rho_end: float, params: ModelParams,
                       tol: Tolerances = Tolerances()) -> Trajectory:
     """The center shot u(0) = c out to rho_end: u/c = sum_{k<=K} rho^{2k} V_k(x),
-    K = CENTER_K, up to x_s = rho_s c^{(p-1)/2}, read off the kept run's nodes
-    and dense output in the chart of c, then the exact rescaled equation from
-    x_s, first trying the kept run's step there; or, with x_s below the kept
-    run's launch, read off the series and continued in the plain chart.
+    K = CENTER_K, up to the kept run's last node x_k <= x_s = rho_s c^{(p-1)/2},
+    read off its nodes in the chart of c, then the exact rescaled equation from
+    x_k, started from node k's own values and first trying the run's step
+    from there; or, with x_s below the kept run's launch, read off the series
+    at x_s and continued in the plain chart.
     rho_s = rtol^{1/(2K+2)}, where the first term left out, ~rho^{2K+2}, is
     ~rtol, moves in to rho_end/2 but not below rtol^{1/4}."""
     if c <= 0.0:
@@ -792,10 +798,11 @@ def center_trajectory(c: float, rho_end: float, params: ModelParams,
         U, dU = point(mu, x_s, *mu_series_values(x_s, params))
         return integrate(ProfileState(rho_s, c * U, c * stretch * dU), rho_end, params, tol)
     run = _limit_run(x_s, params, tol, f"center amplitude c={c:g}")
-    k = bisect.bisect_left(run.t, x_s)
-    U, dU = point(mu, x_s, *run.dense(x_s))
-    outer = integrate_rescaled(c, x_s, U, dU, rho_end * stretch, params, tol,
-                               run.t[k] - run.t[k - 1])   # the kept run's step at x_s
+    # the last node at or below x_s whose step is a full one, not the run's cut last
+    k = min(bisect.bisect_right(run.t, x_s), len(run.t) - 2) - 1
+    U, dU = point(mu, run.t[k], *(v[k] for v in run.y))
+    outer = integrate_rescaled(c, run.t[k], U, dU, rho_end * stretch, params, tol,
+                               run.t[k + 1] - run.t[k])   # the kept run's step from there
     return _CenterShot(float(c), run, (params, kept, CENTER_K), mu, k, outer)
 
 

@@ -16,8 +16,11 @@ the plain equation, mu = c^{-(p-1)} the exact large-amplitude rescaling
 x = rho c^{(p-1)/2}, U = u/c, and mu = 0 its limit equation
 U'' + (2/x) U' + U^p = 0.  In the chart of c a center shot is
 u/c = sum_k rho^{2k} V_k(x), V_k = U_k x^{-2k} with U_k its mu^k coefficient:
-one solution for every c, V_0 = U_0 the limit solution.  With tt = 2 + 2 alpha
-and P_k the rho^{2k} coefficient of (sum_j rho^{2j} V_j)^p (series_rhs),
+one solution for every c, V_0 = U_0 the limit solution.  Shots keep k <= K
+= CENTER_K = 8, whose kept run has 2K + 2 = 18 components, and start on its
+last node at or below rho = rtol^{1/(2K+2)}, where the first term left out is
+~rtol (integrate.center_trajectory).  With tt = 2 + 2 alpha and P_k the
+rho^{2k} coefficient of (sum_j rho^{2j} V_j)^p (series_rhs),
     V_k'' = V_{k-1}'' + (4(k-1) + tt) V_{k-1}'/x - (4k+2) V_k'/x - P_k
             + ((2(k-1)(2k-3) + 2(k-1) tt + aa1) V_{k-1} - 2k(2k+1) V_k)/x^2,
 launched from the center recurrence with coefficients polynomial in mu
@@ -57,7 +60,7 @@ __all__ = [
 ]
 
 SERIES_ORDER = 6  # truncation of every series launch
-CENTER_K = 6      # center shots sum rho^{2k} V_k for k = 0..CENTER_K
+CENTER_K = 8      # center shots sum rho^{2k} V_k for k = 0..CENTER_K
 
 
 class SeriesRangeError(ValueError):

@@ -18,17 +18,18 @@ midpoint mismatch
 
     F(c, b) = ( u_C0 - u_C1,  (u'_C0 - u'_C1) / |u_singular'(rho_mid)| )
 
-whose Jacobian's ln c column is a forward difference and b column exact:
-C1 is read off one kept Chebyshev interpolant per (p, cone tolerances,
-rho_mid), and the accepted pair's cone piece is integrated at assembly,
-where its real gap must pass.  Every entry point builds the family by one
-rule: starting at the exact constant solution (n, c, b) = (0, b0, b0), row
-n+1 is seeded by extrapolating the chain's own quotients c_{k+1}/c_k and
-(b_{k+1}-b_inf)/(b_inf-b_k) towards their limits ratio_c and ratio_b, and
-that seed gets exactly one Newton solve.  Center shots start from a series
-in rho^2 whose coefficients one kept run shares among all of them, and
-integrate only their outer part in the exact rescaled chart, which keeps
-the curve data well conditioned up to its reach.
+whose Jacobian's b column is exact and ln c column a forward difference
+at the seed, then the secant of C0 = F + C1 to each trial, so a solve takes
+one finite-difference shot: C1 is read off one kept Chebyshev interpolant per
+(p, cone tolerances, rho_mid), and the accepted pair's cone piece is
+integrated at assembly, where its real gap must pass.  Every entry point
+builds the family by one rule: starting at the exact constant solution
+(n, c, b) = (0, b0, b0), row n+1 is seeded by extrapolating the chain's own
+quotients c_{k+1}/c_k and (b_{k+1}-b_inf)/(b_inf-b_k) towards their limits
+ratio_c and ratio_b, and that seed gets exactly one Newton solve.  Center shots start from a series
+in rho^2 whose coefficients one kept run shares among all of them, on one of
+its nodes, and integrate only their outer part in the exact rescaled chart,
+which keeps the curve data well conditioned up to its reach.
 
 Solutions are classified by their nodal index: the number of zeros of
 w = u/u_singular - 1, counted by sign changes on the integration nodes and
@@ -272,14 +273,15 @@ def _newton_refine(c0, b0, shots: _ImageCache):
     F = shots.F(math.exp(s), b)
     norm = math.hypot(*F)
     trace = [(c0, norm)]
+    if norm >= target:
+        # dF/d ln c by a forward difference at the seed, its step growing with c as
+        # |dF/d ln c| decays like c^{-(p-5)/4}; each trial then replaces it (below)
+        ds = 1e-7 * max(1.0, (c0 / 100.0) ** 0.5)
+        j00, j10 = ((x - f) / ds for x, f in zip(shots.F(math.exp(s + ds), b), F))
     for _ in range(NEWTON_MAX_ITER):
         if norm < target:
             break
-        c = math.exp(s)
-        # J: dF/d ln c by a forward difference, its step growing with c as |dF/d ln c| decays
-        # like c^{-(p-5)/4}, and dF/db = -dC1/db off the curve; J^{-1} F by Cramer's rule
-        ds = 1e-7 * max(1.0, (c / 100.0) ** 0.5)
-        j00, j10 = ((x - f) / ds for x, f in zip(shots.F(math.exp(s + ds), b), F))
+        # dF/db = -dC1/db off the curve; J^{-1} F by Cramer's rule
         j01, j11 = (-v for v in shots.cone(b, 1))
         det = j00 * j11 - j01 * j10
         if det == 0.0:
@@ -293,6 +295,9 @@ def _newton_refine(c0, b0, shots: _ImageCache):
             if shots.span[0] <= b_t <= shots.span[1] and abs(s_t - s) < 2.0:
                 Ft = shots.F(math.exp(s_t), b_t)
                 nt = math.hypot(*Ft)
+                if s_t != s:   # dF/d ln c: C0's secant to the trial, C0 = F + C1, no shot
+                    j00, j10 = ((x + y - (f + z)) / (s_t - s) for x, y, f, z in
+                                zip(Ft, shots.cone(b_t), F, shots.cone(b)))
                 if nt < norm:
                     s, b, F, norm = s_t, b_t, Ft, nt
                     improved = True

@@ -382,7 +382,7 @@ def test_a_family_after_a_regrown_kept_run_prints_a_fresh_processs_csv(p7, tol, 
 
 def test_row_58_is_refused_at_its_degenerate_head_node(monkeypatch, capsys):
     # row 58's phase radius falls below R_DEGENERATE at a node of its head
-    # (rho < rho_s = rtol^(1/14) = 0.139), past the end of the kept run's
+    # (rho < rho_s = rtol^(1/(2K+2)) = 0.215), past the end of the kept run's
     # table, whose R0 falls below it there too; the cut's rules keep every
     # node whose radius could be under R_DEGENERATE above the cut, so the
     # walk reaches it and refuses the row.  The deep rows regrow the kept
@@ -394,7 +394,7 @@ def test_row_58_is_refused_at_its_degenerate_head_node(monkeypatch, capsys):
     _, rows = rows_of(out)
     assert [r[0] for r in rows[-3:]] == ["57", "58", "inf"] and rows[-2][1] == "FAIL"
     assert "row 58 failed: phase radius 9.73e-13 at rho=0.0789826;" in err
-    assert 0.0789826 < Tolerances().rtol ** (1.0 / 14.0)
+    assert 0.0789826 < Tolerances().rtol ** (1.0 / (2 * odecore.CENTER_K + 2))
 
 
 SET_UP_SCRIPT = """

@@ -96,21 +96,23 @@ def test_cone_crossing_rejected(p7, tol):
 
 def test_center_trajectory_charts_agree(p7, tol):
     # the same profile through the plain launch and the series in rho^2; the
-    # start x_s = rtol^{1/14} c^3 passes the kept run's launch x0 = 0.05 at
-    # c = 0.711, so c = 0.70 reads the series at rho_s and continues in the
-    # plain chart, and c = 0.72 reads the kept run, whose nodes below x_s are
-    # the shot's, and continues in its own chart
+    # start x_s = rtol^{1/(2K+2)} c^3 passes the kept run's launch x0 = 0.05 at
+    # c = 0.615, so c = 0.60 reads the series at rho_s and continues in the
+    # plain chart, and c = 0.72 starts on the kept run's last node below x_s,
+    # whose nodes below that are the shot's, and continues in its own chart
     x0 = odecore.mu_series_launch(p7, tol.rtol, tol.atol)[0]
-    rho_s = tol.rtol ** (1.0 / 14.0)
-    assert x0 == 0.05 and rho_s * 0.70 ** 3.0 < x0 < rho_s * 0.72 ** 3.0
-    lo = center_trajectory(0.70, 0.6, p7, tol)
+    rho_s = tol.rtol ** (1.0 / (2 * odecore.CENTER_K + 2))
+    assert x0 == 0.05 and rho_s * 0.60 ** 3.0 < x0 < rho_s * 0.72 ** 3.0
+    lo = center_trajectory(0.60, 0.6, p7, tol)
     hi = center_trajectory(0.72, 0.6, p7, tol)
     assert lo.termination == hi.termination == TERM_REACHED_END
     assert lo.c_scale == 1.0 and hi.c_scale == 0.72
-    assert lo.t[0] == rho_s and hi.t[0] == x0 and rho_s * 0.72 ** 3.0 in hi.t
+    k, run = hi._k, hi._run.t
+    assert lo.t[0] == rho_s and hi.t[0] == x0 and k > 0 and hi.t[:k + 1] == run[:k + 1]
+    assert run[k] <= rho_s * 0.72 ** 3.0 < run[k + 1]
     # cross-check both against the plain launch, from rho_s out, and c = 0.72
     # on the kept run's nodes below it
-    for traj, c, rho in ((lo, 0.70, np.linspace(rho_s, 0.6, 23)),
+    for traj, c, rho in ((lo, 0.60, np.linspace(rho_s, 0.6, 23)),
                          (hi, 0.72, np.append(np.linspace(rho_s, 0.6, 23),
                                               np.geomspace(x0 / 0.72 ** 3, rho_s, 9)))):
         rho0, u, du, _ = center_launch(c, p7, tol.rtol, tol.atol)
@@ -127,14 +129,15 @@ def _parts(traj):
 
 
 def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsys):
-    # the kept run of V0..V6 is integrated on first use and regrown to x_s^2
-    # when a shot's start x_s = rtol^{1/14} c^3 lies past its last full step; a
-    # shot reads only steps that do not depend on the run's end.  c = 8.9e5
-    # starts at x_s = 9.8e16, inside the last step of the first run (to 1e17,
-    # last full step at 9.5e16), which is cut to that end, so it regrows the
-    # run first; c = 1e16 regrows it to x_s^2 = 1.9e94
+    # the kept run of V0..V_K is integrated on first use and regrown to x_s^2
+    # when a shot's start x_s = rtol^{1/(2K+2)} c^3 lies past its last full
+    # step; a shot reads only nodes and steps that do not depend on the run's
+    # end.  c = 7.7e5 has x_s = 9.8e16, inside the last step of the first run
+    # (to 1e17, last full step at 9.5e16), which is cut to that end, so it
+    # regrows the run first; c = 1e16 regrows it to x_s^2 = 4.6e94
     monkeypatch.setattr(integrate_module, "_LIMIT_RUNS", {})
     runs = []
+    rho_s = tol.rtol ** (1.0 / (2 * odecore.CENTER_K + 2))
 
     def kept_run():
         return integrate_module._LIMIT_RUNS[p7, integrate_module._limit_tol(p7, tol),
@@ -142,34 +145,35 @@ def test_large_c_start_does_not_depend_on_call_order(p7, tol, monkeypatch, capsy
 
     def shots():
         read = []
-        for c in (1e3, 8.9e5):
+        for c in (1e3, 7.7e5):
             traj = center_trajectory(c, 0.5, p7, tol)
             run, _, k, _ = _parts(traj)
-            # the shot, and the steps of V0..V6 it reads with their interpolant
-            read += [traj.t, traj.y, run._t[:k + 1], [c[:k + 1] for c in run._y],
-                     _coefficients(run)[:k], _coefficients(_parts(traj)[3])]
+            # the shot, and the nodes of V0..V_K it reads: its start node and
+            # the step from there, and the head below it
+            read += [traj.t, traj.y, run._t[:k + 2], [c[:k + 1] for c in run._y],
+                     _coefficients(_parts(traj)[3])]
             runs.append(kept_run())
         return read
 
     first = shots()
     assert runs[0].t[-1] == integrate_module.LIMIT_REACH
-    x_s = tol.rtol ** (1.0 / 14.0) * 8.9e5 ** 3
+    x_s = rho_s * 7.7e5 ** 3
     assert runs[0].t[-2] < x_s < integrate_module.LIMIT_REACH
     assert runs[1].t[-1] == pytest.approx(x_s ** 2)
     center_trajectory(1e16, 0.5, p7, tol)
-    assert kept_run().t[-1] == pytest.approx((tol.rtol ** (1.0 / 14.0) * 1e48) ** 2)
+    assert kept_run().t[-1] == pytest.approx((rho_s * 1e48) ** 2)
     again = shots()
     assert cli.main(["limit"]) == 0
     capsys.readouterr()
     for a, b, c in zip(first, again, shots()):
         assert np.array_equal(a, b) and np.array_equal(a, c)
     # V0 is integrate_limit's run at the kept tolerances from the same launch
-    # to the bit: V1..V6 ride along without moving a step
+    # to the bit: V1..V_K ride along without moving a step
     run = kept_run()
     x0, V = odecore.mu_series_launch(p7, tol.rtol, tol.atol)
     alone = integrate_module.integrate_limit(x0, V[0], V[1], run.t[-1], p7,
                                              integrate_module._limit_tol(p7, tol))
-    assert alone.t == run.t and alone.y == run.y[:2]
+    assert alone.t == run.t and list(alone.y) == [list(v) for v in run.y[:2]]
 
 
 def test_loose_rtols_read_one_kept_run(p7, monkeypatch):
@@ -197,9 +201,9 @@ def test_limit_fits_read_the_center_shots_V0_to_the_bit(p7, tol, monkeypatch):
 @pytest.mark.parametrize("p, c", [(9, 1.9e19), (31, 1.43e10), (31, 3.08e10)],
                          ids=["9-1.9e+19", "31-1.43e+10", "31-3.08e+10"])
 def test_shot_from_a_degenerate_limit_solution_stops_with_a_label(p, c, tol):
-    # p = 9: within the kept run's reach (x_s = rtol^{1/14} c^4 = 1.8e76) the
-    # shot comes back with a termination label, as the series launch did, and
-    # its head and interpolant build finite.  p = 31: x_s = 3e150 and 2.9e155
+    # p = 9: within the kept run's reach (x_s = rtol^{1/(2K+2)} c^4 = 2.8e76)
+    # the shot comes back with a termination label, as the series launch did,
+    # and its head and interpolant build finite.  p = 31: x_s = 4.6e151 and 4.6e156
     # lie past the run's end at LIMIT_FAR; the shot is refused by name, never
     # started from inf or nan
     params = derive_constants(p)
@@ -225,7 +229,7 @@ def test_shots_past_the_reach_of_the_limit_solution_are_named(p7, tol):
     assert np.isfinite(run.y).all() and min(run.y[0]) > 0.0
     assert np.max(np.abs(run.y[2::2])) <= 0.074
     reach = run.t[-2]
-    c_max = (reach / tol.rtol ** (1.0 / 14.0)) ** (1.0 / 3.0)
+    c_max = (reach / tol.rtol ** (1.0 / (2 * odecore.CENTER_K + 2))) ** (1.0 / 3.0)
     assert center_trajectory(0.999 * c_max, 0.5, p7, tol).termination == TERM_REACHED_END
     past = f"past its last full step (reached_end) at {reach:.3g}"
     with pytest.raises(ValueError, match=re.escape(f"center amplitude c={1.001 * c_max:g} "
@@ -270,47 +274,41 @@ def test_large_c_start_is_the_limit_solution_and_its_first_correction(c, p7, tol
     assert max(_scaled_gap(c, p7, x, U0, dU0, ref)) > 1e-8
 
 
-# the (p, c) whose start the kept run's V0, stepped at rtol 1e-12, does not
-# hold to 1e-12 in u': 1.0e-12 at p = 15, c = 1394.4, and 1.1e-12 to 9e-12 at
-# p = 31 for c >= 13.87 (the start at rho = 0.01 from U0 + mu U1 + mu^2 U2
-# read 8.3e-12 and 3.5e-12 at p = 31, c = 13.87 and 35.91); at p = 31,
-# c = 1394.4 it reads 8.9e-12, and 6.5e-14 with V0 stepped at rtol 3e-14
-_RTOL_LIMITED_STARTS = {(15, 1394.4), (31, 13.87), (31, 35.91), (31, 1394.4), (31, 54434.2)}
-
-
-@pytest.mark.parametrize("p, c", [
-    pytest.param(p, c, marks=pytest.mark.xfail(strict=True, reason="V0 is held to rtol 1e-12"))
-    if (p, c) in _RTOL_LIMITED_STARTS else (p, c)
-    for p in (7, 9, 15, 31) for c in (0.3, "b0", 2.0544, 13.87, 35.91, 1394.4, 54434.2)])
+@pytest.mark.parametrize("p, c", [(p, c) for p in (7, 9, 15, 31)
+                                  for c in (0.3, "b0", 2.0544, 13.87, 35.91, 1394.4, 54434.2)])
 def test_center_start_is_the_series_in_rho_squared(c, p, tol):
-    # every center shot starts at x_s = rtol^{1/14} c^{(p-1)/2} from
-    # sum_{k<=6} rho_s^{2k} V_k: off the kept run in the chart of c or, below
-    # its launch at x0 = 0.05, off the series in the plain chart.  Against the
-    # x-chart series launch integrated there at rtol 1e-13, atol 1e-30 (for
-    # c = b0, the exact constant solution), scaled like Newton's F, the start
-    # is within 1e-12
+    # every center shot starts from sum_{k<=K} rho^{2k} V_k, K = CENTER_K: at
+    # the last kept-run node x_k <= x_s = rho_s c^{(p-1)/2}, rho_s =
+    # rtol^{1/(2K+2)}, on that node's own values in the chart of c, or, with
+    # x_s below the kept run's launch at x0 = 0.05, at rho_s off the series in
+    # the plain chart.  Against the x-chart series launch integrated there at
+    # rtol 1e-13, atol 1e-30 (for c = b0, the exact constant solution), scaled
+    # like Newton's F, the start is within 1e-12 (measured: 8.3e-13 at most;
+    # the kept run's interpolant read at x_s was up to 9.0e-12 off)
     params = derive_constants(p)
     c = params.b0 if c == "b0" else c
-    rho_s = tol.rtol ** (1.0 / 14.0)
+    rho_s = tol.rtol ** (1.0 / (2 * odecore.CENTER_K + 2))
     stretch = c ** ((p - 1) / 2.0)
     x_s = rho_s * stretch
     traj = center_trajectory(c, 0.5, params, tol)
     if x_s <= 0.05:
         assert traj.c_scale == 1.0 and traj.t[0] == rho_s
-        start = traj.y[0][0] / c, traj.y[1][0] / (c * stretch)
+        x, start = x_s, (traj.y[0][0] / c, traj.y[1][0] / (c * stretch))
     else:
-        outer = _parts(traj)[3]
-        assert traj.c_scale == c and outer._t[0] == x_s and traj.t[0] == 0.05
+        run, k, outer = traj._run, traj._k, _parts(traj)[3]
+        x = outer._t[0]
+        assert traj.c_scale == c and traj.t[0] == 0.05 and traj.t[k] == x == run.t[k]
+        assert x <= x_s < run.t[k + 1]
         start = outer._y[0][0], outer._y[1][0]
     if c == params.b0:
-        ref = Trajectory(params, c, [x_s], ([1.0], [0.0]), None, TERM_REACHED_END)
+        ref = Trajectory(params, c, [x], ([1.0], [0.0]), None, TERM_REACHED_END)
     else:
-        ref = _tight_shot(c, params, x_s, Tolerances(rtol=1e-13, atol=1e-30))
-    assert max(_scaled_gap(c, params, x_s, *start, ref)) <= 1e-12
-    # below x_s the shot reads the sum pointwise on the kept run's steps:
+        ref = _tight_shot(c, params, x, Tolerances(rtol=1e-13, atol=1e-30))
+    assert max(_scaled_gap(c, params, x, *start, ref)) <= 1e-12
+    # below the start the shot reads the sum pointwise on the kept run's steps:
     # 1e-11 relative to the reference's own interpolant
-    if ref.dense is not None and x_s > 0.05:
-        xq = x_s * np.geomspace(0.05 / x_s, 0.9, 6)
+    if ref.dense is not None and x > 0.05:
+        xq = x * np.geomspace(0.05 / x, 0.9, 6)
         assert np.max(np.abs(traj.dense(xq) / ref.dense(xq) - 1.0)) <= 1e-11
 
 
@@ -467,6 +465,9 @@ def _scipy_dop853(rhs, t0, y0, t_end, tol):
     return np.array(ts), np.array(ys).T, OdeSolution(np.array(ts), pieces), solver.nfev
 
 
+KEPT_RUN = f"kept run V0..V{odecore.CENTER_K}"
+
+
 def _oracle_case(name, p7, tol):
     """(rhs, t0, y0, t_end) of the integrations the package runs."""
     if name == "center c=2":
@@ -481,7 +482,7 @@ def _oracle_case(name, p7, tol):
     if name == "limit":
         x0, U, dU, _ = limit_launch(p7, tol.rtol, tol.atol)
         return chart_rhs(p7, 0.0), x0, (U, dU), 1e6
-    if name == "kept run V0..V6":
+    if name == KEPT_RUN:
         x0, V = odecore.mu_series_launch(p7, tol.rtol, tol.atol)
         return odecore.series_rhs(p7, odecore.CENTER_K), x0, V, 1e6
     beta = asymptotics._linearized_cone_coeffs(p7, SERIES_ORDER + 6)
@@ -675,7 +676,7 @@ def _with_loop_stepper(monkeypatch, run):
 
 
 @pytest.mark.parametrize("name", ["center c=2", "x-chart c=1e4", "cone b=0.7",
-                                  "limit", "cone linearization", "kept run V0..V6"])
+                                  "limit", "cone linearization", KEPT_RUN])
 def test_generated_kernel_is_the_loop_stepper_bit_for_bit(name, p7, tol, monkeypatch):
     rhs, t0, y0, t_end = _oracle_case(name, p7, tol)
     for store_dense in (True, False):
@@ -821,7 +822,7 @@ def test_rebuilt_stages_are_the_loops_bit_for_bit(p7, tol, monkeypatch):
     # node with the loop's own stage lines, in place or called, and they are
     # the stages the loop stepper took the step with, so the interpolant is
     # the one its stages give
-    for name in ("kept run V0..V6", "center c=2"):
+    for name in (KEPT_RUN, "center c=2"):
         rhs, t0, y0, t_end = _oracle_case(name, p7, tol)
         for r in (rhs, _call_form(rhs)):
             t, y, dense, _ = drive_ode(r, t0, y0, t_end, tol)
@@ -838,12 +839,14 @@ def test_rebuilt_stages_are_the_loops_bit_for_bit(p7, tol, monkeypatch):
 @pytest.mark.parametrize("name", ["_loop", "_stages", "_coeffs"])
 def test_kept_run_kernels_compile_within_a_bounded_peak(name):
     # each kernel is compiled on its own to bound the compiler's memory: for
-    # the kept run's 14 components the peaks read 1.74, 1.71 and 1.65 MB
-    # (Python 3.11), while _stages and _coeffs merged into one source read
-    # 3.12 MB and raised the benchmark's `family` peak RSS by 5.5%
+    # the kept run's 2K + 2 = 18 components the peaks read 2.08, 2.04 and
+    # 2.00 MB (Python 3.11; 1.74, 1.71 and 1.65 MB at K = 6), while for 14
+    # components _stages and _coeffs merged into one source read 3.12 MB and
+    # raised the benchmark's `family` peak RSS by 5.5%; K = 9's _coeffs reads
+    # 2.63 MB
     tracemalloc.start()
     try:
-        integrate_module._kernel.__wrapped__(14, False, name)
+        integrate_module._kernel.__wrapped__(2 * odecore.CENTER_K + 2, False, name)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -906,23 +909,24 @@ def test_dense_output_is_scipys_bit_for_bit(oracle_shots):
         for q in (*nodes, *mids, *rand[:50], float(rand[0]), *ends, np.asarray(t[1])):
             ours = dense(q)
             assert np.shape(ours) == (2,) and np.array_equal(ours, ref(q)), name
-    # the kept run (V0, V0', ..., V6, V6') itself, on the array path and on
-    # the float path the center shots read it by
+    # the kept run (V0, V0', ..., V_K, V_K') itself, on the array path and on
+    # the float path a center shot's head reads it by
     shot = oracle_shots["x-chart c=1e4"]
     run, mu, k, tail = _parts(shot)
     t, y = np.array(run._t), np.array(run._y)
-    assert len(run.coefficients(0)) == 14 * 7
+    n = 2 * odecore.CENTER_K + 2
+    assert len(run.coefficients(0)) == n * 7
     ref = OdeSolution(t, [Dop853DenseOutput(t[i], t[i + 1], y[:, i], _scipy_F(run, i))
                           for i in range(len(t) - 1)])
     q = np.concatenate((t, np.geomspace(t[0], t[-1], 300)))
     assert np.array_equal(run(q), ref(q))
     for x in q[::7].tolist():
-        assert len(run(x)) == 14 and np.array_equal(run(x), ref(x))
-    # a large-c centre shot: below the outer run's start, sum_k (mu x^2)^k V_k
-    # of the kept run's nodes and, pointwise, of its interpolant; then the
-    # outer run
+        assert len(run(x)) == n and np.array_equal(run(x), ref(x))
+    # a large-c centre shot: below the outer run's start, the kept run's node
+    # k, sum_k (mu x^2)^k V_k of the kept run's nodes and, pointwise, of its
+    # interpolant; then the outer run
     join = tail._t[0]
-    assert run._t[k - 1] < join <= run._t[k]
+    assert join == run._t[k]
     point = integrate_module._sum_kernel(odecore.CENTER_K)[0]
     assert np.array_equal(np.array(shot.y)[:, :k], point(mu, t[:k], *y[:, :k]))
     q = np.concatenate((np.geomspace(t[0], tail._t[-1], 200), [join]))

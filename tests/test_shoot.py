@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from blowup import diagnostics as diag, integrate as integrate_module, odecore
+from blowup import cli, diagnostics as diag, integrate as integrate_module, odecore
 from blowup.diagnostics import w_zero_locations
 from blowup.integrate import Tolerances, center_trajectory, lightcone_trajectory
 from blowup.model import derive_constants, du_singular
@@ -199,9 +199,9 @@ def test_matching_radius_independence(p7, tol, u1):
 
 @pytest.mark.parametrize("rho_mid", [0.0011, 0.005])
 def test_matching_radius_near_the_center_solves(rho_mid, p7, tol, u1):
-    # the centre shot starts from the series in rho^2 at rho_s = rtol^{1/14}
-    # = 0.139, moved in to rho_mid/2 but not below rtol^{1/4} = 1e-3: a
-    # rho_mid just past 1e-3, or between there and 0.28, still gives row 1
+    # the centre shot starts from the series in rho^2 at rho_s = rtol^{1/(2K+2)}
+    # = 0.215, moved in to rho_mid/2 but not below rtol^{1/4} = 1e-3: a
+    # rho_mid just past 1e-3, or between there and 0.43, still gives row 1
     row = find_solution(1, p7, tol, rho_mid=rho_mid)
     assert row.zeros == 2
     assert row.c == pytest.approx(u1.c, rel=1e-9)
@@ -416,9 +416,46 @@ def test_quotient_seed_needs_few_centre_shots(p7, tol, monkeypatch):
             assert k <= 3, f"centre shots at n={row.n}"
 
 
+# `spectrum --n-max 12 --rho-mid 0.5`'s (c_n, b_n, zeros) cells as printed
+# with a finite-difference ln c column at every Newton iteration
+SPECTRUM_CELLS = [
+    ("2.054390357", "0.6886985754", "2"), ("5.756037119", "0.8204934085", "3"),
+    ("13.86655591", "0.7469083627", "4"), ("35.9134337", "0.7960550939", "5"),
+    ("88.26660888", "0.7662634207", "6"), ("223.5507457", "0.7855482002", "7"),
+    ("554.9215103", "0.7735466595", "8"), ("1394.439368", "0.7812095856", "9"),
+    ("3476.40149", "0.7763939729", "10"), ("8709.678394", "0.7794511857", "11"),
+    ("21752.39981", "0.7775226466", "12"), ("54434.1812", "0.7787441437", "13")]
+
+
+def test_newton_takes_one_finite_difference_shot_per_row(monkeypatch, capsys):
+    # each row's Newton solve differences C0 in ln c once, at its seed, and
+    # then reads dF/d ln c off the secant to each trial (C0 = F + C1, no
+    # shot): the rows take 51 centre shots (62 with a difference at every
+    # iteration: 9, 9, 7, 7, 5, 5, 5, 3, 3, 3, 3, 3) and print the cells
+    # they printed then
+    solves = []
+    read = shoot._ImageCache.F
+
+    def recorded(cache, c, b):
+        if not solves or solves[-1][0] is not cache:
+            solves.append((cache, []))
+        solves[-1][1].append(c)
+        return read(cache, c, b)
+
+    monkeypatch.setattr(shoot._ImageCache, "F", recorded)
+    assert cli.main(["spectrum", "--n-max", "12", "--rho-mid", "0.5"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:13]]
+    assert [(r[1], r[2], r[6]) for r in rows] == SPECTRUM_CELLS
+    assert [len(set(cs)) for _, cs in solves] == [7, 6, 5, 5, 5, 4, 4, 3, 3, 3, 3, 3]
+    for _, cs in solves:
+        differences = [c for i, c in enumerate(cs) if any(
+            c == math.exp(math.log(a) + 1e-7 * max(1.0, (a / 100.0) ** 0.5)) for a in cs[:i])]
+        assert len(cs) == len(set(cs)) and differences == [cs[1]]
+
+
 def test_large_c_centre_shots_take_a_flat_step_budget(p7, tol, monkeypatch):
     # a centre shot that starts from the limit solution and its
-    # corrections integrates only from x_s = rtol^{1/14} c^3 to rho_mid c^3,
+    # corrections integrates only from x_s = rtol^{1/(2K+2)} c^3 to rho_mid c^3,
     # so its steps stop growing with ln c (a series launch at x = 1e-3 takes
     # 423 steps to rho_mid at n = 12)
     outer = {}
@@ -438,8 +475,9 @@ def test_large_c_centre_shots_take_a_flat_step_budget(p7, tol, monkeypatch):
 
 @pytest.mark.parametrize("p", range(7, 32, 2))
 def test_loose_tolerance_rows_from_the_limit_solution(p, tol):
-    # at rtol 1e-8 centre shots start from the series in rho^2 through V6 at
-    # rho_s = rtol^{1/14} = 0.268; rows n <= 6 keep their zero counts and c_n
+    # at rtol 1e-8 centre shots start from the series in rho^2 through V_K at
+    # rho_s = min(rtol^{1/(2K+2)}, rho_mid/2) = 0.25; rows n <= 6 keep their
+    # zero counts and c_n
     params = derive_constants(p)
     loose = shoot.spectrum(6, params, Tolerances(rtol=1e-8, atol=1e-10)).rows
     tight = shoot.spectrum(6, params, tol).rows
@@ -451,10 +489,10 @@ def test_loose_tolerance_rows_from_the_limit_solution(p, tol):
 @pytest.mark.parametrize("p", [7, 9])
 @pytest.mark.parametrize("rtol", [1e-6, 1e-7])
 def test_loosest_tolerances_keep_the_kept_run_at_the_default_rtol(p, rtol, tol):
-    # stepped on V0 alone at rtol 1e-7, the stiff -2k(2k+1)/x^2 modes of V5
-    # and V6 grow (V6 off by 16 at x = 2.16) and row 1 stalls or drifts; the
-    # kept run is never looser than the default rtol, so every row lies within
-    # 10 rtol of the default rows
+    # stepped on V0 alone at rtol 1e-7, the stiff -2k(2k+1)/x^2 modes of the
+    # last V_k grow (at K = 6, V6 off by 16 at x = 2.16) and row 1 stalls or
+    # drifts; the kept run is never looser than the default rtol, so every row
+    # lies within 10 rtol of the default rows
     params = derive_constants(p)
     loose = shoot.spectrum(4, params, Tolerances(rtol)).rows
     tight = shoot.spectrum(4, params, tol).rows
@@ -491,6 +529,36 @@ def test_newton_trials_combine_no_head(p7, tol, monkeypatch):
     assert all("y" not in h.__dict__ and 0 < h.nodal_start()[0] < h._k for h in heads)
     assert combined == [(r.c ** -(p7.p - 1), h._k - h.nodal_start()[0])
                         for r, h in zip(rows, heads)]
+
+
+def test_shooting_reads_no_kept_run_interpolant(p7, tol, monkeypatch):
+    # every outer run starts on a node of the kept run, from that node's own
+    # values, so a family built on a fresh kept run compiles no 2K + 2
+    # component _stages or _coeffs and builds no kept-run step coefficients
+    monkeypatch.setattr(integrate_module, "_LIMIT_RUNS", {})
+    monkeypatch.setattr(integrate_module, "_HEAD_TABLES", {})
+    kernel, rescaled = integrate_module._kernel, integrate_module.integrate_rescaled
+    kernels, starts = [], []
+
+    def built(n, chart, name="_loop"):
+        kernels.append((n, name))
+        return kernel(n, chart, name)
+
+    def started(c, x_start, *args, **kwargs):
+        starts.append(x_start)
+        return rescaled(c, x_start, *args, **kwargs)
+
+    monkeypatch.setattr(integrate_module, "_kernel", built)
+    monkeypatch.setattr(integrate_module, "integrate_rescaled", started)
+    rows = shoot.spectrum(12, p7, tol).rows
+    assert [r.n for r in rows] == list(range(1, 13))
+    n = 2 * odecore.CENTER_K + 2
+    assert (n, "_loop") in kernels and (n, "_stages") not in kernels
+    assert (n, "_coeffs") not in kernels
+    (run, _, _), = integrate_module._LIMIT_RUNS.values()
+    assert run.dense._F == {}
+    nodes = set(run.t)
+    assert len(starts) > 12 and all(x in nodes for x in starts)
 
 
 def test_root_with_wrong_zero_count_is_rejected(p7, tol, monkeypatch):
@@ -548,7 +616,7 @@ def _full_walk_count(traj):
 
 # rows each family reaches at rho_mid 0.5 (and p = 7 at 0.3 and 0.4269) before
 # a row is refused, the same with the table as with the full walk
-FAMILY_DEPTH = {7: 57, 9: 39, 11: 33, 13: 30, 15: 27, 17: 27, 19: 26, 21: 25, 23: 25,
+FAMILY_DEPTH = {7: 57, 9: 39, 11: 33, 13: 30, 15: 28, 17: 27, 19: 26, 21: 25, 23: 25,
                 25: 24, 27: 24, 29: 23, 31: 23}
 
 
@@ -610,19 +678,20 @@ def test_the_head_table_is_the_phase_walk_of_v0_and_bounds_every_head(family):
 
 
 def test_a_head_whose_bound_fails_at_its_first_node_walks_it_all(p7, tol, family, monkeypatch):
-    # the constant solution's four head nodes take the table, and a plain-chart
-    # shot (c = 0.5, below the kept run's launch; or the constant solution at
-    # p = 31) has no head to take it for; with no room left for the k >= 1
-    # terms every cut is the first node, and every count walks the whole head
-    # and counts the same
+    # the constant solution's six head nodes take the table, and a plain-chart
+    # shot (c = 0.5, below the kept run's launch) or one that starts on the
+    # kept run's first node (the constant solution at p = 31) has no head to
+    # take it for; with no room left for the k >= 1 terms every cut is the
+    # first node, and every count walks the whole head and counts the same
     plain = shoot.MergedTrajectory(center_trajectory(0.5, 0.5, p7, tol),
                                    lightcone_trajectory(0.8, 0.5, p7, tol), 0.5)
     constant = constant_solution_result(p7, tol).trajectory
     trajs = [row.trajectory for row in family.rows] + [
         constant, plain, constant_solution_result(derive_constants(31), tol).trajectory]
-    assert constant.center.nodal_start()[0] == 3 == constant.center._k - 1
+    assert constant.center.nodal_start()[0] == 5 == constant.center._k - 1
+    assert not isinstance(plain.center, integrate_module._CenterShot)
+    assert trajs[-1].center._k == 0
     for traj in trajs[-2:]:
-        assert not isinstance(traj.center, integrate_module._CenterShot)
         assert traj.center.nodal_start() == (0, None, 0)
     counts = [_full_walk_count(traj) for traj in trajs]
     assert [shoot.nodal_index(traj) for traj in trajs] == counts
